@@ -48,9 +48,9 @@ class SystemConfig:
     max_tool_turns: int = 8
     #: Persistent stragglers (repro.faults): ``(replica_id, factor)`` pairs.
     #: Every system builds replicas through the shared workload, so the
-    #: slowdown applies identically to barrier and continuous orchestrations
-    #: in either stepping mode.  Factors multiply both decode step time and
-    #: environment latency; the empty default is the nominal cluster.
+    #: slowdown applies identically to barrier and continuous orchestrations.
+    #: Factors multiply both decode step time and environment latency; the
+    #: empty default is the nominal cluster.
     straggler_factors: Tuple[Tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:

@@ -4,7 +4,8 @@ Builders live in :mod:`repro.faults.plan`; the event/recovery vocabulary they
 lower into is :mod:`repro.systems.fault_tolerance`, and the Laminar runtime
 consumes the resulting :class:`~repro.systems.fault_tolerance.FailureInjector`
 in pure event time.  The whole subsystem is deterministic from unit seeds:
-fleet vs process stepping stay ``==`` under injected chaos.
+fleet stepping stays ``==`` to the per-replica process oracle under injected
+chaos.
 """
 
 from ..systems.fault_tolerance import (

@@ -73,7 +73,7 @@ class FailurePlan:
 
     def sorted_events(self) -> List[FailureEvent]:
         """Events in firing order (ties broken by kind then target, so the
-        order is total and identical in every stepping mode)."""
+        order is total and independent of how replicas are stepped)."""
         return sorted(self.events, key=lambda e: (e.time, e.kind, e.target))
 
     def build_injector(self, recovery: Optional[RecoveryModel] = None) -> FailureInjector:

@@ -10,14 +10,11 @@ from .generation import (
     build_sequence_states,
 )
 from .environment import SimulatedEnvironment, TrajectoryFactory, difficulty_to_turns
-from .reference import ScalarReplicaBatchView, ScalarReplicaGenerationState
 from .replica_config import RolloutReplicaConfig
 
 __all__ = [
     "ReplicaBatchView",
     "ReplicaGenerationState",
-    "ScalarReplicaBatchView",
-    "ScalarReplicaGenerationState",
     "ReplicaStats",
     "SequenceState",
     "SequenceStatus",

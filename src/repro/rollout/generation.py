@@ -4,15 +4,16 @@
 parallel group) decoding a set of trajectories.  It is deliberately free of
 any discrete-event-simulation dependency: callers drive it by asking "when is
 your next internal event?" and then telling it "advance by this much time".
-The ``repro.runtime`` harness turns that contract into engine processes:
+The :mod:`repro.runtime.harness` turns that contract into one engine process
+that steps every replica:
 
-* Laminar and AReaL run one interruptible driver process per replica
-  (:func:`repro.runtime.replica_driver`), which sleeps until the replica's
-  own next event — so repacking, weight pulls and failures can land at any
+* Laminar and AReaL replicas are members of a fleet stepper
+  (:class:`repro.runtime.FleetStepper`), which wakes each replica at its own
+  next event — so repacking, weight pulls and failures can land at any
   instant and simulated time jumps between real events;
-* the batch-synchronous baselines drain each replica with
-  :func:`repro.runtime.drain_replica` behind an ``AllOf`` barrier
-  (:func:`repro.runtime.generation_barrier`), which reproduces their
+* the batch-synchronous baselines drain a whole batch of replicas behind one
+  join (:func:`repro.runtime.generation_barrier`, stepping the replicas
+  together through :class:`ReplicaBatchView`), which reproduces their
   slowest-replica iteration semantics exactly.
 
 Because every system shares this engine (and the roofline decode model inside
@@ -34,7 +35,7 @@ that external callers hold (repack, failover, the partial response pool) are
 re-synchronised from the arrays at every boundary where they can be observed
 (``sequences()``, removal, completion).
 ``tests/test_engine_equivalence.py`` drives this engine step-for-step against
-the retained scalar reference (:mod:`repro.rollout.reference`) and asserts
+the scalar reference engine kept in ``tests/oracles.py`` and asserts
 bit-identical trajectories, stats and KVCache occupancy.
 
 Decode semantics
@@ -1135,8 +1136,8 @@ class ReplicaGenerationState:
         A factor of 1.0 restores the nominal path.  The mutation bump
         invalidates the step cache so the new factor takes effect at the
         caller's next event; callers mutate only at the replica's current
-        clock (``catch_up`` first), which keeps fleet and process stepping
-        bit-identical.
+        clock (``catch_up`` first), which keeps fleet stepping bit-identical
+        to one process per replica.
         """
         changed = False
         if decode is not None and decode != self._decode_slowdown:
@@ -1157,38 +1158,19 @@ class ReplicaGenerationState:
         if changed:
             self._mutation += 1
 
-    # ------------------------------------------------------------------ batch API
-    def run_to_completion(self, max_time: float = math.inf) -> Tuple[float, List[Trajectory]]:
-        """Drive the replica until every sequence finishes (baseline systems).
-
-        Returns ``(elapsed_time, completed_trajectories)``.
-        """
-        start = self.clock
-        completed: List[Trajectory] = []
-        while self._sequences and self.clock - start < max_time:
-            delta = self.next_event_in()
-            if delta is None:
-                break
-            delta = min(delta, max_time - (self.clock - start))
-            completed.extend(self.advance(delta))
-        completed.extend(self.drain_completed())
-        # drain_completed may duplicate those returned by advance; dedupe by id.
-        unique: Dict[int, Trajectory] = {t.traj_id: t for t in completed}
-        return self.clock - start, list(unique.values())
-
 
 class ReplicaBatchView:
     """Fused cross-replica stepping view over many replicas' decode state.
 
-    Barrier drains (and grouped fleet services) advance replicas that are
-    mutually independent: they interact only at the join.  This view stacks
-    every *fuse-eligible* replica's per-sequence decode state into one
-    cross-replica SoA — segment remainders, generated tokens, env timers and
-    KV token counts concatenated lane-major — and sweeps all lanes together
-    with per-horizon vectorized kernels: one masked ``next_event_in``
-    reduction over the stacked arrays, one clipped vector subtract for decode
-    across every lane due at the same horizon.  The per-sequence Python tail
-    (segment finishes, env transitions) is shared across lanes per sweep.
+    Barrier drains advance replicas that are mutually independent: they
+    interact only at the join.  This view stacks every *fuse-eligible*
+    replica's per-sequence decode state into one cross-replica SoA — segment
+    remainders, generated tokens, env timers and KV token counts concatenated
+    lane-major — and sweeps all lanes together with per-horizon vectorized
+    kernels: one masked ``next_event_in`` reduction over the stacked arrays,
+    one clipped vector subtract for decode across every lane due at the same
+    horizon.  The per-sequence Python tail (segment finishes, env
+    transitions) is shared across lanes per sweep.
 
     The contract is bit-identity with driving each
     :class:`ReplicaGenerationState` one at a time: every float expression
@@ -1215,23 +1197,22 @@ class ReplicaBatchView:
     idempotent.
     """
 
-    def __init__(self, replicas: Sequence[ReplicaGenerationState], fuse: bool = True) -> None:
+    def __init__(self, replicas: Sequence[ReplicaGenerationState]) -> None:
         self.replicas = list(replicas)
         self._lane_k = np.full(len(self.replicas), -1, dtype=np.int64)
         self._settled = False
         self._round_done: Dict[int, List[Trajectory]] = {}
         candidates: List[int] = []
-        if fuse:
-            for pos, replica in enumerate(self.replicas):
-                if (
-                    type(replica) is ReplicaGenerationState
-                    and replica.num_sequences > 0
-                    and not replica._queued
-                    and replica._decode_slowdown == 1.0
-                    and replica._env_slowdown == 1.0
-                    and replica.trace_samples is None
-                ):
-                    candidates.append(pos)
+        for pos, replica in enumerate(self.replicas):
+            if (
+                type(replica) is ReplicaGenerationState
+                and replica.num_sequences > 0
+                and not replica._queued
+                and replica._decode_slowdown == 1.0
+                and replica._env_slowdown == 1.0
+                and replica.trace_samples is None
+            ):
+                candidates.append(pos)
         self._stack(candidates)
 
     # ------------------------------------------------------------------ stacking
@@ -1372,11 +1353,6 @@ class ReplicaBatchView:
     @property
     def num_fused(self) -> int:
         return int((self._lane_k >= 0).sum())
-
-    @property
-    def all_fused(self) -> bool:
-        """True if every lane is serviced by the grouped kernel."""
-        return bool((self._lane_k >= 0).all())
 
     def lane_is_fused(self, pos: int) -> bool:
         return bool(self._lane_k[pos] >= 0)

@@ -10,36 +10,21 @@
 * :class:`CompletionPipeline` and the weight-sync components
   (:class:`GlobalWeightSync`, :class:`RelayWeightSync`) — the per-completion
   and per-update plumbing shared across systems;
-* the DES harness — replicas as engine processes: plain and anchored drains
-  (:func:`drain_replica`, :func:`drain_replica_anchored`) joined by the
-  ``AllOf`` :func:`generation_barrier` for the batch-synchronous systems,
-  and interruptible drivers (:func:`replica_driver`, :class:`ReplicaFleet`)
-  for the continuous ones;
-* the fleet stepping layer (:mod:`repro.runtime.fleet`) — the default
-  execution mode: one engine process per scenario drives every replica off a
-  packed :class:`FleetState` SoA block with bit-identical event times
-  (:func:`fleet_generation_barrier`, :class:`FleetStepper`); the per-replica
-  process shape remains available via ``stepping("process")`` as the
-  equivalence-test reference.
+* the DES harness (:mod:`repro.runtime.harness`), which steps every replica
+  from one engine process: :func:`generation_barrier` drains a whole batch
+  of replicas behind one join for the batch-synchronous systems, and
+  :class:`ReplicaFleet` members share one :class:`FleetStepper` process,
+  scheduled off a :class:`FleetState` wake-up heap, for the continuous ones.
 """
 
 from .components import CompletionPipeline, GlobalWeightSync, RelayWeightSync
-from .fleet import (
-    FleetState,
-    FleetStepper,
-    fleet_generation_barrier,
-    set_stepping_mode,
-    stepping,
-    stepping_mode,
-)
 from .harness import (
     EventBox,
+    FleetState,
+    FleetStepper,
     GenerationOutcome,
     ReplicaFleet,
-    drain_replica,
-    drain_replica_anchored,
     generation_barrier,
-    replica_driver,
 )
 from .workload import WorkloadBundle
 
@@ -53,12 +38,5 @@ __all__ = [
     "RelayWeightSync",
     "ReplicaFleet",
     "WorkloadBundle",
-    "drain_replica",
-    "drain_replica_anchored",
-    "fleet_generation_barrier",
     "generation_barrier",
-    "replica_driver",
-    "set_stepping_mode",
-    "stepping",
-    "stepping_mode",
 ]

@@ -1,42 +1,50 @@
-"""Event-driven harness that runs rollout replicas as ``sim.engine`` processes.
+"""Event-driven harness: one engine process steps every rollout replica.
 
 Two execution shapes cover every registered system (:mod:`repro.systems`):
 
 * **Batch generation behind a barrier** (verl, one-step, stream generation,
-  semi-sync): each replica is drained to completion and the batch's global
-  barrier is an :class:`~repro.sim.engine.AllOf` join over the replica
-  processes (:func:`generation_barrier`).  Per-replica results are
-  byte-identical to driving the replica with
-  :meth:`ReplicaGenerationState.run_to_completion`, because the process
-  performs exactly the same ``next_event_in`` / ``advance`` call sequence —
-  the engine merely interleaves independent replicas on one clock.  Two
-  drain modes exist: the plain :func:`drain_replica` sleeps relative
-  timeouts, while :func:`drain_replica_anchored` lands every wake-up at
-  ``origin + local clock`` exactly and can stream completions at their
-  precise finish instants — the mode the pipelined systems build their pure
+  semi-sync): :func:`generation_barrier` drains a fresh set of replicas to
+  completion and joins at the slowest one.  No external actor mutates a
+  barrier replica mid-drain, so the whole drain is simulated eagerly at
+  barrier start, and the engine only sees the externally observable events:
+  one publisher per streamed completion instant and one join wake-up.  With
+  ``origin`` set the drain is *anchored*: wake-ups land at
+  ``origin + local clock`` exactly and completions stream at their precise
+  finish instants — the mode the pipelined systems build their pure
   event-time iteration clocks on.
 
-* **Continuous generation** (AReaL, Laminar): every replica has a long-lived
-  :func:`replica_driver` process that sleeps until the replica's own next
-  internal event, refills it when idle, and reports completions through
-  :class:`ReplicaFleet` hooks.  External actors (trainer, repack, failures)
-  interrupt the driver via :meth:`Process.interrupt` whenever they mutate the
-  replica (pull its trajectories, inject a stall), and the driver recomputes
-  its next event — so simulated time jumps between real events instead of
-  being stepped through lock-step rounds.
+* **Continuous generation** (AReaL, Laminar): the members of a
+  :class:`ReplicaFleet` are stepped by one :class:`FleetStepper` process that
+  sleeps until the earliest member wake-up in a :class:`FleetState` heap,
+  refills idle replicas and reports completions through the fleet's hooks.
+  External actors (trainer, repack, failures) ``touch`` the replicas they
+  mutate (pull trajectories, inject a stall) and the stepper recomputes their
+  next events — so simulated time jumps between real events instead of being
+  stepped through lock-step rounds.
+
+Bit-identity contract
+---------------------
+Each replica observes the same ``(next_event_in, advance)`` call sequence, at
+the same simulated instants, as it would under one engine process per
+replica; the harness organises *scheduling*, never replica arithmetic.  The
+per-replica process shapes are kept as the test oracle (``tests/oracles.py``)
+and ``tests/test_fleet_equivalence.py`` compares the two with ``==``.
+Residual freedom exists only where the engine's FIFO tie-break ordered events
+of *different* replicas at exactly equal float times.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..rollout.generation import ReplicaGenerationState
+from ..rollout.generation import ReplicaBatchView, ReplicaGenerationState
 from ..sim.engine import Environment, Event, Interrupt, Process
 from ..types import Trajectory
-from .fleet import FleetStepper, fleet_generation_barrier, stepping_mode
 
 #: Numerical slack when comparing simulated times (mirrors the replica engine).
 _EPS = 1e-9
@@ -78,41 +86,6 @@ class GenerationOutcome:
         return float(np.mean([slowest - t for t in self.per_replica_time]))
 
 
-def drain_replica(env: Environment, replica: ReplicaGenerationState) -> Generator:
-    """Process body: drive ``replica`` until it has no work left.
-
-    Returns ``(elapsed_local_time, completed_trajectories)`` exactly like
-    :meth:`ReplicaGenerationState.run_to_completion`.
-
-    The ``next_event_in`` / ``advance`` pair leans on the engine's
-    incremental event accessors: both calls need the same (step time, min
-    segment, earliest env return) reductions, and the engine caches them
-    against its mutation counter, so the ``advance`` after the timeout pays
-    O(1) for its first window instead of re-scanning the batch.
-    """
-    start = replica.clock
-    tracer = env.tracer
-    drain_begin = env.now
-    if tracer.enabled:
-        replica.enable_trace_sampling()
-    completed: List[Trajectory] = []
-    while replica.num_sequences:
-        delta = replica.next_event_in()
-        if delta is None:
-            break
-        yield env.timeout(delta)
-        completed.extend(replica.advance(delta))
-    completed.extend(replica.drain_completed())
-    unique: Dict[int, Trajectory] = {t.traj_id: t for t in completed}
-    if tracer.enabled:
-        tracer.span(f"replica-{replica.replica_id}", "generate",
-                    drain_begin, env.now,
-                    args={"trajectories": len(unique),
-                          "tokens": replica.stats.tokens_generated})
-        _flush_decode_samples(tracer, replica, offset=drain_begin - start)
-    return replica.clock - start, list(unique.values())
-
-
 class EventBox:
     """One-slot broadcast event: processes sleep on :meth:`wait`, and
     :meth:`notify` wakes every current waiter at once.
@@ -120,7 +93,7 @@ class EventBox:
     The box swaps in a fresh event *before* succeeding the old one, so a
     waiter re-yielding inside the same wake-up chain sleeps on the next
     occurrence instead of the already-fired event (the lost-wakeup idiom
-    shared by the fleet wake-ups and the producer/consumer variants).
+    shared by the trainer wake-ups and the producer/consumer variants).
     """
 
     def __init__(self, env: Environment) -> None:
@@ -140,74 +113,13 @@ class EventBox:
 CompletionObserver = Callable[[int, List[Trajectory]], None]
 
 
-def drain_replica_anchored(
-    env: Environment,
-    replica: ReplicaGenerationState,
-    origin: float,
-    on_complete: Optional[CompletionObserver] = None,
-    replica_pos: int = 0,
-) -> Generator:
-    """Anchored variant of :func:`drain_replica`: the replica's local clock is
-    authoritative and every engine wake-up lands at ``origin + clock`` exactly
-    (:meth:`Environment.timeout_until`, no ``now + delay`` rounding).
+# -- batch-synchronous barrier -----------------------------------------------
 
-    The synchronous systems define their stage clocks relative to the stage
-    origin, so the barrier's join time is bit-identical to the per-replica
-    local arithmetic: ``max_r fl(origin + clock_r)`` equals
-    ``fl(origin + max_r clock_r)`` because rounding is monotone.
 
-    ``on_complete`` additionally streams completions at their *exact* finish
-    instants (``origin + finish_time``), including completions that fall
-    strictly inside an advance window — the event feed the streaming
-    mini-batch trainer clocks itself on.
-    """
-    start = replica.clock
-    tracer = env.tracer
-    if tracer.enabled:
-        replica.enable_trace_sampling()
-    completed: List[Trajectory] = []
-    seen: Dict[int, Trajectory] = {}
-
-    def publisher(at: float, batch: List[Trajectory]) -> Generator:
-        yield env.timeout_until(at)
-        on_complete(replica_pos, batch)
-
-    def publish(done: List[Trajectory]) -> List[Trajectory]:
-        fresh = [t for t in done if t.traj_id not in seen]
-        for t in fresh:
-            seen[t.traj_id] = t
-        if fresh and on_complete is not None:
-            # One publication event per distinct finish instant, in order.
-            groups: List[Tuple[float, List[Trajectory]]] = []
-            for t in fresh:
-                if groups and groups[-1][0] == t.finish_time:
-                    groups[-1][1].append(t)
-                else:
-                    groups.append((t.finish_time, [t]))
-            for finish, batch in groups:
-                at = origin + finish
-                if at <= env.now:
-                    on_complete(replica_pos, batch)
-                else:
-                    env.process(publisher(at, batch),
-                                name=f"publish-{replica.replica_id}")
-        return fresh
-
-    while replica.num_sequences:
-        delta = replica.next_event_in()
-        if delta is None:
-            break
-        done = replica.advance(delta)
-        completed.extend(publish(done))
-        yield env.timeout_until(origin + replica.clock)
-    completed.extend(publish(replica.drain_completed()))
-    if tracer.enabled:
-        tracer.span(f"replica-{replica.replica_id}", "generate",
-                    origin + start, origin + replica.clock,
-                    args={"trajectories": len(completed),
-                          "tokens": replica.stats.tokens_generated})
-        _flush_decode_samples(tracer, replica, offset=origin)
-    return replica.clock - start, completed
+def _publisher(env: Environment, at: float, replica_pos: int,
+               batch: List[Trajectory], on_complete) -> Generator:
+    yield env.timeout_until(at)
+    on_complete(replica_pos, batch)
 
 
 def generation_barrier(
@@ -216,52 +128,150 @@ def generation_barrier(
     origin: Optional[float] = None,
     on_complete: Optional[CompletionObserver] = None,
 ) -> Generator:
-    """Sub-process: run every replica to completion behind an ``AllOf`` join.
+    """Sub-process: drain every replica to completion behind one join.
 
     This is the global barrier of the batch-synchronous systems: the batch is
-    done only when the slowest replica's process terminates.  Trajectories are
-    collected replica-major (replica 0's completions first), matching the
-    scoring order the reward RNG stream depends on.
+    done only when the slowest replica finishes.  Trajectories are collected
+    replica-major (replica 0's completions first), matching the scoring order
+    the reward RNG stream depends on.
 
-    With ``origin`` set, the replicas run as anchored drains
-    (:func:`drain_replica_anchored`): their wake-ups land at
-    ``origin + local clock`` and completions may be streamed to
-    ``on_complete`` at their exact finish instants — the mode the pipelined
-    systems use so the barrier's join time equals the local stage arithmetic
-    bit for bit.
+    Plain mode accumulates each replica's own ``t = t + delta`` float chain
+    (the engine's ``now + delay`` arithmetic).  With ``origin`` set the drain
+    is anchored: the replica's local clock is authoritative, so the join time
+    ``max_r fl(origin + clock_r)`` equals the local stage arithmetic bit for
+    bit, and ``on_complete`` receives completions at their exact finish
+    instants (``origin + finish_time``), including completions that fall
+    strictly inside an advance window.
 
-    Under the default ``"fleet"`` stepping mode
-    (:func:`repro.runtime.fleet.stepping_mode`) the whole barrier runs as a
-    single fleet drain (:func:`repro.runtime.fleet.fleet_generation_barrier`)
-    instead of N engine processes; the per-replica call sequences and every
-    externally observable event time are identical by contract.
+    Barrier drains are mutually independent by construction (replicas
+    interact only at the join), so the whole fleet is drained *together*
+    through one :class:`~repro.rollout.generation.ReplicaBatchView`: each
+    round asks every still-live lane for its next event with one stacked
+    reduction and advances all of them with one grouped kernel sweep, while
+    each lane's float chain (``t = t + delta`` / ``fl(origin + clock)``)
+    stays per-lane and bit-identical.  Lanes with waiting queues, active
+    slowdowns, trace sampling (armed here when tracing is on) or KV pools the
+    drain could overflow step one replica at a time.  The engine only
+    schedules streamed-completion publishers at their exact instants and a
+    single ``timeout_until`` at the join time ``max_r(final_r)``.
     """
-    if stepping_mode() == "fleet":
-        outcome = yield from fleet_generation_barrier(env, replicas, origin, on_complete)
-        return outcome
-    if origin is None:
-        processes = [
-            env.process(drain_replica(env, replica), name=f"drain-{replica.replica_id}")
-            for replica in replicas
-        ]
+    tracer = env.tracer
+    barrier_start = env.now
+    if tracer.enabled:
+        for replica in replicas:
+            replica.enable_trace_sampling()
+
+    # (call_time, replica_pos, seq_no, at, batch): one row per publication,
+    # keyed like one publisher process per replica would have created them.
+    publications: List[Tuple[float, int, int, float, List[Trajectory]]] = []
+    num = len(replicas)
+    starts = [replica.clock for replica in replicas]
+    completed_l: List[List[Trajectory]] = [[] for _ in range(num)]
+    anchored = origin is not None
+    if anchored:
+        seen_l: List[Dict[int, Trajectory]] = [{} for _ in range(num)]
+        seq_no_l = [0] * num
+        call_time_l = [barrier_start] * num
     else:
-        processes = [
-            env.process(
-                drain_replica_anchored(env, replica, origin, on_complete, pos),
-                name=f"drain-{replica.replica_id}",
-            )
-            for pos, replica in enumerate(replicas)
-        ]
-    if processes:
-        yield env.all_of(processes)
+        t_chain = [barrier_start] * num
+
+    def publish(pos: int, done: List[Trajectory],
+                call_time: float) -> List[Trajectory]:
+        seen = seen_l[pos]
+        fresh = [t for t in done if t.traj_id not in seen]
+        for traj in fresh:
+            seen[traj.traj_id] = traj
+        if fresh and on_complete is not None:
+            # One publication per distinct finish instant, in order.
+            groups: List[Tuple[float, List[Trajectory]]] = []
+            for traj in fresh:
+                if groups and groups[-1][0] == traj.finish_time:
+                    groups[-1][1].append(traj)
+                else:
+                    groups.append((traj.finish_time, [traj]))
+            for finish, batch in groups:
+                publications.append(
+                    (call_time, pos, seq_no_l[pos], origin + finish, batch)
+                )
+                seq_no_l[pos] += 1
+        return fresh
+
+    view = ReplicaBatchView(replicas)
+    active = [pos for pos in range(num) if view.lane_live(pos)]
+    while active:
+        deltas = view.next_event_in_many(active)
+        round_pos: List[int] = []
+        dts: List[float] = []
+        for pos, delta in zip(active, deltas):
+            if delta is None:
+                continue  # stuck lane (inadmissible queue): stop draining it
+            round_pos.append(pos)
+            dts.append(delta)
+        done_lists = view.advance_many(round_pos, dts)
+        if anchored:
+            for pos, done in zip(round_pos, done_lists):
+                completed_l[pos].extend(publish(pos, done, call_time_l[pos]))
+                call_time_l[pos] = origin + view.lane_clock(pos)
+        else:
+            for pos, done, dt in zip(round_pos, done_lists, dts):
+                t_chain[pos] = t_chain[pos] + dt
+                completed_l[pos].extend(done)
+        active = [pos for pos in round_pos if view.lane_live(pos)]
+    view.settle()
+
     per_replica_time: List[float] = []
     trajectories: List[Trajectory] = []
+    finals: List[float] = []
+    counts: List[int] = []
     tokens = 0
-    for process, replica in zip(processes, replicas):
-        duration, completed = process.value
-        per_replica_time.append(duration)
+    for pos, replica in enumerate(replicas):
+        completed = completed_l[pos]
+        if anchored:
+            completed.extend(
+                publish(pos, replica.drain_completed(), call_time_l[pos])
+            )
+            final = origin + replica.clock
+        else:
+            completed.extend(replica.drain_completed())
+            unique: Dict[int, Trajectory] = {traj.traj_id: traj for traj in completed}
+            completed = list(unique.values())
+            final = t_chain[pos]
+        per_replica_time.append(replica.clock - starts[pos])
         trajectories.extend(completed)
+        counts.append(len(completed))
         tokens += replica.stats.tokens_generated
+        finals.append(final)
+
+    if tracer.enabled:
+        for pos, replica in enumerate(replicas):
+            if origin is None:
+                span_begin, span_end = barrier_start, finals[pos]
+                flush_offset = barrier_start - starts[pos]
+            else:
+                span_begin = origin + starts[pos]
+                span_end = origin + replica.clock
+                flush_offset = origin
+            tracer.span(f"replica-{replica.replica_id}", "generate",
+                        span_begin, span_end,
+                        args={"trajectories": counts[pos],
+                              "tokens": replica.stats.tokens_generated})
+            _flush_decode_samples(tracer, replica, offset=flush_offset)
+
+    if on_complete is not None and publications:
+        # Publisher creation order = the engine order of the publish call
+        # sites: ascending call time, replicas in spawn order at the shared
+        # barrier-start instant, per-replica publication order within a call.
+        publications.sort(key=lambda p: (p[0], p[1], p[2]))
+        for call_time, pos, _seq_no, at, batch in publications:
+            deliver_at = at if at > call_time else call_time
+            if deliver_at <= env.now:
+                on_complete(pos, batch)
+            else:
+                env.process(_publisher(env, deliver_at, pos, batch, on_complete),
+                            name=f"publish-{pos}")
+
+    if replicas:
+        yield env.timeout_until(max(finals))
     return GenerationOutcome(
         duration=max(per_replica_time) if per_replica_time else 0.0,
         trajectories=trajectories,
@@ -270,12 +280,15 @@ def generation_barrier(
     )
 
 
+# -- continuous fleet --------------------------------------------------------
+
+
 class ReplicaFleet:
     """Book-keeping and wake-up plumbing for a fleet of continuous replicas.
 
     Subclasses provide the policy hooks:
 
-    * :meth:`replica` — resolve a replica id (``None`` retires the driver,
+    * :meth:`replica` — resolve a replica id (``None`` retires the replica,
       e.g. after a machine failure);
     * :meth:`refill` — give an idle replica new work (may inject a weight-pull
       stall first);
@@ -285,60 +298,36 @@ class ReplicaFleet:
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self._drivers: Dict[int, Process] = {}
-        self._refill_box = EventBox(env)
         self._data_box = EventBox(env)
         self._stepper: Optional[FleetStepper] = None
 
-    # -- driver lifecycle ---------------------------------------------------
+    # -- stepping lifecycle -------------------------------------------------
     def spawn(self, replica_id: int) -> Process:
-        """Start driving ``replica_id``.
-
-        Under the ``"fleet"`` stepping mode all members share one
-        :class:`repro.runtime.fleet.FleetStepper` process; ``"process"`` mode
-        keeps the reference shape of one :func:`replica_driver` per replica.
-        """
-        if stepping_mode() == "fleet":
-            if self._stepper is None:
-                self._stepper = FleetStepper(self.env, self)
-            return self._stepper.spawn(replica_id)
-        process = self.env.process(
-            replica_driver(self.env, replica_id, self), name=f"replica-{replica_id}"
-        )
-        self._drivers[replica_id] = process
-        return process
+        """Start stepping ``replica_id``; every member shares one
+        :class:`FleetStepper` process, which is returned."""
+        if self._stepper is None:
+            self._stepper = FleetStepper(self.env, self)
+        return self._stepper.spawn(replica_id)
 
     def touch(self, replica_ids: Optional[Sequence[int]] = None) -> None:
-        """Interrupt drivers so they recompute their next event.
+        """Make the stepper recompute the next event of ``replica_ids``.
 
-        Called whenever an external actor mutated replica state under a
-        sleeping driver: a repack moved trajectories, a stall was injected, a
-        weight update arrived.  ``None`` touches every driver.
+        Called whenever an external actor mutated replica state between
+        wake-ups: a repack moved trajectories, a stall was injected, a weight
+        update arrived.  ``None`` touches every live member.
         """
-        if self._stepper is not None:
-            ids = (
-                self._stepper.live_ids() if replica_ids is None else list(replica_ids)
-            )
-            self._stepper.touch(ids)
+        stepper = self._stepper
+        if stepper is None:
             return
-        ids = list(self._drivers) if replica_ids is None else list(replica_ids)
-        for replica_id in ids:
-            process = self._drivers.get(replica_id)
-            if process is not None and process.is_alive and process is not self.env.active_process:
-                process.interrupt()
+        stepper.touch(stepper.live_ids() if replica_ids is None else list(replica_ids))
 
     # -- wake-up signals ----------------------------------------------------
-    def refill_signal(self) -> Event:
-        """Event a driver sleeps on when its replica has no work and no budget."""
-        return self._refill_box.wait()
-
     def data_event(self) -> Event:
         """Event a trainer sleeps on while waiting for buffered experiences."""
         return self._data_box.wait()
 
     def notify_refill(self) -> None:
-        """Wake every driver blocked on the refill signal (budget freed)."""
-        self._refill_box.notify()
+        """Wake every member parked for lack of work (budget freed)."""
         if self._stepper is not None:
             self._stepper.notify_refill()
 
@@ -361,8 +350,8 @@ class ReplicaFleet:
         """Advance ``replica`` to the current simulation time.
 
         External actors call this before inspecting or mutating a replica
-        whose driver is mid-sleep, so snapshots (KVCache utilisation, request
-        counts, streamed tokens) are exact at the current instant.
+        that is mid-sleep, so snapshots (KVCache utilisation, request counts,
+        streamed tokens) are exact at the current instant.
         """
         behind = self.env.now - replica.clock
         if behind > _EPS:
@@ -371,63 +360,228 @@ class ReplicaFleet:
                 _flush_decode_samples(self.env.tracer, replica)
 
 
-def replica_driver(env: Environment, replica_id: int, fleet: ReplicaFleet) -> Generator:
-    """Process body: event-driven driver for one continuously-fed replica.
+class FleetState:
+    """Lazy-invalidation heap of member wake-ups, keyed by replica id.
 
-    The driver keeps the invariant ``replica.clock == env.now`` whenever the
-    replica is actively decoding; a weight-pull or re-prefill stall may push
-    the local clock *ahead* of simulated time, in which case the driver simply
-    sleeps until the stall has elapsed.  Interrupts mean "something changed,
-    recompute" and carry no payload.  Recomputation is cheap: the engine's
-    next-event reductions are cached against its mutation counter, so a driver
-    woken without an intervening replica mutation (e.g. a broadcast ``touch``)
-    re-derives its next event in O(1) rather than re-scanning the decode batch.
+    Heap entries are ``(wake, stamp, replica_id)``; the stamp is unique and
+    increasing, mirroring the engine's event-id FIFO tie-break, so entries pop
+    in exactly the (time, FIFO) order one timeout event per replica would
+    have fired in.  Re-arming or disarming a member leaves its old entry in
+    the heap; an entry is live only while its stamp is the member's current
+    one.
     """
-    tracer = env.tracer
-    if tracer.enabled:
-        seeded = fleet.replica(replica_id)
-        if seeded is not None:
-            seeded.enable_trace_sampling()
-    while True:
-        replica = fleet.replica(replica_id)
-        if replica is None:
-            return  # replica retired (machine failure)
-        behind = env.now - replica.clock
-        if behind > _EPS:
-            # An external actor let simulated time pass (or this driver was
-            # interrupted mid-sleep): consume the elapsed window first.
-            fleet.on_advance(replica, replica.advance(behind))
-            if tracer.enabled:
-                _flush_decode_samples(tracer, replica)
-            continue
-        if replica.is_idle:
-            fleet.refill(replica)
-            if replica.is_idle:
-                try:
-                    yield fleet.refill_signal()
-                except Interrupt:
-                    pass
-                continue
-        ahead = max(0.0, replica.clock - env.now)
-        delta = replica.next_event_in()
-        if delta is None:
-            if ahead <= _EPS:
-                # Sequences exist but none can run (queued behind a full
-                # KVCache with no decoder live): wait for outside help.
-                try:
-                    yield fleet.refill_signal()
-                except Interrupt:
-                    pass
-                continue
-            wait = ahead  # stalled: let the stall elapse, then re-evaluate
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, int]] = []
+        self._stamp: Dict[int, int] = {}
+        self._counter = itertools.count()
+
+    def schedule(self, replica_id: int, at: float) -> None:
+        """Arm (or re-arm) a member's wake-up at absolute time ``at``."""
+        stamp = next(self._counter)
+        self._stamp[replica_id] = stamp
+        heapq.heappush(self._heap, (at, stamp, replica_id))
+
+    def clear(self, replica_id: int) -> None:
+        """Disarm a member's wake-up (its heap entry dies lazily)."""
+        self._stamp.pop(replica_id, None)
+
+    def _peek(self) -> Optional[Tuple[float, int, int]]:
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if self._stamp.get(entry[2]) == entry[1]:
+                return entry
+            heapq.heappop(heap)  # superseded or disarmed entry
+        return None
+
+    def next_wake(self) -> Optional[float]:
+        """Absolute time of the fleet's earliest armed wake-up (None if none).
+
+        Returns the exact float stored by :meth:`schedule` — the stepper
+        sleeps on this value directly so wake-ups land bit-identically to the
+        engine's own ``now + delay`` timeout arithmetic.
+        """
+        entry = self._peek()
+        return None if entry is None else entry[0]
+
+    def pop_due(self, now: float) -> Optional[int]:
+        """Pop and disarm the earliest member due at or before ``now``.
+
+        Members come out in ``(wake time, stamp)`` order — the exact sequence
+        the engine heap would have resumed one process per member in.
+        """
+        entry = self._peek()
+        if entry is None or entry[0] > now:
+            return None
+        heapq.heappop(self._heap)
+        replica_id = entry[2]
+        del self._stamp[replica_id]
+        return replica_id
+
+
+#: FleetStepper per-replica states.
+_RUNNING = 0       #: armed timer in FleetState (or about to be serviced)
+_WAIT_REFILL = 1   #: parked until notify_refill / touch
+_RETIRED = 2       #: replica resolved to None (machine failure)
+
+
+class FleetStepper:
+    """The one engine process that steps every member of a :class:`ReplicaFleet`.
+
+    It sleeps until the earliest member wake-up in its :class:`FleetState`
+    and services due members one at a time, each with one pass of the driver
+    loop: consume elapsed time (``advance`` + ``on_advance``), refill when
+    idle, park when there is no work, and re-arm ``wake = now + (ahead +
+    delta)`` with the same float arithmetic the engine's relative timeouts
+    use.  ``touch`` delivers one prio-0 interrupt for the whole fleet and
+    services the touched members in call order (the order per-member
+    interrupts would have fired); ``notify_refill`` wakes parked members in
+    wait order.  Between two members the immediate-service queue is drained,
+    which is the interleaving one process per member would have produced.
+    """
+
+    def __init__(self, env: Environment, fleet: ReplicaFleet) -> None:
+        self.env = env
+        self.fleet = fleet
+        self.state = FleetState()
+        #: Per-member state, in spawn order (the touch-broadcast order).
+        self._rstate: Dict[int, int] = {}
+        #: Immediate-service FIFO: spawns, touches and refill wake-ups in
+        #: call order (serviced before due timers, as prio-0 interrupts were).
+        self._service_queue: List[int] = []
+        self._wait_refill: List[int] = []
+        self._servicing: Optional[int] = None
+        self._process: Optional[Process] = None
+        self._poked = False
+
+    # -- membership ---------------------------------------------------------
+    def spawn(self, replica_id: int) -> Process:
+        self._rstate[replica_id] = _RUNNING
+        self._service_queue.append(replica_id)
+        if self._process is None or not self._process.is_alive:
+            self._process = self.env.process(self._run(), name="fleet-stepper")
         else:
-            wait = ahead + delta
+            self._poke()
+        return self._process
+
+    def live_ids(self) -> List[int]:
+        """Unretired members in spawn order (the touch-broadcast order)."""
+        return [rid for rid, st in self._rstate.items() if st != _RETIRED]
+
+    # -- external signals ---------------------------------------------------
+    def touch(self, replica_ids: Sequence[int]) -> None:
+        queued = False
+        for replica_id in replica_ids:
+            if self._rstate.get(replica_id, _RETIRED) == _RETIRED:
+                continue
+            if replica_id == self._servicing:
+                continue  # a member never interrupts itself
+            if self._rstate[replica_id] == _WAIT_REFILL:
+                self._wait_refill.remove(replica_id)
+                self._rstate[replica_id] = _RUNNING
+            self._service_queue.append(replica_id)
+            queued = True
+        if queued:
+            self._poke()
+
+    def notify_refill(self) -> None:
+        if not self._wait_refill:
+            return
+        waiters, self._wait_refill = self._wait_refill, []
+        for replica_id in waiters:
+            self._rstate[replica_id] = _RUNNING
+        self._service_queue.extend(waiters)
+        self._poke()
+
+    def _poke(self) -> None:
+        """Wake the sleeping stepper once (idempotent within one wake)."""
+        process = self._process
+        if (
+            not self._poked
+            and process is not None
+            and process.is_alive
+            and process is not self.env.active_process
+        ):
+            self._poked = True
+            process.interrupt()
+
+    # -- the fleet process ---------------------------------------------------
+    def _run(self) -> Generator:
+        env = self.env
+        state = self.state
+        while True:
+            self._poked = False
+            while self._service_queue:
+                self._service(self._service_queue.pop(0))
+            replica_id = state.pop_due(env.now)
+            if replica_id is not None:
+                self._service(replica_id)
+                continue
+            wake = state.next_wake()
+            if wake is None:
+                # No armed timers: park until an external poke.
+                try:
+                    yield env.event()
+                except Interrupt:
+                    continue
+            else:
+                try:
+                    yield env.timeout_until(wake)
+                except Interrupt:
+                    continue
+
+    def _service(self, replica_id: int) -> None:
+        """Run one driver-loop pass for ``replica_id`` until it sleeps."""
+        env = self.env
+        fleet = self.fleet
+        tracer = env.tracer
+
+        if self._rstate.get(replica_id, _RETIRED) == _RETIRED:
+            return
+        self._servicing = replica_id
         try:
-            yield env.timeout(wait)
-        except Interrupt:
-            continue
-        behind = env.now - replica.clock
-        if behind > _EPS:
-            fleet.on_advance(replica, replica.advance(behind))
-            if tracer.enabled:
-                _flush_decode_samples(tracer, replica)
+            while True:
+                replica = fleet.replica(replica_id)
+                if replica is None:
+                    self._retire(replica_id)
+                    return
+                if tracer.enabled:
+                    replica.enable_trace_sampling()
+                behind = env.now - replica.clock
+                if behind > _EPS:
+                    fleet.on_advance(replica, replica.advance(behind))
+                    if tracer.enabled:
+                        _flush_decode_samples(tracer, replica)
+                    continue
+                if replica.is_idle:
+                    fleet.refill(replica)
+                    if replica.is_idle:
+                        self._park(replica_id)
+                        return
+                ahead = max(0.0, replica.clock - env.now)
+                delta = replica.next_event_in()
+                if delta is None:
+                    if ahead <= _EPS:
+                        # Sequences exist but none can run: wait for help.
+                        self._park(replica_id)
+                        return
+                    wait = ahead  # stalled: let the stall elapse
+                else:
+                    wait = ahead + delta
+                self._rstate[replica_id] = _RUNNING
+                self.state.schedule(replica_id, env.now + wait)
+                return
+        finally:
+            self._servicing = None
+
+    def _park(self, replica_id: int) -> None:
+        self._rstate[replica_id] = _WAIT_REFILL
+        self._wait_refill.append(replica_id)
+        self.state.clear(replica_id)
+
+    def _retire(self, replica_id: int) -> None:
+        self._rstate[replica_id] = _RETIRED
+        self.state.clear(replica_id)
+        if replica_id in self._wait_refill:
+            self._wait_refill.remove(replica_id)

@@ -3,11 +3,11 @@
 This module implements a from-scratch, generator-based discrete-event
 simulation (DES) core in the style of SimPy.  It is the substrate on which the
 whole Laminar reproduction runs: the :mod:`repro.runtime` layer drives every
-system on it — per-replica driver processes, the trainer process, the
-failure/recovery processes and the rollout-manager process in Laminar, and the
-``AllOf``-joined replica processes that express the baselines' generation
-barriers — so simulated time jumps from event to event instead of being
-stepped through in rounds.
+system on it — the fleet process that steps every rollout replica, the
+trainer process, the failure/recovery processes and the rollout-manager
+process in Laminar, and the generation-barrier processes of the baselines —
+so simulated time jumps from event to event instead of being stepped through
+in rounds.
 
 The engine is deliberately small and deterministic:
 
@@ -281,7 +281,7 @@ class Process(Event):
         simulation time.  At delivery the process is detached from whatever
         event it was waiting on, so that event firing later can no longer wake
         the process a second time — an interrupted process that keeps running
-        (e.g. a rollout-replica driver recomputing its next decode event after
+        (e.g. the fleet stepper recomputing a replica's next decode event after
         a repack pull) would otherwise receive a stale, spurious resume.
         """
         if not self.is_alive:

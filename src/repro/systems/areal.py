@@ -1,7 +1,7 @@
 """AReaL-style partial-rollout baseline (Fig 3d).
 
 Rollouts generate continuously at full concurrency (no per-iteration barrier):
-every replica runs as its own driver process that tops itself up with fresh
+every replica is stepped on its own event clock and tops itself up with fresh
 prompts, and the trainer process consumes a global batch from the experience
 buffer the instant enough trajectories have completed.  Whenever the actor
 publishes new weights, every rollout is interrupted: all in-flight
@@ -27,11 +27,10 @@ from .base import System, SystemCapabilities, register
 
 
 class _ContinuousFleet(ReplicaFleet):
-    """Driver hooks: top-up on idle, score completions straight into the buffer.
+    """Fleet hooks: top-up on idle, score completions straight into the buffer.
 
-    The hooks are stepping-mode agnostic: ``ReplicaFleet.spawn`` runs the
-    replicas under one ``FleetStepper`` process (default) or one driver
-    process each (``stepping("process")``), bit-identically either way.
+    ``ReplicaFleet.spawn`` steps every replica from one ``FleetStepper``
+    process; these hooks run once per replica wake-up.
     """
 
     def __init__(self, env: Environment, system: "PartialRollout") -> None:

@@ -184,17 +184,17 @@ class System(ABC):
     ) -> Generator:
         """Sub-process: synchronous full-batch generation across fresh replicas.
 
-        Sequences are distributed round-robin over the replicas; the ``AllOf``
-        join completes when the slowest replica finishes (the global barrier
-        of the synchronous and k-step-staleness designs).  With ``origin``
-        set the replicas run as anchored drains whose wake-ups land at
+        Sequences are distributed round-robin over the replicas; the join
+        completes when the slowest replica finishes (the global barrier of
+        the synchronous and k-step-staleness designs).  With ``origin`` set
+        the replicas run as anchored drains whose wake-ups land at
         ``origin + local clock`` and whose completions stream to
         ``on_complete`` at their exact finish instants.
 
-        This is the fleet-stepping hook for every barrier orchestration
-        (verl, one_step, stream_gen, semi_sync): under the default
-        ``repro.runtime.stepping_mode()`` the barrier runs as one fleet
-        process instead of one engine process per replica, bit-identically.
+        Every barrier orchestration (verl, one_step, stream_gen, semi_sync)
+        generates through here, so the module-level
+        :func:`~repro.runtime.harness.generation_barrier` it calls is the one
+        barrier all of them share.
         """
         states = self.sample_batch_states(weight_version)
         replicas = self.make_replicas(self.num_generation_replicas(), weight_version)

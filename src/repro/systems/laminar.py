@@ -7,8 +7,8 @@ previous revisions split across ``core/laminar.py`` and
 ``runtime/laminar_runtime.py``.  The runtime expresses the control flow as
 four kinds of processes on one environment:
 
-* one **replica driver** per rollout replica
-  (:func:`~repro.runtime.harness.replica_driver`): sleeps until the replica's
+* one **fleet stepper** for every rollout replica
+  (:class:`~repro.runtime.harness.FleetStepper`): wakes each replica at its
   own next internal event, pulls the newest weights from the colocated relay
   and refills with fresh prompts whenever the replica goes idle;
 * a **trainer process**: waits for the experience buffer to hold a global
@@ -21,27 +21,19 @@ four kinds of processes on one environment:
   interrupts the trainer process with the checkpoint-restore time as the
   interrupt cause.
 
-Repack pulls and stall injections mutate replicas under their sleeping
-drivers; the runtime interrupts the affected drivers
-(:meth:`Process.interrupt`) so they recompute their next event.  The repack
-path broadcasts a ``touch`` to *every* driver (sources were emptied,
-destinations grew, and the shared migration stall moved all the clocks) —
-that is affordable because the engine's next-event reductions are cached
-against its per-replica mutation counter, so drivers whose replica was not
-actually mutated re-derive their event in O(1) instead of re-scanning their
-decode batch.
+Repack pulls and stall injections mutate replicas between their wake-ups;
+the runtime ``touch``es the affected replicas so the stepper recomputes
+their next event.  The repack path broadcasts a ``touch`` to *every* replica
+(sources were emptied, destinations grew, and the shared migration stall
+moved all the clocks) — that is affordable because the engine's next-event
+reductions are cached against its per-replica mutation counter, so replicas
+that were not actually mutated re-derive their event in O(1) instead of
+re-scanning their decode batch.  ``touch`` / ``notify_refill`` / retirement
+(``replica()`` returning ``None``) are the only stepping hooks used here.
 
 Simulated time jumps from event to event (trajectory completions, trainer
 updates, repack checks, failures), so trainer/failure/repack timestamps are
 exact rather than aligned to simulation rounds.
-
-Under the default fleet stepping mode (:mod:`repro.runtime.fleet`), the
-per-replica drivers above are a *semantic* description: ``ReplicaFleet``
-runs them all from one ``FleetStepper`` process whose call sequence per
-replica is bit-identical to the dedicated-driver mode.  ``touch`` /
-``notify_refill`` / retirement (``replica()`` returning ``None``) are the
-hooks both modes share, so repack pulls, refills and failovers need no
-mode-specific code here.
 
 :class:`LaminarNoRepack` is the registered repack ablation (Fig 16 /
 Table 1): the same system with the repack mechanism disabled, as a composable

@@ -10,7 +10,7 @@ The iteration clock is pure event arithmetic: the training stage and the
 generation barrier run as concurrent processes started at the iteration
 origin, the iteration's compute phase ends at their ``AllOf`` join (the
 pipeline hides whichever stage is shorter), and the blocking global sync is a
-plain timeout after the join.  The generation barrier — an ``AllOf`` over
+plain timeout after the join.  The generation barrier — a join over
 anchored replica drains — still ends only when the slowest long-tail
 trajectory finishes.
 """

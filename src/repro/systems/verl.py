@@ -3,7 +3,7 @@
 All GPUs alternate between the generation and training stages (§2.2, Fig 3a):
 generate the full global batch, switch the engines, train on it, switch back.
 The stages run strictly in sequence on the event clock — the generation stage
-is an ``AllOf`` join over the replica processes and ends only when the single
+is a barrier over every replica's drain and ends only when the single
 slowest long-tail trajectory completes (the bubbles Laminar removes), and the
 switch/training stages are plain timeouts on the same environment.
 """

@@ -1,41 +1,61 @@
-"""Scalar reference implementation of the replica generation engine.
+"""Test-only oracles: the simple shapes production is proven against.
 
-This is the pre-vectorization :class:`ReplicaGenerationState` inner loop,
-retained verbatim (one sequence at a time, plain Python) as the behavioural
-oracle for the structure-of-arrays engine in
-:mod:`repro.rollout.generation`.  The equivalence test harness
-(``tests/test_engine_equivalence.py``) drives both engines through identical
-event sequences — decode windows, multi-turn env waits, repack pulls, stalls,
-preemption storms — and asserts bit-identical clocks, trajectories, stats and
-KVCache occupancy.  Any behavioural change to the vector engine must land
-here too, or the equivalence suite fails.
+Production (``src/repro``) has one stepping path per concern.  This module
+keeps the slower, plainer shapes those paths must reproduce bit for bit:
 
-It shares :class:`SequenceState`, :class:`TurnSchedule` and
-:class:`ReplicaStats` with the production engine so states can be fabricated
-once and fed to both.
+* :class:`ScalarReplicaGenerationState` — the pre-vectorization decode engine
+  (one sequence at a time, plain Python), the oracle of
+  :class:`repro.rollout.ReplicaGenerationState`;
+* :class:`ScalarReplicaBatchView` — the per-replica router that *defines*
+  what :class:`repro.rollout.ReplicaBatchView` computes;
+* :func:`run_to_completion` — drive one replica until it has no work left;
+* one engine process per replica — :func:`drain_replica` and
+  :func:`drain_replica_anchored` joined by :func:`process_generation_barrier`
+  (an ``AllOf`` barrier), and one :func:`replica_driver` per continuous
+  replica behind :class:`ProcessStepper` — the oracle of the fleet harness
+  in :mod:`repro.runtime.harness`.  :func:`process_stepping` swaps them in
+  for the duration of a ``with`` block.
+
+``tests/test_engine_equivalence.py`` and ``tests/test_fleet_equivalence.py``
+compare production against these with ``==``.  Any behavioural change to the
+production engine or harness must land here too, or those suites fail.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..llm.decode_model import DecodeModel
-from ..sim.kvcache import KVCache, KVCacheConfig
-from ..types import Trajectory
-from .generation import (
+import repro.runtime.harness as harness
+import repro.systems.base as base
+from repro.llm.decode_model import DecodeModel
+from repro.rollout.generation import (
     _EPS,
+    ReplicaGenerationState,
     ReplicaStats,
     SequenceState,
     SequenceStatus,
-    TurnSchedule,
 )
+from repro.runtime.harness import (
+    CompletionObserver,
+    EventBox,
+    GenerationOutcome,
+    ReplicaFleet,
+    _flush_decode_samples,
+)
+from repro.sim.engine import Environment, Interrupt, Process
+from repro.sim.kvcache import KVCache, KVCacheConfig
+from repro.types import Trajectory
 
-__all__ = ["ScalarReplicaBatchView", "ScalarReplicaGenerationState"]
 
-
+# --------------------------------------------------------------------------- engine
 class ScalarReplicaGenerationState:
-    """Per-sequence (scalar) decode engine — the vector engine's oracle."""
+    """Per-sequence (scalar) decode engine — the vector engine's oracle.
+
+    It shares ``SequenceState``, ``TurnSchedule`` and ``ReplicaStats`` with
+    the production engine so states can be fabricated once and fed to both.
+    """
 
     def __init__(
         self,
@@ -394,23 +414,9 @@ class ScalarReplicaGenerationState:
         if changed:
             self._mutation += 1
 
-    # ------------------------------------------------------------------ batch API
-    def run_to_completion(self, max_time: float = math.inf) -> Tuple[float, List[Trajectory]]:
-        start = self.clock
-        completed: List[Trajectory] = []
-        while self._sequences and self.clock - start < max_time:
-            delta = self.next_event_in()
-            if delta is None:
-                break
-            delta = min(delta, max_time - (self.clock - start))
-            completed.extend(self.advance(delta))
-        completed.extend(self.drain_completed())
-        unique: Dict[int, Trajectory] = {t.traj_id: t for t in completed}
-        return self.clock - start, list(unique.values())
-
 
 class ScalarReplicaBatchView:
-    """Scalar oracle for :class:`repro.rollout.generation.ReplicaBatchView`.
+    """Scalar oracle for :class:`repro.rollout.ReplicaBatchView`.
 
     Grouped stepping is defined as a pure performance transform: servicing a
     set of mutually independent replicas together must be observationally
@@ -421,18 +427,12 @@ class ScalarReplicaBatchView:
     outcomes on both engine families.
     """
 
-    def __init__(self, replicas: Sequence[ScalarReplicaGenerationState],
-                 fuse: bool = True) -> None:
-        del fuse  # the oracle has no fused path to toggle
+    def __init__(self, replicas: Sequence[ScalarReplicaGenerationState]) -> None:
         self.replicas = list(replicas)
 
     @property
     def num_fused(self) -> int:
         return 0
-
-    @property
-    def all_fused(self) -> bool:
-        return False
 
     def lane_is_fused(self, pos: int) -> bool:
         return False
@@ -454,3 +454,264 @@ class ScalarReplicaBatchView:
 
     def settle(self) -> None:
         """No-op: the oracle never detaches state from its engines."""
+
+
+def run_to_completion(replica) -> Tuple[float, List[Trajectory]]:
+    """Drive ``replica`` (either engine) until every sequence finishes.
+
+    Returns ``(elapsed local time, completed trajectories)``, deduplicated by
+    id because ``drain_completed`` repeats what ``advance`` returned.
+    """
+    start = replica.clock
+    completed: List[Trajectory] = []
+    while replica.num_sequences:
+        delta = replica.next_event_in()
+        if delta is None:
+            break
+        completed.extend(replica.advance(delta))
+    completed.extend(replica.drain_completed())
+    unique: Dict[int, Trajectory] = {t.traj_id: t for t in completed}
+    return replica.clock - start, list(unique.values())
+
+
+# --------------------------------------------------------------------------- barrier
+def drain_replica(env: Environment, replica: ReplicaGenerationState) -> Generator:
+    """Process body: drive ``replica`` until it has no work left.
+
+    Returns ``(elapsed_local_time, completed_trajectories)`` exactly like
+    :func:`run_to_completion`, sleeping a relative timeout per event.
+    """
+    start = replica.clock
+    tracer = env.tracer
+    drain_begin = env.now
+    if tracer.enabled:
+        replica.enable_trace_sampling()
+    completed: List[Trajectory] = []
+    while replica.num_sequences:
+        delta = replica.next_event_in()
+        if delta is None:
+            break
+        yield env.timeout(delta)
+        completed.extend(replica.advance(delta))
+    completed.extend(replica.drain_completed())
+    unique: Dict[int, Trajectory] = {t.traj_id: t for t in completed}
+    if tracer.enabled:
+        tracer.span(f"replica-{replica.replica_id}", "generate",
+                    drain_begin, env.now,
+                    args={"trajectories": len(unique),
+                          "tokens": replica.stats.tokens_generated})
+        _flush_decode_samples(tracer, replica, offset=drain_begin - start)
+    return replica.clock - start, list(unique.values())
+
+
+def drain_replica_anchored(
+    env: Environment,
+    replica: ReplicaGenerationState,
+    origin: float,
+    on_complete: Optional[CompletionObserver] = None,
+    replica_pos: int = 0,
+) -> Generator:
+    """Anchored variant of :func:`drain_replica`: every wake-up lands at
+    ``origin + clock`` exactly (``timeout_until``), and ``on_complete``
+    receives completions at their exact finish instants
+    (``origin + finish_time``), one publisher process per future instant.
+    """
+    start = replica.clock
+    tracer = env.tracer
+    if tracer.enabled:
+        replica.enable_trace_sampling()
+    completed: List[Trajectory] = []
+    seen: Dict[int, Trajectory] = {}
+
+    def publisher(at: float, batch: List[Trajectory]) -> Generator:
+        yield env.timeout_until(at)
+        on_complete(replica_pos, batch)
+
+    def publish(done: List[Trajectory]) -> List[Trajectory]:
+        fresh = [t for t in done if t.traj_id not in seen]
+        for t in fresh:
+            seen[t.traj_id] = t
+        if fresh and on_complete is not None:
+            # One publication event per distinct finish instant, in order.
+            groups: List[Tuple[float, List[Trajectory]]] = []
+            for t in fresh:
+                if groups and groups[-1][0] == t.finish_time:
+                    groups[-1][1].append(t)
+                else:
+                    groups.append((t.finish_time, [t]))
+            for finish, batch in groups:
+                at = origin + finish
+                if at <= env.now:
+                    on_complete(replica_pos, batch)
+                else:
+                    env.process(publisher(at, batch),
+                                name=f"publish-{replica.replica_id}")
+        return fresh
+
+    while replica.num_sequences:
+        delta = replica.next_event_in()
+        if delta is None:
+            break
+        done = replica.advance(delta)
+        completed.extend(publish(done))
+        yield env.timeout_until(origin + replica.clock)
+    completed.extend(publish(replica.drain_completed()))
+    if tracer.enabled:
+        tracer.span(f"replica-{replica.replica_id}", "generate",
+                    origin + start, origin + replica.clock,
+                    args={"trajectories": len(completed),
+                          "tokens": replica.stats.tokens_generated})
+        _flush_decode_samples(tracer, replica, offset=origin)
+    return replica.clock - start, completed
+
+
+def process_generation_barrier(
+    env: Environment,
+    replicas: Sequence[ReplicaGenerationState],
+    origin: Optional[float] = None,
+    on_complete: Optional[CompletionObserver] = None,
+) -> Generator:
+    """Oracle of :func:`repro.runtime.harness.generation_barrier`: one drain
+    process per replica behind an ``AllOf`` join."""
+    if origin is None:
+        processes = [
+            env.process(drain_replica(env, replica), name=f"drain-{replica.replica_id}")
+            for replica in replicas
+        ]
+    else:
+        processes = [
+            env.process(
+                drain_replica_anchored(env, replica, origin, on_complete, pos),
+                name=f"drain-{replica.replica_id}",
+            )
+            for pos, replica in enumerate(replicas)
+        ]
+    if processes:
+        yield env.all_of(processes)
+    per_replica_time: List[float] = []
+    trajectories: List[Trajectory] = []
+    tokens = 0
+    for process, replica in zip(processes, replicas):
+        duration, completed = process.value
+        per_replica_time.append(duration)
+        trajectories.extend(completed)
+        tokens += replica.stats.tokens_generated
+    return GenerationOutcome(
+        duration=max(per_replica_time) if per_replica_time else 0.0,
+        trajectories=trajectories,
+        per_replica_time=per_replica_time,
+        tokens_generated=tokens,
+    )
+
+
+# --------------------------------------------------------------------------- continuous
+def replica_driver(env: Environment, replica_id: int, fleet: ReplicaFleet,
+                   refill: EventBox) -> Generator:
+    """Process body: event-driven driver for one continuously-fed replica.
+
+    The driver keeps ``replica.clock == env.now`` whenever the replica is
+    actively decoding; a weight-pull or re-prefill stall may push the local
+    clock *ahead* of simulated time, in which case the driver sleeps until
+    the stall has elapsed.  Interrupts mean "something changed, recompute";
+    ``refill`` wakes a driver parked for lack of work.
+    """
+    tracer = env.tracer
+    if tracer.enabled:
+        seeded = fleet.replica(replica_id)
+        if seeded is not None:
+            seeded.enable_trace_sampling()
+    while True:
+        replica = fleet.replica(replica_id)
+        if replica is None:
+            return  # replica retired (machine failure)
+        behind = env.now - replica.clock
+        if behind > _EPS:
+            # An external actor let simulated time pass (or this driver was
+            # interrupted mid-sleep): consume the elapsed window first.
+            fleet.on_advance(replica, replica.advance(behind))
+            if tracer.enabled:
+                _flush_decode_samples(tracer, replica)
+            continue
+        if replica.is_idle:
+            fleet.refill(replica)
+            if replica.is_idle:
+                try:
+                    yield refill.wait()
+                except Interrupt:
+                    pass
+                continue
+        ahead = max(0.0, replica.clock - env.now)
+        delta = replica.next_event_in()
+        if delta is None:
+            if ahead <= _EPS:
+                # Sequences exist but none can run (queued behind a full
+                # KVCache with no decoder live): wait for outside help.
+                try:
+                    yield refill.wait()
+                except Interrupt:
+                    pass
+                continue
+            wait = ahead  # stalled: let the stall elapse, then re-evaluate
+        else:
+            wait = ahead + delta
+        try:
+            yield env.timeout(wait)
+        except Interrupt:
+            continue
+        behind = env.now - replica.clock
+        if behind > _EPS:
+            fleet.on_advance(replica, replica.advance(behind))
+            if tracer.enabled:
+                _flush_decode_samples(tracer, replica)
+
+
+class ProcessStepper:
+    """Oracle of :class:`repro.runtime.harness.FleetStepper`: one
+    :func:`replica_driver` process per member, behind the same four calls
+    :class:`~repro.runtime.harness.ReplicaFleet` makes on its stepper."""
+
+    def __init__(self, env: Environment, fleet: ReplicaFleet) -> None:
+        self.env = env
+        self.fleet = fleet
+        self._drivers: Dict[int, Process] = {}
+        self._refill = EventBox(env)
+
+    def spawn(self, replica_id: int) -> Process:
+        process = self.env.process(
+            replica_driver(self.env, replica_id, self.fleet, self._refill),
+            name=f"replica-{replica_id}",
+        )
+        self._drivers[replica_id] = process
+        return process
+
+    def live_ids(self) -> List[int]:
+        """Every spawned member; ``touch`` skips drivers that have returned."""
+        return list(self._drivers)
+
+    def touch(self, replica_ids: Sequence[int]) -> None:
+        for replica_id in replica_ids:
+            process = self._drivers.get(replica_id)
+            if (process is not None and process.is_alive
+                    and process is not self.env.active_process):
+                process.interrupt()
+
+    def notify_refill(self) -> None:
+        self._refill.notify()
+
+
+@contextmanager
+def process_stepping():
+    """Step every replica with its own engine process inside the block.
+
+    Patches the barrier every system generates through
+    (``repro.systems.base.generation_barrier``) and the stepper class
+    ``ReplicaFleet.spawn`` builds (``repro.runtime.harness.FleetStepper``),
+    and restores both on exit.
+    """
+    saved = base.generation_barrier, harness.FleetStepper
+    base.generation_barrier = process_generation_barrier
+    harness.FleetStepper = ProcessStepper
+    try:
+        yield
+    finally:
+        base.generation_barrier, harness.FleetStepper = saved

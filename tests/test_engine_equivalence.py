@@ -1,7 +1,7 @@
-"""Bit-identity harness: vectorized engine vs the retained scalar reference.
+"""Bit-identity harness: vectorized engine vs the scalar reference engine.
 
 Two engines — :class:`repro.rollout.ReplicaGenerationState` (structure-of-
-arrays) and :class:`repro.rollout.ScalarReplicaGenerationState` (the
+arrays) and ``ScalarReplicaGenerationState`` from ``tests/oracles.py`` (the
 pre-vectorization per-sequence loop) — are driven through identical event
 sequences: seeded random multi-turn workloads with interleaved repack-style
 pulls and re-adds, stalls, weight-version bumps, partial-rollout re-prefills
@@ -15,11 +15,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ScalarReplicaBatchView, ScalarReplicaGenerationState, run_to_completion
 from repro.llm import QWEN_7B
 from repro.rollout import (
+    ReplicaBatchView,
     ReplicaGenerationState,
     RolloutReplicaConfig,
-    ScalarReplicaGenerationState,
     SequenceState,
     TurnSchedule,
 )
@@ -177,8 +178,8 @@ def test_fuzzed_random_workload_is_bit_identical(seed):
     if parked_scalar:
         scalar.add_sequences(parked_scalar)
         vector.add_sequences(parked_vector)
-    duration_s, done_s = scalar.run_to_completion()
-    duration_v, done_v = vector.run_to_completion()
+    duration_s, done_s = run_to_completion(scalar)
+    duration_v, done_v = run_to_completion(vector)
     assert duration_s == duration_v
     assert_completions_identical(
         sorted(done_s, key=lambda t: t.traj_id),
@@ -340,8 +341,6 @@ def test_batch_view_fuzz_is_bit_identical(seed):
     subset for its next event, advances a random stretch of it through the
     grouped kernels, settles, and compares every engine field bit for bit.
     """
-    from repro.rollout import ReplicaBatchView, ScalarReplicaBatchView
-
     lanes = (1.0, 1.0, 1.5, 1.0, 1.0)  # lane 2 straggles: permanent fallback
     scalars, vectors = make_view_fleet(seed, lanes)
     op_rng = np.random.default_rng(9000 + seed)
@@ -404,8 +403,6 @@ def test_batch_view_fuzz_is_bit_identical(seed):
 def test_batch_view_interleaves_with_direct_stepping():
     """A settled view hands the engines back intact: direct advance calls
     between view rounds continue the same float chains."""
-    from repro.rollout import ReplicaBatchView, ScalarReplicaBatchView
-
     scalars, vectors = make_view_fleet(11, (1.0, 1.0, 1.0))
     for _ in range(10):
         scalar_view = ScalarReplicaBatchView(scalars)

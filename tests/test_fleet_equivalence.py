@@ -1,40 +1,92 @@
-"""Fleet-stepped vs per-replica-process equivalence: the stepping-mode gate.
+"""Fleet stepping vs one engine process per replica: the stepping gate.
 
-The fleet engine (:mod:`repro.runtime.fleet`) replaces N per-replica
-``sim.engine`` processes with one fleet process per scenario.  Its contract is
-bit-identity: every replica must observe the identical sequence of
-``next_event_in`` / ``advance`` calls at the identical simulated instants, so
-clocks, stats, trajectories, streamed-completion events and KVCache occupancy
-must match the per-replica ``"process"`` mode *exactly* — no tolerances.
+Production (:mod:`repro.runtime.harness`) steps every replica of a scenario
+from one engine process.  Its contract is bit-identity with the per-replica
+process shapes kept in ``tests/oracles.py``: every replica must observe the
+identical sequence of ``next_event_in`` / ``advance`` calls at the identical
+simulated instants, so clocks, stats, trajectories, streamed-completion
+events and KVCache occupancy must match *exactly* — no tolerances.  The
+oracle comes in by patching (:func:`oracles.process_stepping`), so every
+comparison also checks which processes each side started: if the patch
+missed, both sides would be production and every ``==`` would pass.
 
 The fuzz surface deliberately includes the hard cases: tiny KV pools that
 force queueing and preemption storms, multi-turn env waits, repack pulls
 mid-window (Laminar), machine/relay/trainer failures mid-window (the fault
 drill), the adversarial :mod:`repro.faults` schedules (correlated waves,
-spot preemptions, stragglers, degraded networks), and the streamed anchored
-barrier whose publications interleave with the trainer.
+spot preemptions, stragglers, degraded networks), the streamed anchored
+barrier whose publications interleave with the trainer, and synthetic fleets
+whose replicas wake at exactly tied float instants.
 """
 
+import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.runtime.harness as harness
+import repro.systems.base as base
+from oracles import process_stepping
+from repro.bench.registry import get_scenario
+from repro.bench.runner import system_for_unit
 from repro.experiments import make_system_config
 from repro.faults import FailurePlan
 from repro.llm import QWEN_7B
+from repro.obs import TraceRecorder, use_tracer
 from repro.rollout import (
+    ReplicaBatchView,
     ReplicaGenerationState,
     RolloutReplicaConfig,
     SequenceState,
     TurnSchedule,
 )
-from repro.runtime import ReplicaFleet, generation_barrier, stepping, stepping_mode
+from repro.runtime import FleetState, ReplicaFleet
 from repro.sim import Environment, KVCacheConfig
 from repro.systems import FailureEvent, FailureInjector, FailureKind, LaminarSystem, make_system
 from repro.types import Prompt, Trajectory
 
 DECODE_MODEL = RolloutReplicaConfig(QWEN_7B, tensor_parallel=1).decode_model()
+
+#: Name prefixes of the oracle's per-replica processes (drains and drivers).
+PER_REPLICA = ("drain-", "replica-")
+
+
+@contextmanager
+def stepping(mode: str):
+    """``"process"`` runs the oracle, ``"fleet"`` production.  Yields the
+    names of every process started inside the block, and checks on exit that
+    production's barrier and stepper are back in place."""
+    production = base.generation_barrier, harness.FleetStepper
+    names = []
+    original = Environment.process
+
+    def process(self, generator, name=""):
+        names.append(name)
+        return original(self, generator, name=name)
+
+    Environment.process = process
+    try:
+        with process_stepping() if mode == "process" else nullcontext():
+            yield names
+    finally:
+        Environment.process = original
+    assert base.generation_barrier is production[0]
+    assert harness.FleetStepper is production[1]
+
+
+def both(run, *args, **kwargs):
+    """``run(mode, ...)`` under the oracle and under production.
+
+    Returns ``(oracle observation, production observation)`` after checking
+    that the oracle side started per-replica processes and production did not.
+    """
+    reference, oracle_names = run("process", *args, **kwargs)
+    fleet, fleet_names = run("fleet", *args, **kwargs)
+    assert [n for n in oracle_names if n.startswith(PER_REPLICA)]
+    assert not [n for n in fleet_names if n.startswith(PER_REPLICA)]
+    return reference, fleet
 
 
 # --------------------------------------------------------------------------- barrier fuzz
@@ -73,7 +125,7 @@ def make_replicas(seed: int, num_replicas: int, per_replica: int,
 
 def run_barrier(mode: str, seed: int, barrier_shape: str):
     """One barrier generation under a stepping mode; returns everything observable."""
-    with stepping(mode):
+    with stepping(mode) as names:
         env = Environment()
         replicas = make_replicas(seed, num_replicas=4, per_replica=10,
                                  blocks=96, max_concurrency=8)
@@ -85,31 +137,30 @@ def run_barrier(mode: str, seed: int, barrier_shape: str):
         def body():
             origin = None if barrier_shape == "plain" else env.now
             observer = on_complete if barrier_shape == "streamed" else None
-            outcome = yield from generation_barrier(env, replicas, origin, observer)
+            outcome = yield from base.generation_barrier(env, replicas, origin, observer)
             return outcome
 
         process = env.process(body(), name="barrier")
         outcome = env.run(until=process)
-        return {
-            "now": env.now,
-            "duration": outcome.duration,
-            "per_replica_time": outcome.per_replica_time,
-            "tokens": outcome.tokens_generated,
-            "bubble": outcome.bubble_time,
-            "trajectories": [(t.traj_id, t.finish_time, t.replica_id, t.turns_done)
-                             for t in outcome.trajectories],
-            "clocks": [r.clock for r in replicas],
-            "stats": [r.stats for r in replicas],
-            "kv": [(r.kvcache.used_blocks, r.kvcache.peak_blocks) for r in replicas],
-            "streamed": streamed,
-        }
+    return {
+        "now": env.now,
+        "duration": outcome.duration,
+        "per_replica_time": outcome.per_replica_time,
+        "tokens": outcome.tokens_generated,
+        "bubble": outcome.bubble_time,
+        "trajectories": [(t.traj_id, t.finish_time, t.replica_id, t.turns_done)
+                         for t in outcome.trajectories],
+        "clocks": [r.clock for r in replicas],
+        "stats": [r.stats for r in replicas],
+        "kv": [(r.kvcache.used_blocks, r.kvcache.peak_blocks) for r in replicas],
+        "streamed": streamed,
+    }, names
 
 
 @pytest.mark.parametrize("barrier_shape", ["plain", "anchored", "streamed"])
 @pytest.mark.parametrize("seed", range(6))
 def test_barrier_fuzz_bit_identity(seed, barrier_shape):
-    reference = run_barrier("process", seed, barrier_shape)
-    fleet = run_barrier("fleet", seed, barrier_shape)
+    reference, fleet = both(run_barrier, seed, barrier_shape)
     assert fleet == reference
 
 
@@ -119,7 +170,7 @@ def test_barrier_empty_fleet_matches():
             env = Environment()
 
             def body():
-                outcome = yield from generation_barrier(env, [])
+                outcome = yield from base.generation_barrier(env, [])
                 return outcome
 
             outcome = env.run(until=env.process(body()))
@@ -135,8 +186,7 @@ def run_system(mode: str, name: str, seed: int = 0, task: str = "math",
     config = make_system_config(name, "7B", gpus, task_type=task).scaled(scale)
     config = replace(config, num_iterations=iters, warmup_iterations=0,
                      seed=seed, **overrides)
-    with stepping(mode):
-        assert stepping_mode() == mode
+    with stepping(mode) as names:
         if failure is not None or plan is not None:
             injector = plan.build_injector() if plan is not None else FailureInjector()
             if failure is not None:
@@ -144,7 +194,7 @@ def run_system(mode: str, name: str, seed: int = 0, task: str = "math",
             system = LaminarSystem(config, failure_injector=injector)
         else:
             system = make_system(config)
-        return system.run()
+        return system.run(), names
 
 
 def assert_results_identical(reference, fleet):
@@ -155,25 +205,28 @@ def assert_results_identical(reference, fleet):
     assert fleet.extras == reference.extras
 
 
+def run_systems(name: str, **kwargs):
+    """Run one system both ways, assert identity, return the oracle's result."""
+    reference, fleet = both(run_system, name, **kwargs)
+    assert_results_identical(reference, fleet)
+    return reference
+
+
 ALL_SYSTEMS = ("verl", "one_step", "stream_gen", "semi_sync",
                "areal", "laminar", "laminar_norepack")
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_system_run_bit_identity(name):
-    """Every orchestration — barrier and continuous — end to end, both modes."""
-    reference = run_system("process", name)
-    fleet = run_system("fleet", name)
-    assert_results_identical(reference, fleet)
+    """Every orchestration — barrier and continuous — end to end, both ways."""
+    run_systems(name)
 
 
 @pytest.mark.parametrize("name", ["stream_gen", "laminar"])
 @pytest.mark.parametrize("seed", range(3))
 def test_multi_turn_tool_bit_identity(name, seed):
     """Env-wait transitions and streamed mini-batches across random seeds."""
-    reference = run_system("process", name, seed=seed, task="tool", iters=2)
-    fleet = run_system("fleet", name, seed=seed, task="tool", iters=2)
-    assert_results_identical(reference, fleet)
+    run_systems(name, seed=seed, task="tool", iters=2)
 
 
 @pytest.mark.parametrize("kind", [FailureKind.ROLLOUT_MACHINE,
@@ -182,11 +235,7 @@ def test_multi_turn_tool_bit_identity(name, seed):
 def test_failures_mid_window_bit_identity(kind):
     """Machine/relay/trainer failures: retire + respawn lands identically."""
     failure = FailureEvent(time=15.0, kind=kind, target=0)
-    reference = run_system("process", "laminar", gpus=64, scale=1 / 16,
-                           iters=4, failure=failure)
-    fleet = run_system("fleet", "laminar", gpus=64, scale=1 / 16,
-                       iters=4, failure=failure)
-    assert_results_identical(reference, fleet)
+    reference = run_systems("laminar", gpus=64, scale=1 / 16, iters=4, failure=failure)
     assert reference.iterations  # training survived the failure
     if kind == FailureKind.ROLLOUT_MACHINE:
         # Only machine failovers produce recovery records; make sure the
@@ -196,20 +245,16 @@ def test_failures_mid_window_bit_identity(kind):
 
 def test_repack_pulls_bit_identity():
     """Laminar with repack enabled at a scale where pulls actually fire."""
-    reference = run_system("process", "laminar", gpus=64, scale=1 / 8, iters=4)
-    fleet = run_system("fleet", "laminar", gpus=64, scale=1 / 8, iters=4)
-    assert_results_identical(reference, fleet)
+    run_systems("laminar", gpus=64, scale=1 / 8, iters=4)
 
 
 # --------------------------------------------------------------------------- adversarial fuzz
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_persistent_straggler_config_bit_identity(name):
     """A config-declared straggler slot degrades every system identically."""
-    reference = run_system("process", name, straggler_factors=((1, 2.5),))
-    fleet = run_system("fleet", name, straggler_factors=((1, 2.5),))
-    assert_results_identical(reference, fleet)
+    reference = run_systems(name, straggler_factors=((1, 2.5),))
     # The slowdown actually bit: the degraded run is no faster than nominal.
-    nominal = run_system("process", name)
+    nominal, _ = run_system("process", name)
     assert reference.wall_clock >= nominal.wall_clock
 
 
@@ -219,33 +264,21 @@ def test_transient_straggler_wave_bit_identity(seed):
     plan = FailurePlan.stragglers(seed, num_machines=4, window=(5.0, 25.0),
                                   count=2, factor_range=(1.5, 3.0),
                                   duration_range=(5.0, 15.0))
-    reference = run_system("process", "laminar", gpus=64, scale=1 / 16,
-                           iters=4, plan=plan)
-    fleet = run_system("fleet", "laminar", gpus=64, scale=1 / 16,
-                       iters=4, plan=plan)
-    assert_results_identical(reference, fleet)
+    reference = run_systems("laminar", gpus=64, scale=1 / 16, iters=4, plan=plan)
     assert reference.extras.get("stragglers_handled", 0.0) >= 1.0
 
 
 def test_correlated_rack_wave_bit_identity():
     """Simultaneous machine losses (one rack) recover identically."""
     plan = FailurePlan.rack_wave(15.0, rack=0, rack_size=2)
-    reference = run_system("process", "laminar", gpus=64, scale=1 / 16,
-                           iters=4, plan=plan)
-    fleet = run_system("fleet", "laminar", gpus=64, scale=1 / 16,
-                       iters=4, plan=plan)
-    assert_results_identical(reference, fleet)
+    reference = run_systems("laminar", gpus=64, scale=1 / 16, iters=4, plan=plan)
     assert reference.extras.get("failures_handled", 0.0) >= 2.0
 
 
 def test_preemption_wave_bit_identity():
     """Spot warning drains gracefully before the reclaim lands."""
     plan = FailurePlan.preemption_wave(10.0, [0, 2], warning_lead=8.0)
-    reference = run_system("process", "laminar", gpus=64, scale=1 / 16,
-                           iters=4, plan=plan)
-    fleet = run_system("fleet", "laminar", gpus=64, scale=1 / 16,
-                       iters=4, plan=plan)
-    assert_results_identical(reference, fleet)
+    reference = run_systems("laminar", gpus=64, scale=1 / 16, iters=4, plan=plan)
     assert reference.extras.get("preemption_warnings", 0.0) == 2.0
     assert reference.extras.get("spot_preemptions", 0.0) == 2.0
 
@@ -256,11 +289,7 @@ def test_network_degradation_bit_identity(seed):
     plan = FailurePlan.network_degradation(seed, window=(5.0, 30.0), dips=2,
                                            flap_machines=[1],
                                            flap_duration_range=(3.0, 8.0))
-    reference = run_system("process", "laminar", gpus=64, scale=1 / 16,
-                           iters=4, plan=plan)
-    fleet = run_system("fleet", "laminar", gpus=64, scale=1 / 16,
-                       iters=4, plan=plan)
-    assert_results_identical(reference, fleet)
+    reference = run_systems("laminar", gpus=64, scale=1 / 16, iters=4, plan=plan)
     # At least one degradation event landed inside the simulated run (later
     # ones may fall past the final iteration, which is fine).
     assert reference.extras.get("network_events", 0.0) >= 1.0
@@ -270,127 +299,82 @@ def test_network_degradation_bit_identity(seed):
 def test_chaos_storm_bit_identity(seed):
     """The composed storm — wave + preemption + straggler + network — is the
     union of every adversarial pathway; training must survive it and both
-    stepping modes must agree exactly."""
+    stepping shapes must agree exactly."""
     plan = FailurePlan.chaos(seed, num_machines=4, horizon=60.0)
-    reference = run_system("process", "laminar", gpus=64, scale=1 / 16,
-                           iters=4, plan=plan)
-    fleet = run_system("fleet", "laminar", gpus=64, scale=1 / 16,
-                       iters=4, plan=plan)
-    assert_results_identical(reference, fleet)
+    reference = run_systems("laminar", gpus=64, scale=1 / 16, iters=4, plan=plan)
     assert reference.iterations  # training survived the storm
 
 
-# --------------------------------------------------------------------------- pop_due_batch
-def test_pop_due_batch_ties_supersession_and_disarm():
-    """Exact-tie grouping over a heap laced with superseded/disarmed entries."""
-    import math
+def test_process_stepping_restores_production_after_an_error():
+    production = base.generation_barrier, harness.FleetStepper
+    with pytest.raises(RuntimeError):
+        with process_stepping():
+            assert base.generation_barrier is not production[0]
+            assert harness.FleetStepper is not production[1]
+            raise RuntimeError("unwind")
+    assert base.generation_barrier is production[0]
+    assert harness.FleetStepper is production[1]
 
-    from repro.runtime.fleet import FleetState
 
+# --------------------------------------------------------------------------- wake-up heap
+def test_pop_due_ties_supersession_and_disarm():
+    """Exact float ties pop in FIFO order over a heap laced with superseded
+    and disarmed entries; a wake one ulp later is not a tie."""
     state = FleetState()
-    for replica_id in range(6):
-        state.add_replica(replica_id)
     at = 10.0 + 1e-3  # an inexact float: ties must match bit-for-bit anyway
+    later = math.nextafter(at, math.inf)
 
-    state.schedule(0, at)          # stamp 0
-    state.schedule(1, at)          # stamp 1
-    state.schedule(2, at)          # stamp 2 — superseded below
-    state.schedule(3, at)          # stamp 3 — disarmed below
-    state.schedule(4, math.nextafter(at, math.inf))  # one ulp later: not a tie
-    state.schedule(2, at)          # stamp 5: member 2 re-armed, moves to FIFO back
-    state.clear(3)                 # member 3 disarmed: stale heap entry remains
+    state.schedule(7, at)       # stamp 0
+    state.schedule(3, at)       # stamp 1
+    state.schedule(42, at)      # stamp 2 — superseded below
+    state.schedule(5, at)       # stamp 3 — disarmed below
+    state.schedule(9, later)    # one ulp later: not a tie
+    state.schedule(42, at)      # stamp 5: 42 re-armed, moves to the FIFO back
+    state.clear(5)              # 5 disarmed: its stale heap entry remains
 
     # Nothing due before the tie instant.
-    assert state.pop_due_batch(math.nextafter(at, 0.0)) == []
+    assert state.pop_due(math.nextafter(at, 0.0)) is None
+    assert state.next_wake() == at
 
-    # The tie group pops in (wake, stamp) order: 0, 1, then 2's re-arm stamp.
-    # Member 3's entry is skipped lazily; member 4 (one ulp later) stays armed.
-    assert state.pop_due_batch(at + 1.0) == [0, 1, 2]
-    assert all(math.isinf(state.wake[i]) for i in (0, 1, 2, 3))
-    assert not math.isinf(state.wake[4])
-
-    # The next batch is the one-ulp-later singleton.
-    assert state.pop_due_batch(at + 1.0) == [4]
-    assert state.pop_due_batch(at + 1.0) == []
+    # The tie pops in (wake, stamp) order: 7, 3, then 42's re-arm stamp.
+    # Member 5's entry is skipped lazily; member 9 (one ulp later) stays armed.
+    assert [state.pop_due(at) for _ in range(4)] == [7, 3, 42, None]
+    assert state.next_wake() == later
+    assert state.pop_due(at + 1.0) == 9
+    assert state.pop_due(at + 1.0) is None and state.next_wake() is None
 
 
-def test_pop_due_batch_matches_repeated_pop_due():
-    """Batch pops replay the exact (time, FIFO) sequence of single pops."""
-    import math
-
-    from repro.runtime.fleet import FleetState
-
-    rng = np.random.default_rng(42)
-    single, batch = FleetState(), FleetState()
-    for replica_id in range(12):
-        single.add_replica(replica_id)
-        batch.add_replica(replica_id)
-    times = [1.0, 1.0 + 2 ** -40, 2.5, 7.0 / 3.0]
-    for _ in range(60):
-        index = int(rng.integers(0, 12))
-        if rng.random() < 0.15:
-            single.clear(index)
-            batch.clear(index)
-        else:
-            at = float(rng.choice(times))
-            single.schedule(index, at)
-            batch.schedule(index, at)
-    now = 10.0
-    singles = []
-    while True:
-        index = single.pop_due(now)
-        if index is None:
-            break
-        singles.append(index)
-    batches = []
-    while True:
-        group = batch.pop_due_batch(now)
-        if not group:
-            break
-        # Every member of one batch shares one exact wake instant by contract.
-        batches.extend(group)
-    assert batches == singles
-    assert np.array_equal(single.wake[:12], batch.wake[:12])
-
-
-# --------------------------------------------------------------------------- grouped servicing
-@pytest.fixture
-def grouped_probe(monkeypatch):
-    """Instrument FleetStepper._service_group: count fused vs fallback paths."""
-    import repro.runtime.fleet as fleet_mod
-
-    record = {"groups": 0, "fused": 0, "fallback": 0, "max_group": 0}
-    original_group = fleet_mod.FleetStepper._service_group
-    original_view = fleet_mod.ReplicaBatchView
+# --------------------------------------------------------------------------- fused barriers
+@pytest.mark.parametrize("traced", [False, True])
+def test_fleet_smoke_barriers_fuse_every_lane_unless_traced(monkeypatch, traced):
+    """Untraced, every barrier view fuses all of its lanes; with a recorder
+    attached the barrier arms trace sampling and no lane fuses."""
     views = []
+    original = ReplicaBatchView.__init__
 
-    class RecordingView(original_view):
-        def __init__(self, replicas, fuse=True):
-            super().__init__(replicas, fuse=fuse)
-            views.append(self.all_fused)
+    def recording_init(self, replicas):
+        original(self, replicas)
+        views.append((len(self.replicas), self.num_fused))
 
-    def probed_group(self, replica_ids):
-        record["groups"] += 1
-        record["max_group"] = max(record["max_group"], len(replica_ids))
-        before = len(views)
-        original_group(self, replica_ids)
-        created = views[before:]
-        if created and created[0]:
-            record["fused"] += 1
-        else:
-            record["fallback"] += 1
-
-    monkeypatch.setattr(fleet_mod, "ReplicaBatchView", RecordingView)
-    monkeypatch.setattr(fleet_mod.FleetStepper, "_service_group", probed_group)
-    return record
+    monkeypatch.setattr(ReplicaBatchView, "__init__", recording_init)
+    for unit in get_scenario("fleet_smoke").expand():
+        views.clear()
+        with use_tracer(TraceRecorder()) if traced else nullcontext():
+            system_for_unit(unit).run()
+        assert views, unit.system
+        lanes = sum(n for n, _ in views)
+        fused = sum(k for _, k in views)
+        assert lanes > 0 and fused == (0 if traced else lanes), unit.system
 
 
+# --------------------------------------------------------------------------- exact-tie cohorts
 def tied_workload(seed: int, count: int, start_id: int):
     """A workload whose *content* depends only on ``seed``.
 
     Replicas loaded from the same seed (with disjoint id ranges) evolve
     through identical float chains, so their wake-ups tie at the exact same
-    float instants — the grouped-kernel path's precondition.
+    float instants — the only place the engine's FIFO tie-break orders
+    events of different replicas.  No committed scenario produces such ties.
     """
     rng = np.random.default_rng(seed)
     states = []
@@ -445,10 +429,25 @@ class _ToyFleet(ReplicaFleet):
             ))
 
 
+def migrate(env, fleet, replicas, times):
+    """Process body: at each of ``times`` move two sequences from replica 0
+    to replica 1 and ``touch`` both, as a repack pull does."""
+    source, target = replicas[0], replicas[1]
+    for at in times:
+        yield env.timeout_until(at)
+        fleet.catch_up(source)
+        fleet.catch_up(target)
+        moved = source.remove_sequences([s.seq_id for s in source.sequences()[:2]])
+        for state in moved:
+            state.needs_reprefill = True
+        target.add_sequences(moved)
+        fleet.touch([source.replica_id, target.replica_id])
+
+
 def run_toy_fleet(mode: str, workload_seeds, refill_batches=0, blocks=512,
-                  slowdowns=()):
+                  slowdowns=(), migrations=()):
     """Drive a synthetic continuous fleet to quiescence under one mode."""
-    with stepping(mode):
+    with stepping(mode) as names:
         env = Environment()
         replicas = []
         for replica_id, seed in enumerate(workload_seeds):
@@ -465,64 +464,59 @@ def run_toy_fleet(mode: str, workload_seeds, refill_batches=0, blocks=512,
         fleet = _ToyFleet(env, replicas, refill_batches=refill_batches)
         for replica in replicas:
             fleet.spawn(replica.replica_id)
+        if migrations:
+            env.process(migrate(env, fleet, replicas, migrations), name="migrate")
         env.run()
-        return {
-            "events": fleet.events,
-            "clocks": [r.clock for r in replicas],
-            "stats": [r.stats for r in replicas],
-            "kv": [(r.kvcache.used_blocks, r.kvcache.peak_blocks)
-                   for r in replicas],
-        }
+    return {
+        "events": fleet.events,
+        "clocks": [r.clock for r in replicas],
+        "stats": [r.stats for r in replicas],
+        "kv": [(r.kvcache.used_blocks, r.kvcache.peak_blocks)
+               for r in replicas],
+    }, names
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_grouped_service_exact_ties_bit_identity(grouped_probe, seed):
-    """Identical members wake at exact float ties: whole cohorts must be
-    serviced through the grouped kernel and still match process mode."""
-    reference = run_toy_fleet("process", [seed] * 4, refill_batches=2)
-    fleet = run_toy_fleet("fleet", [seed] * 4, refill_batches=2)
+def test_grouped_service_exact_ties_bit_identity(seed):
+    """Identical members wake at exact float ties, cohort after cohort."""
+    reference, fleet = both(run_toy_fleet, [seed] * 4, refill_batches=2)
     assert fleet == reference
-    assert grouped_probe["fused"] >= 1  # the fused cohort path actually ran
-    assert grouped_probe["max_group"] >= 2
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_grouped_mixed_ties_and_singles_bit_identity(grouped_probe, seed):
-    """Tied twins interleaved with unique members: groups and singles mix."""
-    reference = run_toy_fleet("process", [seed, seed, seed + 50, seed + 60],
-                              refill_batches=1)
-    fleet = run_toy_fleet("fleet", [seed, seed, seed + 50, seed + 60],
-                          refill_batches=1)
+def test_grouped_mixed_ties_and_singles_bit_identity(seed):
+    """Tied twins interleaved with unique members."""
+    reference, fleet = both(run_toy_fleet, [seed, seed, seed + 50, seed + 60],
+                            refill_batches=1)
     assert fleet == reference
-    assert grouped_probe["fused"] >= 1
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_grouped_fallback_queued_lanes_bit_identity(grouped_probe, seed):
+def test_grouped_fallback_queued_lanes_bit_identity(seed):
     """A KV pool too small for the cohort leaves waiting queues on every
-    member: the view refuses to fuse and the group degroups, identically."""
-    reference = run_toy_fleet("process", [seed] * 4, blocks=64)
-    fleet = run_toy_fleet("fleet", [seed] * 4, blocks=64)
+    tied member: admissions and preemptions interleave with the ties."""
+    reference, fleet = both(run_toy_fleet, [seed] * 4, blocks=64)
     assert fleet == reference
-    assert grouped_probe["groups"] >= 1
-    assert grouped_probe["fallback"] >= 1  # degrouping actually happened
 
 
-def test_grouped_fallback_slowdown_bit_identity(grouped_probe):
-    """Straggling members are unfusable; a tied cohort of them degroups."""
-    reference = run_toy_fleet("process", [3] * 4,
-                              slowdowns=((0, 2.0), (1, 2.0), (2, 2.0), (3, 2.0)))
-    fleet = run_toy_fleet("fleet", [3] * 4,
-                          slowdowns=((0, 2.0), (1, 2.0), (2, 2.0), (3, 2.0)))
+def test_grouped_fallback_slowdown_bit_identity():
+    """A tied cohort of straggling members."""
+    reference, fleet = both(run_toy_fleet, [3] * 4,
+                            slowdowns=((0, 2.0), (1, 2.0), (2, 2.0), (3, 2.0)))
     assert fleet == reference
-    assert grouped_probe["groups"] >= 1
-    assert grouped_probe["fallback"] >= 1
 
 
-def test_grouped_refill_waits_bit_identity(grouped_probe):
-    """Members that drain early park on the refill signal mid-run; later
-    refills revive them and the revived cohort re-ties."""
-    reference = run_toy_fleet("process", [9] * 3, refill_batches=3)
-    fleet = run_toy_fleet("fleet", [9] * 3, refill_batches=3)
+@pytest.mark.parametrize("seed", range(2))
+def test_touch_after_migration_bit_identity(seed):
+    """Sequences moved between members mid-sleep: ``touch`` must re-step both
+    members at the move instant, as an interrupt per driver would."""
+    reference, fleet = both(run_toy_fleet, [seed, seed + 50, seed + 60],
+                            refill_batches=1, migrations=(0.3, 1.7, 4.1))
     assert fleet == reference
-    assert grouped_probe["fused"] >= 1
+
+
+def test_grouped_refill_waits_bit_identity():
+    """Members that drain early park for lack of work mid-run; later refills
+    revive them and the revived cohort re-ties."""
+    reference, fleet = both(run_toy_fleet, [9] * 3, refill_batches=3)
+    assert fleet == reference

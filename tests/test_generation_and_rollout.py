@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import run_to_completion
 from repro.rollout import (
     ReplicaGenerationState,
     RolloutReplicaConfig,
@@ -64,7 +65,7 @@ def test_single_sequence_completion_time_matches_decode_model():
     replica = make_replica()
     states = make_states([100])
     replica.add_sequences(states)
-    duration, done = replica.run_to_completion()
+    duration, done = run_to_completion(replica)
     assert len(done) == 1 and done[0].done
     step = replica.decode_model.decode_step_time(1, 64 + 50)
     # 100 decode steps at roughly the single-sequence step time.
@@ -76,7 +77,7 @@ def test_single_sequence_completion_time_matches_decode_model():
 def test_completion_order_follows_length():
     replica = make_replica()
     replica.add_sequences(make_states([500, 50, 200]))
-    _, done = replica.run_to_completion()
+    _, done = run_to_completion(replica)
     assert [t.traj_id for t in sorted(done, key=lambda t: t.finish_time)] == [1, 2, 0]
 
 
@@ -84,13 +85,13 @@ def test_batched_decode_is_faster_than_serial():
     lengths = [200] * 16
     batched = make_replica()
     batched.add_sequences(make_states(lengths))
-    batched_time, _ = batched.run_to_completion()
+    batched_time, _ = run_to_completion(batched)
 
     serial_total = 0.0
     for i, length in enumerate(lengths):
         replica = make_replica()
         replica.add_sequences(make_states([length], start_id=100 + i))
-        duration, _ = replica.run_to_completion()
+        duration, _ = run_to_completion(replica)
         serial_total += duration
     assert batched_time < 0.25 * serial_total
 
@@ -114,7 +115,7 @@ def test_kvcache_queueing_and_preemption_free_progress():
     replica.add_sequences(make_states([200] * 6, prompt_tokens=128))
     assert replica.num_decoding < 6
     assert replica.num_queued > 0
-    _, done = replica.run_to_completion()
+    _, done = run_to_completion(replica)
     assert len(done) == 6
     assert all(t.done for t in done)
 
@@ -133,7 +134,7 @@ def test_remove_sequences_releases_cache_and_requeues_elsewhere():
     for state in removed:
         state.needs_reprefill = True
     other.add_sequences(removed)
-    _, done = other.run_to_completion()
+    _, done = run_to_completion(other)
     assert len(done) == 2
     assert other.stats.reprefill_tokens > 0
 
@@ -144,7 +145,7 @@ def test_multi_turn_env_wait_blocks_decoding():
     prompt = Prompt(prompt_id=0, group_id=0, prompt_tokens=64, multi_turn=True, max_turns=2)
     trajectory = Trajectory(traj_id=0, prompt=prompt, target_tokens=100)
     replica.add_sequences([SequenceState(trajectory=trajectory, schedule=schedule)])
-    duration, done = replica.run_to_completion()
+    duration, done = run_to_completion(replica)
     assert len(done) == 1
     assert done[0].turns_done == 2
     assert duration > 30.0  # the environment latency is on the critical path

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import run_to_completion
 from repro.systems import LaminarSystem, VerlSynchronous, make_system
 from repro.experiments import make_system_config
 from repro.runtime import (
@@ -91,8 +92,8 @@ def test_weight_sync_components_expose_one_surface():
 
 # --------------------------------------------------------------------------- generation harness
 def test_generation_barrier_matches_serial_run_to_completion():
-    """The AllOf-joined replica processes must reproduce the serial reference
-    (per-replica run_to_completion) bit for bit: same durations, same
+    """The fleet barrier must reproduce the serial reference (per-replica
+    run_to_completion) bit for bit: same durations, same
     trajectories, same completion timestamps, same token counts."""
     des = VerlSynchronous(quick_config("verl", scale=1 / 16))
     outcome = des.generate_full_batch(weight_version=0)
@@ -104,7 +105,7 @@ def test_generation_barrier_matches_serial_run_to_completion():
         replicas[index % len(replicas)].add_sequences([state])
     reference_durations, reference_trajectories = [], []
     for replica in replicas:
-        duration, completed = replica.run_to_completion()
+        duration, completed = run_to_completion(replica)
         reference_durations.append(duration)
         reference_trajectories.extend(completed)
 
