@@ -937,7 +937,9 @@ class ReplicaGenerationState:
     def _finish_segments(
         self, positions: np.ndarray, completed_now: List[Trajectory]
     ) -> None:
-        """Batched control tail for sequences whose segment just ended.
+        """Batched control tail for two or more sequences whose segment just
+        ended (:meth:`_apply_decode` sends a lone finisher to
+        :meth:`_finish_one`).
 
         Splits the finished positions into the last-turn batch (KV rows are
         recycled in one :meth:`KVCache.free_many` call, trajectories
@@ -947,9 +949,6 @@ class ReplicaGenerationState:
         exactly once.
         """
         dec = self._dec
-        if len(positions) == 1:
-            self._finish_one(int(positions[0]), completed_now)
-            return
         positions = np.asarray(positions)
         slots = dec.slots[positions]
         turns = self._a_turn[slots]
@@ -1363,12 +1362,6 @@ class ReplicaBatchView:
         if k < 0:
             return self.replicas[pos].num_sequences
         return int(self._live[k])
-
-    def lane_clock(self, pos: int) -> float:
-        k = int(self._lane_k[pos])
-        if k < 0:
-            return self.replicas[pos].clock
-        return float(self._clock[k])
 
     # ------------------------------------------------------------------ kernels
     def _release_env(self, sel: np.ndarray) -> None:

@@ -6,12 +6,11 @@ Two execution shapes cover every registered system (:mod:`repro.systems`):
   semi-sync): :func:`generation_barrier` drains a fresh set of replicas to
   completion and joins at the slowest one.  No external actor mutates a
   barrier replica mid-drain, so the whole drain is simulated eagerly at
-  barrier start, and the engine only sees the externally observable events:
-  one publisher per streamed completion instant and one join wake-up.  With
-  ``origin`` set the drain is *anchored*: wake-ups land at
-  ``origin + local clock`` exactly and completions stream at their precise
-  finish instants — the mode the pipelined systems build their pure
-  event-time iteration clocks on.
+  barrier start, and the engine sees one event: the join wake-up.  Every
+  completion comes back as data, stamped with its local finish time.  With
+  ``origin`` set the drain is *anchored*: the join lands at
+  ``origin + local clock`` exactly — the mode the pipelined systems build
+  their pure event-time iteration clocks on.
 
 * **Continuous generation** (AReaL, Laminar): the members of a
   :class:`ReplicaFleet` are stepped by one :class:`FleetStepper` process that
@@ -38,7 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,40 +107,29 @@ class EventBox:
         event.succeed()
 
 
-#: Streamed-completion callback: ``(replica_position, completed)`` delivered
-#: at the exact simulated instant the trajectories finished.
-CompletionObserver = Callable[[int, List[Trajectory]], None]
-
-
 # -- batch-synchronous barrier -----------------------------------------------
-
-
-def _publisher(env: Environment, at: float, replica_pos: int,
-               batch: List[Trajectory], on_complete) -> Generator:
-    yield env.timeout_until(at)
-    on_complete(replica_pos, batch)
 
 
 def generation_barrier(
     env: Environment,
     replicas: Sequence[ReplicaGenerationState],
     origin: Optional[float] = None,
-    on_complete: Optional[CompletionObserver] = None,
 ) -> Generator:
     """Sub-process: drain every replica to completion behind one join.
 
     This is the global barrier of the batch-synchronous systems: the batch is
     done only when the slowest replica finishes.  Trajectories are collected
-    replica-major (replica 0's completions first), matching the scoring order
-    the reward RNG stream depends on.
+    replica-major (replica 0's completions first, each replica's in
+    completion order), matching the scoring order the reward RNG stream
+    depends on.  Each carries its local ``finish_time``, so a consumer that
+    needs completion instants (stream generation's mini-batch schedule)
+    reads them off the outcome instead of waiting on events.
 
     Plain mode accumulates each replica's own ``t = t + delta`` float chain
     (the engine's ``now + delay`` arithmetic).  With ``origin`` set the drain
     is anchored: the replica's local clock is authoritative, so the join time
     ``max_r fl(origin + clock_r)`` equals the local stage arithmetic bit for
-    bit, and ``on_complete`` receives completions at their exact finish
-    instants (``origin + finish_time``), including completions that fall
-    strictly inside an advance window.
+    bit.
 
     Barrier drains are mutually independent by construction (replicas
     interact only at the join), so the whole fleet is drained *together*
@@ -151,8 +139,7 @@ def generation_barrier(
     each lane's float chain (``t = t + delta`` / ``fl(origin + clock)``)
     stays per-lane and bit-identical.  Lanes with waiting queues, active
     slowdowns, trace sampling (armed here when tracing is on) or KV pools the
-    drain could overflow step one replica at a time.  The engine only
-    schedules streamed-completion publishers at their exact instants and a
+    drain could overflow step one replica at a time.  The engine schedules a
     single ``timeout_until`` at the join time ``max_r(final_r)``.
     """
     tracer = env.tracer
@@ -161,43 +148,10 @@ def generation_barrier(
         for replica in replicas:
             replica.enable_trace_sampling()
 
-    # (call_time, replica_pos, seq_no, at, batch): one row per publication,
-    # keyed like one publisher process per replica would have created them.
-    publications: List[Tuple[float, int, int, float, List[Trajectory]]] = []
-    num = len(replicas)
     starts = [replica.clock for replica in replicas]
-    completed_l: List[List[Trajectory]] = [[] for _ in range(num)]
-    anchored = origin is not None
-    if anchored:
-        seen_l: List[Dict[int, Trajectory]] = [{} for _ in range(num)]
-        seq_no_l = [0] * num
-        call_time_l = [barrier_start] * num
-    else:
-        t_chain = [barrier_start] * num
-
-    def publish(pos: int, done: List[Trajectory],
-                call_time: float) -> List[Trajectory]:
-        seen = seen_l[pos]
-        fresh = [t for t in done if t.traj_id not in seen]
-        for traj in fresh:
-            seen[traj.traj_id] = traj
-        if fresh and on_complete is not None:
-            # One publication per distinct finish instant, in order.
-            groups: List[Tuple[float, List[Trajectory]]] = []
-            for traj in fresh:
-                if groups and groups[-1][0] == traj.finish_time:
-                    groups[-1][1].append(traj)
-                else:
-                    groups.append((traj.finish_time, [traj]))
-            for finish, batch in groups:
-                publications.append(
-                    (call_time, pos, seq_no_l[pos], origin + finish, batch)
-                )
-                seq_no_l[pos] += 1
-        return fresh
-
+    t_chain = [barrier_start] * len(replicas)  # plain mode only
     view = ReplicaBatchView(replicas)
-    active = [pos for pos in range(num) if view.lane_live(pos)]
+    active = [pos for pos in range(len(replicas)) if view.lane_live(pos)]
     while active:
         deltas = view.next_event_in_many(active)
         round_pos: List[int] = []
@@ -207,16 +161,15 @@ def generation_barrier(
                 continue  # stuck lane (inadmissible queue): stop draining it
             round_pos.append(pos)
             dts.append(delta)
-        done_lists = view.advance_many(round_pos, dts)
-        if anchored:
-            for pos, done in zip(round_pos, done_lists):
-                completed_l[pos].extend(publish(pos, done, call_time_l[pos]))
-                call_time_l[pos] = origin + view.lane_clock(pos)
-        else:
-            for pos, done, dt in zip(round_pos, done_lists, dts):
+        view.advance_many(round_pos, dts)
+        if origin is None:
+            for pos, dt in zip(round_pos, dts):
                 t_chain[pos] = t_chain[pos] + dt
-                completed_l[pos].extend(done)
         active = [pos for pos in round_pos if view.lane_live(pos)]
+    # ``settle`` hands the fused lanes' completions back to their engines;
+    # fallback lanes kept theirs in ``advance``.  Barrier replicas start with
+    # nothing completed, so each ``drain_completed`` below is exactly that
+    # replica's completions in completion order.
     view.settle()
 
     per_replica_time: List[float] = []
@@ -225,50 +178,24 @@ def generation_barrier(
     counts: List[int] = []
     tokens = 0
     for pos, replica in enumerate(replicas):
-        completed = completed_l[pos]
-        if anchored:
-            completed.extend(
-                publish(pos, replica.drain_completed(), call_time_l[pos])
-            )
-            final = origin + replica.clock
-        else:
-            completed.extend(replica.drain_completed())
-            unique: Dict[int, Trajectory] = {traj.traj_id: traj for traj in completed}
-            completed = list(unique.values())
-            final = t_chain[pos]
+        completed = replica.drain_completed()
         per_replica_time.append(replica.clock - starts[pos])
         trajectories.extend(completed)
         counts.append(len(completed))
         tokens += replica.stats.tokens_generated
-        finals.append(final)
+        finals.append(t_chain[pos] if origin is None else origin + replica.clock)
 
     if tracer.enabled:
         for pos, replica in enumerate(replicas):
             if origin is None:
-                span_begin, span_end = barrier_start, finals[pos]
-                flush_offset = barrier_start - starts[pos]
+                span_begin, flush_offset = barrier_start, barrier_start - starts[pos]
             else:
-                span_begin = origin + starts[pos]
-                span_end = origin + replica.clock
-                flush_offset = origin
+                span_begin, flush_offset = origin + starts[pos], origin
             tracer.span(f"replica-{replica.replica_id}", "generate",
-                        span_begin, span_end,
+                        span_begin, finals[pos],
                         args={"trajectories": counts[pos],
                               "tokens": replica.stats.tokens_generated})
             _flush_decode_samples(tracer, replica, offset=flush_offset)
-
-    if on_complete is not None and publications:
-        # Publisher creation order = the engine order of the publish call
-        # sites: ascending call time, replicas in spawn order at the shared
-        # barrier-start instant, per-replica publication order within a call.
-        publications.sort(key=lambda p: (p[0], p[1], p[2]))
-        for call_time, pos, _seq_no, at, batch in publications:
-            deliver_at = at if at > call_time else call_time
-            if deliver_at <= env.now:
-                on_complete(pos, batch)
-            else:
-                env.process(_publisher(env, deliver_at, pos, batch, on_complete),
-                            name=f"publish-{pos}")
 
     if replicas:
         yield env.timeout_until(max(finals))

@@ -27,7 +27,7 @@ from ..config import SystemConfig
 from ..metrics.results import SystemRunResult
 from ..rollout.generation import ReplicaGenerationState, SequenceState
 from ..runtime.components import CompletionPipeline, GlobalWeightSync
-from ..runtime.harness import CompletionObserver, GenerationOutcome, generation_barrier
+from ..runtime.harness import GenerationOutcome, generation_barrier
 from ..runtime.workload import WorkloadBundle
 from ..sim.engine import Environment
 from ..types import Trajectory
@@ -180,16 +180,15 @@ class System(ABC):
         env: Environment,
         weight_version: int,
         origin: Optional[float] = None,
-        on_complete: Optional[CompletionObserver] = None,
     ) -> Generator:
         """Sub-process: synchronous full-batch generation across fresh replicas.
 
         Sequences are distributed round-robin over the replicas; the join
         completes when the slowest replica finishes (the global barrier of
         the synchronous and k-step-staleness designs).  With ``origin`` set
-        the replicas run as anchored drains whose wake-ups land at
-        ``origin + local clock`` and whose completions stream to
-        ``on_complete`` at their exact finish instants.
+        the replicas run as anchored drains whose join lands at
+        ``origin + local clock``.  The returned outcome carries every
+        trajectory with its local ``finish_time``.
 
         Every barrier orchestration (verl, one_step, stream_gen, semi_sync)
         generates through here, so the module-level
@@ -203,7 +202,7 @@ class System(ABC):
             buckets[index % len(replicas)].append(state)
         for replica, bucket in zip(replicas, buckets):
             replica.add_sequences(bucket)
-        outcome = yield from generation_barrier(env, replicas, origin, on_complete)
+        outcome = yield from generation_barrier(env, replicas, origin)
         return outcome
 
     def generate_full_batch(self, weight_version: int) -> GenerationOutcome:

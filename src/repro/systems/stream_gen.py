@@ -7,24 +7,25 @@ same batch are still being generated.  The final mini-batch still waits for
 the very slowest trajectory, and the global weight synchronization still
 couples every rollout at the iteration boundary.
 
-The mini-batch pipeline is expressed as events, not as a precomputed
-recurrence: the anchored replica drains stream every trajectory completion at
-its exact finish instant, and the streaming-trainer process wakes on those
-completion events, runs each optimizer step as soon as its mini-batch's data
-is ready (and the previous step has finished), and ends the iteration with
-the global-sync wait.  The iteration boundary is the ``AllOf`` join of the
-generation barrier and the trainer process.
+The mini-batch schedule is a fold over the barrier's outcome, and the fold
+is exact.  The anchored barrier simulates the whole drain when it starts, so
+every completion time is known before the first of them happens.  Sorting
+the replica-major completions stably by finish time gives the order in which
+a trainer woken at each completion instant would have received them.
+Mini-batch ``j`` takes the next ``m`` of them, starts at
+``max(cursor, finish time of the ((j + 1) * m)-th completion)`` and moves the
+``cursor`` on by its optimizer-step time.  Nothing in that recurrence reads
+``env.now``, so the spans computed after the join are the ones an
+event-driven trainer would have recorded.  The iteration ends at the later
+of the generation join and ``start + (cursor + sync)``.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Dict, Generator, List, Tuple
+from typing import Generator
 
 from ..metrics.results import StageBreakdown, SystemRunResult
-from ..runtime.harness import EventBox
 from ..sim.engine import Environment
-from ..types import Trajectory
 from .base import System, SystemCapabilities, register
 
 
@@ -52,39 +53,33 @@ class StreamGeneration(System):
 
         for _ in range(num_iterations):
             start = env.now
-            # Completion stream: ``(finish_time, replica_pos, arrival_idx,
-            # tokens)`` rows, delivered at the exact finish instants and kept
-            # sorted incrementally.  The tuple order reproduces the stable
-            # completion-time sort of the replica-major trajectory list.
-            arrived: List[Tuple[float, int, int, int]] = []
-            counters: Dict[int, int] = {}
-            data_box = EventBox(env)
-
-            def on_complete(pos: int, fresh: List[Trajectory],
-                            arrived=arrived, counters=counters,
-                            data_box=data_box) -> None:
-                for trajectory in fresh:
-                    index = counters.get(pos, 0)
-                    counters[pos] = index + 1
-                    insort(
-                        arrived,
-                        (trajectory.finish_time, pos, index, trajectory.total_tokens),
-                    )
-                data_box.notify()
-
-            generation = env.process(
-                self._generation(env, start, on_complete),
-                name=f"{self.name}-generation",
+            outcome = yield from self.generate_batch_process(
+                env, self.trainer.weight_version, origin=start
             )
-            trainer = env.process(
-                self._stream_trainer(env, start, arrived, data_box,
-                                     num_minibatches, minibatch_trajs, sync_time),
-                name=f"{self.name}-trainer",
-            )
-            yield env.all_of([generation, trainer])
+            completions = sorted(outcome.trajectories, key=lambda t: t.finish_time)
+            cursor = 0.0
+            total_train_time = 0.0
+            for j in range(num_minibatches):
+                data_ready = completions[(j + 1) * minibatch_trajs - 1].finish_time
+                mb_tokens = sum(
+                    t.total_tokens
+                    for t in completions[j * minibatch_trajs:(j + 1) * minibatch_trajs]
+                )
+                mb_time = self.trainer.minibatch_time(mb_tokens)
+                mb_start = max(cursor, data_ready)
+                cursor = mb_start + mb_time
+                total_train_time += mb_time
+                if tracer.enabled:
+                    tracer.span("trainer", "training", start + mb_start,
+                                start + cursor,
+                                args={"minibatch": j, "tokens": mb_tokens})
+            # Iteration boundary: the blocking global weight synchronization.
+            sync_end = start + (cursor + sync_time)
+            if tracer.enabled:
+                tracer.span("sync", "weight_sync", start + cursor, sync_end)
+            if sync_end > env.now:
+                yield env.timeout_until(sync_end)
 
-            outcome = generation.value
-            total_train_time = trainer.value
             self.score_and_buffer(outcome.trajectories, self.trainer.weight_version)
             batch = self.buffer.sample(self.config.global_batch_size)
             record = self.trainer.record_iteration(batch, start, env.now)
@@ -105,55 +100,3 @@ class StreamGeneration(System):
                 tracer.span("trainer", "iteration", start, env.now,
                             args={"iteration": len(result.iterations)})
         result.extras["global_sync_time"] = sync_time
-
-    # ------------------------------------------------------------------ stages
-    def _generation(self, env: Environment, origin: float, on_complete) -> Generator:
-        outcome = yield from self.generate_batch_process(
-            env, self.trainer.weight_version, origin=origin, on_complete=on_complete
-        )
-        return outcome
-
-    def _stream_trainer(
-        self,
-        env: Environment,
-        origin: float,
-        arrived: List[Tuple[float, int, int, int]],
-        data_box: EventBox,
-        num_minibatches: int,
-        minibatch_trajs: int,
-        sync_time: float,
-    ) -> Generator:
-        """Process body: consume mini-batches as their data becomes ready.
-
-        The trainer's local cursor tracks the end of the running optimizer
-        step; each step starts at ``max(cursor, data ready)`` and the wake-up
-        lands at ``origin + cursor`` exactly (anchored, like the drains).
-        Returns the total optimizer-step time of the iteration.
-        """
-        tracer = env.tracer
-        expected = self.config.global_batch_size
-        cursor = 0.0
-        total_train_time = 0.0
-        for j in range(num_minibatches):
-            needed = min(expected, (j + 1) * minibatch_trajs)
-            while len(arrived) < needed:
-                yield data_box.wait()
-            data_ready = arrived[needed - 1][0]
-            mb_tokens = sum(
-                row[3] for row in arrived[j * minibatch_trajs:(j + 1) * minibatch_trajs]
-            )
-            mb_time = self.trainer.minibatch_time(mb_tokens)
-            mb_start = max(cursor, data_ready)
-            cursor = mb_start + mb_time
-            total_train_time += mb_time
-            if tracer.enabled:
-                tracer.span("trainer", "training", origin + mb_start,
-                            origin + cursor,
-                            args={"minibatch": j, "tokens": mb_tokens})
-            yield env.timeout_until(origin + cursor)
-        # Iteration boundary: the blocking global weight synchronization.
-        if tracer.enabled:
-            tracer.span("sync", "weight_sync", origin + cursor,
-                        origin + (cursor + sync_time))
-        yield env.timeout_until(origin + (cursor + sync_time))
-        return total_train_time

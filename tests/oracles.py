@@ -38,7 +38,6 @@ from repro.rollout.generation import (
     SequenceStatus,
 )
 from repro.runtime.harness import (
-    CompletionObserver,
     EventBox,
     GenerationOutcome,
     ReplicaFleet,
@@ -440,9 +439,6 @@ class ScalarReplicaBatchView:
     def lane_live(self, pos: int) -> int:
         return self.replicas[pos].num_sequences
 
-    def lane_clock(self, pos: int) -> float:
-        return self.replicas[pos].clock
-
     def next_event_in_many(self, positions: Sequence[int]) -> List[Optional[float]]:
         return [self.replicas[pos].next_event_in() for pos in positions]
 
@@ -504,88 +500,47 @@ def drain_replica(env: Environment, replica: ReplicaGenerationState) -> Generato
     return replica.clock - start, list(unique.values())
 
 
-def drain_replica_anchored(
-    env: Environment,
-    replica: ReplicaGenerationState,
-    origin: float,
-    on_complete: Optional[CompletionObserver] = None,
-    replica_pos: int = 0,
-) -> Generator:
+def drain_replica_anchored(env: Environment, replica: ReplicaGenerationState,
+                           origin: float) -> Generator:
     """Anchored variant of :func:`drain_replica`: every wake-up lands at
-    ``origin + clock`` exactly (``timeout_until``), and ``on_complete``
-    receives completions at their exact finish instants
-    (``origin + finish_time``), one publisher process per future instant.
-    """
+    ``origin + clock`` exactly (``timeout_until``)."""
     start = replica.clock
     tracer = env.tracer
     if tracer.enabled:
         replica.enable_trace_sampling()
     completed: List[Trajectory] = []
-    seen: Dict[int, Trajectory] = {}
-
-    def publisher(at: float, batch: List[Trajectory]) -> Generator:
-        yield env.timeout_until(at)
-        on_complete(replica_pos, batch)
-
-    def publish(done: List[Trajectory]) -> List[Trajectory]:
-        fresh = [t for t in done if t.traj_id not in seen]
-        for t in fresh:
-            seen[t.traj_id] = t
-        if fresh and on_complete is not None:
-            # One publication event per distinct finish instant, in order.
-            groups: List[Tuple[float, List[Trajectory]]] = []
-            for t in fresh:
-                if groups and groups[-1][0] == t.finish_time:
-                    groups[-1][1].append(t)
-                else:
-                    groups.append((t.finish_time, [t]))
-            for finish, batch in groups:
-                at = origin + finish
-                if at <= env.now:
-                    on_complete(replica_pos, batch)
-                else:
-                    env.process(publisher(at, batch),
-                                name=f"publish-{replica.replica_id}")
-        return fresh
-
     while replica.num_sequences:
         delta = replica.next_event_in()
         if delta is None:
             break
-        done = replica.advance(delta)
-        completed.extend(publish(done))
+        completed.extend(replica.advance(delta))
         yield env.timeout_until(origin + replica.clock)
-    completed.extend(publish(replica.drain_completed()))
+    completed.extend(replica.drain_completed())
+    unique: Dict[int, Trajectory] = {t.traj_id: t for t in completed}
     if tracer.enabled:
         tracer.span(f"replica-{replica.replica_id}", "generate",
                     origin + start, origin + replica.clock,
-                    args={"trajectories": len(completed),
+                    args={"trajectories": len(unique),
                           "tokens": replica.stats.tokens_generated})
         _flush_decode_samples(tracer, replica, offset=origin)
-    return replica.clock - start, completed
+    return replica.clock - start, list(unique.values())
 
 
 def process_generation_barrier(
     env: Environment,
     replicas: Sequence[ReplicaGenerationState],
     origin: Optional[float] = None,
-    on_complete: Optional[CompletionObserver] = None,
 ) -> Generator:
     """Oracle of :func:`repro.runtime.harness.generation_barrier`: one drain
     process per replica behind an ``AllOf`` join."""
-    if origin is None:
-        processes = [
-            env.process(drain_replica(env, replica), name=f"drain-{replica.replica_id}")
-            for replica in replicas
-        ]
-    else:
-        processes = [
-            env.process(
-                drain_replica_anchored(env, replica, origin, on_complete, pos),
-                name=f"drain-{replica.replica_id}",
-            )
-            for pos, replica in enumerate(replicas)
-        ]
+    processes = [
+        env.process(
+            drain_replica(env, replica) if origin is None
+            else drain_replica_anchored(env, replica, origin),
+            name=f"drain-{replica.replica_id}",
+        )
+        for replica in replicas
+    ]
     if processes:
         yield env.all_of(processes)
     per_replica_time: List[float] = []

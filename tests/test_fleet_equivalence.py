@@ -4,8 +4,8 @@ Production (:mod:`repro.runtime.harness`) steps every replica of a scenario
 from one engine process.  Its contract is bit-identity with the per-replica
 process shapes kept in ``tests/oracles.py``: every replica must observe the
 identical sequence of ``next_event_in`` / ``advance`` calls at the identical
-simulated instants, so clocks, stats, trajectories, streamed-completion
-events and KVCache occupancy must match *exactly* — no tolerances.  The
+simulated instants, so clocks, stats, trajectories (with their finish times
+and order) and KVCache occupancy must match *exactly* — no tolerances.  The
 oracle comes in by patching (:func:`oracles.process_stepping`), so every
 comparison also checks which processes each side started: if the patch
 missed, both sides would be production and every ``==`` would pass.
@@ -14,9 +14,9 @@ The fuzz surface deliberately includes the hard cases: tiny KV pools that
 force queueing and preemption storms, multi-turn env waits, repack pulls
 mid-window (Laminar), machine/relay/trainer failures mid-window (the fault
 drill), the adversarial :mod:`repro.faults` schedules (correlated waves,
-spot preemptions, stragglers, degraded networks), the streamed anchored
-barrier whose publications interleave with the trainer, and synthetic fleets
-whose replicas wake at exactly tied float instants.
+spot preemptions, stragglers, degraded networks), the anchored barrier
+whose completions stream generation folds its mini-batch schedule over, and
+synthetic fleets whose replicas wake at exactly tied float instants.
 """
 
 import math
@@ -129,15 +129,10 @@ def run_barrier(mode: str, seed: int, barrier_shape: str):
         env = Environment()
         replicas = make_replicas(seed, num_replicas=4, per_replica=10,
                                  blocks=96, max_concurrency=8)
-        streamed = []
-
-        def on_complete(pos, batch):
-            streamed.append((env.now, pos, tuple(t.traj_id for t in batch)))
 
         def body():
             origin = None if barrier_shape == "plain" else env.now
-            observer = on_complete if barrier_shape == "streamed" else None
-            outcome = yield from base.generation_barrier(env, replicas, origin, observer)
+            outcome = yield from base.generation_barrier(env, replicas, origin)
             return outcome
 
         process = env.process(body(), name="barrier")
@@ -153,11 +148,10 @@ def run_barrier(mode: str, seed: int, barrier_shape: str):
         "clocks": [r.clock for r in replicas],
         "stats": [r.stats for r in replicas],
         "kv": [(r.kvcache.used_blocks, r.kvcache.peak_blocks) for r in replicas],
-        "streamed": streamed,
     }, names
 
 
-@pytest.mark.parametrize("barrier_shape", ["plain", "anchored", "streamed"])
+@pytest.mark.parametrize("barrier_shape", ["plain", "anchored"])
 @pytest.mark.parametrize("seed", range(6))
 def test_barrier_fuzz_bit_identity(seed, barrier_shape):
     reference, fleet = both(run_barrier, seed, barrier_shape)
@@ -225,7 +219,8 @@ def test_system_run_bit_identity(name):
 @pytest.mark.parametrize("name", ["stream_gen", "laminar"])
 @pytest.mark.parametrize("seed", range(3))
 def test_multi_turn_tool_bit_identity(name, seed):
-    """Env-wait transitions and streamed mini-batches across random seeds."""
+    """Env-wait transitions and stream generation's folded mini-batch
+    schedule across random seeds."""
     run_systems(name, seed=seed, task="tool", iters=2)
 
 

@@ -129,9 +129,12 @@ def test_one_step_event_clock_matches_closed_form_stage_arithmetic():
 
 
 def test_stream_gen_event_clock_matches_closed_form_recurrence():
-    """The streaming trainer's event-driven mini-batch pipeline must equal
-    the legacy offline recurrence: mini-batch j starts at
-    max(previous end, completion of the (j+1)*m-th trajectory)."""
+    """Independent twin of stream_gen's folded mini-batch schedule: a fresh
+    system regenerates iteration 1's batch (same seeds) through the public
+    ``generate_full_batch``, and the recurrence — mini-batch j starts at
+    max(previous end, completion of the (j+1)*m-th trajectory) — is folded
+    over its plainly sorted completion times.  The iteration must end on
+    exactly that float."""
     config = quick_config("stream_gen", iters=1, warm=0)
     result = make_system(config).run()
 
@@ -157,6 +160,33 @@ def test_stream_gen_event_clock_matches_closed_form_recurrence():
             twin.trainer.minibatch_time(mb_tokens)
     assert result.iterations[0].start_time == 0.0
     assert result.iterations[0].end_time == 0.0 + (cursor + sync)
+
+
+@pytest.mark.parametrize("scale", [1 / 32, 1 / 8])
+def test_stream_gen_engine_work_does_not_grow_with_the_batch(monkeypatch, scale):
+    """stream_gen folds its mini-batch schedule over the barrier outcome, so
+    an iteration costs the engine at most two events (the generation join
+    and the sync wait) however many trajectories complete in it."""
+    iterations = 3
+    system = make_system(make_system_config("stream_gen", "7B", 32).scaled(scale))
+    steps = []
+    names = []
+    step, process = Environment.step, Environment.process
+
+    def counting_step(self):
+        steps.append(None)
+        step(self)
+
+    def recording_process(self, generator, name=""):
+        names.append(name)
+        return process(self, generator, name=name)
+
+    monkeypatch.setattr(Environment, "step", counting_step)
+    monkeypatch.setattr(Environment, "process", recording_process)
+    result = system.run(iterations)
+    assert len(result.iterations) == iterations
+    assert not [name for name in names if name.startswith("publish-")]
+    assert len(steps) <= 2 * iterations + 2
 
 
 def test_pipelined_iteration_is_allof_join_not_sum_of_stages():
