@@ -3,10 +3,8 @@
 
 Selects scenarios from the registry, registers a custom one, runs the
 (system × GPU scale × variant) matrix on two worker processes, persists the
-results as a schema-versioned ``BENCH_*.json`` artifact, regression-gates a
-second run against it, and finally re-runs the same grid on the distributed
-queue backend (embedded coordinator + one ``repro-bench worker`` agent
-subprocess) to show the bit-identical cross-backend contract.
+results as a schema-versioned ``BENCH_*.json`` artifact, and regression-gates
+a second run against it.
 
 The same workflow is available from the command line::
 
@@ -14,24 +12,15 @@ The same workflow is available from the command line::
     repro-bench run --scenario throughput_smoke --jobs 2 --export BENCH_smoke.json
     repro-bench compare --baseline BENCH_smoke.json
 
-    # distributed: terminal 1 (fleet) / terminal 2 (driver)
-    repro-bench serve --bind 0.0.0.0:7781
-    repro-bench worker --connect HOST:7781 --jobs 4
-    repro-bench run --scenario throughput_smoke --backend queue --connect HOST:7781
-
 Usage::
 
     python examples/bench_matrix.py
 """
 
 import os
-import subprocess
-import sys
 import tempfile
 
 from repro.bench import (
-    Coordinator,
-    QueueBackend,
     ScenarioConfig,
     compare_runs,
     register_scenario,
@@ -85,33 +74,6 @@ def main() -> None:
     report = compare_runs(rerun, results, tolerance=0.05)
     print()
     print(render_comparison(report))
-
-    # ------------------------------------------------------------------ distributed rerun
-    # The queue backend leases the same units to a worker fleet over TCP.
-    # Here the coordinator is embedded and a single worker agent (a 2-slot
-    # sub-pool) runs as a subprocess; `repro-bench worker --connect` on other
-    # machines joins the same way.  Determinism is per grid index, so the
-    # merged results match the local runs bit for bit.
-    coordinator = Coordinator().start()
-    host, port = coordinator.address
-    print(f"\nembedded coordinator on {host}:{port}; leasing to 1 worker agent...")
-    worker = subprocess.Popen(
-        [sys.executable, "-m", "repro.bench", "worker",
-         "--connect", f"{host}:{port}", "--jobs", "2"],
-        env={**os.environ,
-             "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
-    )
-    try:
-        distributed = run_scenarios(
-            scenarios, backend=QueueBackend(coordinator=coordinator)
-        )
-    finally:
-        coordinator.close()
-        worker.wait(timeout=30)
-    identical = (
-        [r.comparable() for r in distributed] == [r.comparable() for r in results]
-    )
-    print(f"queue backend bit-identical to local run: {identical}")
 
     unregister_scenario(custom.id)
 

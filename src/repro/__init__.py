@@ -28,7 +28,7 @@ The package is organised as:
 from .config import SystemConfig, default_trainer_parallel
 from .types import Experience, Prompt, Trajectory, WeightVersion
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 #: Benchmark API re-exported lazily (PEP 562) so that ``import repro`` does
 #: not pull in the full experiments stack.
@@ -45,12 +45,8 @@ _BENCH_EXPORTS = (
     "save_artifact",
     "load_artifact",
     # Execution backends (repro.bench.exec).
-    "Coordinator",
-    "QueueBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "make_backend",
-    "run_worker",
 )
 
 #: Observability API re-exported lazily from :mod:`repro.obs`.

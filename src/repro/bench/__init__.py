@@ -4,9 +4,8 @@
   the canonical :data:`SCENARIOS` catalog.
 * :mod:`repro.bench.runner` — parallel matrix execution with per-unit seeds
   and timeouts, returning structured :class:`ScenarioResult`\\ s.
-* :mod:`repro.bench.exec` — pluggable execution backends: in-process serial,
-  local process pool, and the distributed queue backend (TCP coordinator +
-  ``repro-bench worker`` fleet with leases, heartbeats and requeue).
+* :mod:`repro.bench.exec` — execution backends: in-process serial (optionally
+  traced) and the local process pool behind ``--jobs N``.
 * :mod:`repro.bench.store` — schema-versioned ``BENCH_<scenario>.json``
   artifact persistence with load/merge of prior runs.
 * :mod:`repro.bench.compare` — regression gating of a run against a stored
@@ -23,16 +22,7 @@ from .compare import (
     UnitVerdict,
     compare_runs,
 )
-from .exec import (
-    BACKENDS,
-    Coordinator,
-    ExecBackend,
-    ProcessPoolBackend,
-    QueueBackend,
-    SerialBackend,
-    make_backend,
-    run_worker,
-)
+from .exec import ExecBackend, ProcessPoolBackend, SerialBackend
 from .registry import (
     KINDS,
     SCENARIOS,
@@ -66,18 +56,13 @@ from .store import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "Coordinator",
     "DEFAULT_TOLERANCE",
     "ComparisonReport",
     "ExecBackend",
     "ProcessPoolBackend",
-    "QueueBackend",
     "SerialBackend",
     "UnitVerdict",
     "compare_runs",
-    "make_backend",
-    "run_worker",
     "KINDS",
     "SCENARIOS",
     "ScenarioConfig",

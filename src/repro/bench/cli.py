@@ -10,21 +10,11 @@ Workflow::
     repro-bench run --scenario smoke --profile 20   # per-unit cProfile hot paths
     repro-bench compare --baseline BENCH_smoke.json # re-run + gate against an artifact
     repro-bench trend                               # sparkline history of BENCH_*.json
-    repro-bench trend --bisect SCENARIO METRIC      # largest metric step -> commit
-                                                    # range, tightened to one commit
-                                                    # by midpoint re-runs in a checkout
     repro-bench analyze trace.json                  # critical-path + utilization
     repro-bench analyze trace.json --diff old.json  # attribution drift vs old trace
 
-Distributed runs (any machine with the repo installed can serve units)::
-
-    repro-bench serve --bind 0.0.0.0:7781           # standalone coordinator
-    repro-bench worker --connect HOST:7781 --jobs 4 # worker agent(s)
-    repro-bench run --scenario smoke --backend queue --connect HOST:7781
-    repro-bench status --connect HOST:7781 --watch  # live fleet telemetry
-
-    # or let `run` embed the coordinator and attach workers to it:
-    repro-bench run --scenario smoke --backend queue --bind 0.0.0.0:7781
+Everything runs on one host: ``--jobs 1`` executes units in-process,
+``--jobs N`` on a local process pool, with bit-identical results.
 
 ``run`` persists results to ``BENCH_<scenario>.json`` artifacts (or a single
 ``--export`` file) and, with ``--compare``, gates the fresh results against
@@ -39,7 +29,6 @@ import fnmatch
 import glob
 import json
 import os
-import socket
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
@@ -58,37 +47,16 @@ from ..obs import (
     write_chrome_trace,
 )
 from .compare import DEFAULT_TOLERANCE, compare_runs
-from .exec import (
-    BACKENDS,
-    DEFAULT_PORT as _DEFAULT_PORT,
-    WIRE_VERSION,
-    Coordinator,
-    QueueBackend,
-    TracingSerialBackend,
-    WireError,
-    make_backend,
-    parse_hostport,
-    recv_message,
-    run_worker,
-    send_message,
-)
+from .exec import TracingSerialBackend
 from .registry import ScenarioConfig, all_scenarios, get_scenario, select_scenarios
 from .report import (
     render_comparison,
     render_results,
     render_scenario_list,
-    render_status,
     render_system_list,
 )
 from .runner import ScenarioResult, UnitResult, run_scenarios
-from .store import (
-    default_artifact_path,
-    load_artifact,
-    load_results,
-    results_from_artifact,
-    save_artifact,
-    scenario_ids,
-)
+from .store import default_artifact_path, load_results, save_artifact
 
 #: Status/progress output goes through the structured run log (``repro.*``
 #: loggers) so ``--log-json`` machines it and ``--quiet`` silences it;
@@ -136,16 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "these registered systems (repeatable)")
     run_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="parallel worker processes (default: 1)")
-    run_cmd.add_argument("--backend", choices=BACKENDS, default=None,
-                         help="execution backend (default: serial for --jobs 1, "
-                              "process otherwise); 'queue' distributes units to "
-                              "repro-bench worker agents")
-    run_cmd.add_argument("--bind", metavar="HOST:PORT", default=None,
-                         help="with --backend queue: embed a coordinator bound "
-                              f"here (default: 127.0.0.1:{_DEFAULT_PORT})")
-    run_cmd.add_argument("--connect", metavar="HOST:PORT", default=None,
-                         help="with --backend queue: submit to an already-running "
-                              "`repro-bench serve` coordinator instead")
     run_cmd.add_argument("--export", metavar="PATH",
                          help="write all results into one artifact at PATH "
                               "(default: one BENCH_<scenario>.json per scenario)")
@@ -218,15 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict the comparison to matching scenarios")
     cmp_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="parallel workers when re-running (default: 1)")
-    cmp_cmd.add_argument("--backend", choices=BACKENDS, default=None,
-                         help="execution backend for the re-run; 'queue' "
-                              "distributes units to repro-bench workers")
-    cmp_cmd.add_argument("--bind", metavar="HOST:PORT", default=None,
-                         help="with --backend queue: embed a coordinator bound "
-                              f"here (default: 127.0.0.1:{_DEFAULT_PORT})")
-    cmp_cmd.add_argument("--connect", metavar="HOST:PORT", default=None,
-                         help="with --backend queue: submit the re-run to an "
-                              "already-running `repro-bench serve` coordinator")
     cmp_cmd.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                          help=f"relative regression tolerance (default: {DEFAULT_TOLERANCE})")
     cmp_cmd.add_argument("--derived-metric", action="append", default=[],
@@ -269,76 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     trend_cmd.add_argument("--max-revisions", type=int, default=50, metavar="N",
                            help="cap on historical versions per artifact "
                                 "(default: 50)")
-    trend_cmd.add_argument("--bisect", nargs=2, metavar=("SCENARIO", "METRIC"),
-                           default=None,
-                           help="report the largest run-to-run step of METRIC in "
-                                "SCENARIO and the commit range that produced it "
-                                "(METRIC may be 'elapsed_s' or any unit metric); "
-                                "inside a git checkout, unit-metric ranges are "
-                                "tightened to a single commit by re-running the "
-                                "scenario at range midpoints in temporary "
-                                "worktrees (elapsed_s is machine-dependent and "
-                                "stays range-only)")
-
-    serve_cmd = sub.add_parser(
-        "serve", parents=[common],
-        help="standalone coordinator: accepts repro-bench workers and "
-             "remote `run --backend queue --connect` drivers")
-    serve_cmd.add_argument("--bind", metavar="HOST:PORT",
-                           default=f"127.0.0.1:{_DEFAULT_PORT}",
-                           help=f"listen address (default: 127.0.0.1:{_DEFAULT_PORT})")
-    serve_cmd.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                           help="lease grants per unit before giving up on it "
-                                "(default: 3)")
-    serve_cmd.add_argument("--heartbeat", type=float, default=2.0, metavar="SECONDS",
-                           help="worker heartbeat interval (default: 2)")
-    serve_cmd.add_argument("--lease-grace", type=float, default=30.0,
-                           metavar="SECONDS",
-                           help="slack past a unit's budget before its lease is "
-                                "requeued (default: 30)")
-    serve_cmd.add_argument("--worker-timeout", type=float, default=None,
-                           metavar="SECONDS",
-                           help="drop a worker whose heartbeats stop for this "
-                                "long (default: 5x heartbeat; straggling "
-                                "workers are speculatively re-leased at 2.5x "
-                                "heartbeat either way)")
-    serve_cmd.add_argument("--status-interval", type=float, default=30.0,
-                           metavar="SECONDS",
-                           help="emit a structured status snapshot on the run "
-                                "log this often while the fleet is active "
-                                "(0 disables; default: 30)")
-
-    worker_cmd = sub.add_parser(
-        "worker", parents=[common],
-        help="worker agent: leases units from a coordinator and "
-             "executes them in a local sub-pool")
-    worker_cmd.add_argument("--connect", required=True, metavar="HOST:PORT",
-                            help="coordinator address")
-    worker_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                            help="local sub-pool size / concurrent leases "
-                                 "(default: 1)")
-    worker_cmd.add_argument("--connect-timeout", type=float, default=30.0,
-                            metavar="SECONDS",
-                            help="keep retrying the initial connection this long "
-                                 "(workers may start before the coordinator; "
-                                 "default: 30)")
-    worker_cmd.add_argument("--max-units", type=int, default=None, metavar="N",
-                            help="exit after executing N units (chaos drills "
-                                 "and tests)")
-
-    status_cmd = sub.add_parser(
-        "status", parents=[common],
-        help="live fleet telemetry from a running coordinator (queue depth, "
-             "workers, leases, counters)")
-    status_cmd.add_argument("--connect", required=True, metavar="HOST:PORT",
-                            help="coordinator address")
-    status_cmd.add_argument("--watch", nargs="?", const=2.0, default=None,
-                            type=float, metavar="SECONDS",
-                            help="refresh every SECONDS instead of printing "
-                                 "one snapshot (default interval: 2)")
-    status_cmd.add_argument("--json", action="store_true", dest="as_json",
-                            help="print each snapshot as one JSON object "
-                                 "instead of tables")
     return parser
 
 
@@ -406,35 +285,6 @@ def _filter_systems(scenarios: List[ScenarioConfig],
     return filtered
 
 
-def _run_backend(args: argparse.Namespace):
-    """Resolve --backend/--bind/--connect into (backend, owned coordinator)."""
-    profile = getattr(args, "profile", None)
-    if args.backend is None:
-        if args.bind or args.connect:
-            raise ValueError("--bind/--connect require --backend queue")
-        return None, None  # run_scenarios derives serial/process from --jobs
-    if args.backend != "queue":
-        if args.bind or args.connect:
-            raise ValueError("--bind/--connect require --backend queue")
-        return make_backend(args.backend, jobs=args.jobs,
-                            profile_top=profile), None
-    queue_log = lambda m: _log.info("queue", message=f"  [queue] {m}")  # noqa: E731
-    if args.connect:
-        if args.bind:
-            raise ValueError("--bind and --connect are mutually exclusive")
-        return make_backend("queue", connect=args.connect, log=queue_log), None
-    # Embedded coordinator: start it before the run so the attach address is
-    # printed while workers can still join.
-    host, port = parse_hostport(args.bind or f"127.0.0.1:{_DEFAULT_PORT}")
-    coordinator = Coordinator(host=host, port=port, log=queue_log).start()
-    host, port = coordinator.address
-    _log.info("coordinator_embedded",
-              message=f"embedded coordinator on {host}:{port}; attach workers "
-                      f"with: repro-bench worker --connect {host}:{port}",
-              host=host, port=port)
-    return QueueBackend(coordinator=coordinator), coordinator
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.tolerance < 0:
         raise ValueError("--tolerance must be non-negative")
@@ -459,8 +309,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.profile_json and args.profile is None:
         args.profile = 25
     if args.profile is not None:
-        if args.backend not in (None, "serial"):
-            raise ValueError("--profile requires the serial backend")
         if args.jobs > 1:
             _log.info("note", message="note: --profile collects in-process; "
                       "running with --jobs 1")
@@ -473,9 +321,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             args.no_save = True
     recorder: Optional[TraceRecorder] = None
     if args.trace:
-        if args.backend not in (None, "serial"):
-            raise ValueError("--trace requires the serial backend (the "
-                             "recorder lives in the driver process)")
         if args.jobs > 1:
             _log.info("note", message="note: --trace records in-process; "
                       "running with --jobs 1")
@@ -498,24 +343,20 @@ def cmd_run(args: argparse.Namespace) -> int:
             _log.info("note", message="note: no baseline artifact found; all "
                       "units will report 'no-baseline'")
 
-    backend, coordinator = _run_backend(args)
+    backend = None  # run_scenarios derives serial/process from --jobs
     if recorder is not None:
         # The tracer only observes, so swapping the serial backend for its
         # tracing twin cannot change any result — the --compare --tolerance 0
         # CI leg exists to prove exactly that.
         backend = TracingSerialBackend(recorder, profile_top=args.profile)
     run_started = time.perf_counter()
-    try:
-        results = run_scenarios(
-            scenarios, jobs=args.jobs, timeout_s=args.timeout, progress=_progress,
-            # An explicit backend already embeds the profile setting.
-            profile_top=args.profile if backend is None else None,
-            backend=backend,
-            systems=args.system or None,
-        )
-    finally:
-        if coordinator is not None:
-            coordinator.close()
+    results = run_scenarios(
+        scenarios, jobs=args.jobs, timeout_s=args.timeout, progress=_progress,
+        # An explicit backend already embeds the profile setting.
+        profile_top=args.profile if backend is None else None,
+        backend=backend,
+        systems=args.system or None,
+    )
     run_elapsed = time.perf_counter() - run_started
     print()
     print(render_results(results))
@@ -678,59 +519,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_status(args: argparse.Namespace) -> int:
-    if args.watch is not None and args.watch <= 0:
-        raise ValueError("--watch interval must be positive")
-    host, port = parse_hostport(args.connect)
-    try:
-        sock = socket.create_connection((host, port), timeout=10.0)
-    except OSError as exc:
-        print(f"error: could not reach coordinator at {host}:{port}: {exc}",
-              file=sys.stderr)
-        return 1
-    try:
-        sock.settimeout(10.0)
-        send_message(sock, {"type": "hello", "role": "status",
-                            "wire_version": WIRE_VERSION})
-        welcome = recv_message(sock)
-        if welcome.get("type") != "welcome":
-            print(f"error: coordinator rejected the status connection: "
-                  f"{welcome.get('message', welcome.get('type'))}",
-                  file=sys.stderr)
-            return 1
-        while True:
-            send_message(sock, {"type": "status"})
-            reply = recv_message(sock)
-            if reply.get("type") != "status":
-                print(f"error: unexpected reply {reply.get('type')!r}",
-                      file=sys.stderr)
-                return 1
-            snapshot = reply.get("status", {})
-            if args.as_json:
-                print(json.dumps(snapshot, sort_keys=True))
-            else:
-                print(render_status(snapshot, address=f"{host}:{port}"))
-            if args.watch is None:
-                break
-            print()
-            time.sleep(args.watch)
-        try:
-            send_message(sock, {"type": "goodbye"})
-        except OSError:
-            pass
-        return 0
-    except (WireError, OSError) as exc:
-        print(f"error: coordinator connection lost: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.tolerance < 0:
         raise ValueError("--tolerance must be non-negative")
@@ -744,9 +532,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return 1
 
     if args.candidate:
-        if args.backend or args.bind or args.connect:
-            raise ValueError("--backend/--bind/--connect apply to compare "
-                             "re-runs only (omit --candidate)")
         _, candidate = load_results(args.candidate)
         if args.scenario:
             keep = {r.scenario_id for r in baseline}
@@ -761,15 +546,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
                           f"{result.scenario_id!r} is no longer registered; "
                           f"skipping re-run")
         baseline = [r for r in baseline if r.scenario_id in {c.id for c in configs}]
-        backend, coordinator = _run_backend(args)
         _log.info("rerun", message=f"re-running {len(configs)} scenario(s) "
                   f"from the baseline artifact", scenarios=len(configs))
-        try:
-            candidate = run_scenarios(configs, jobs=args.jobs, progress=_progress,
-                                      backend=backend)
-        finally:
-            if coordinator is not None:
-                coordinator.close()
+        candidate = run_scenarios(configs, jobs=args.jobs, progress=_progress)
 
     report = compare_runs(candidate, baseline, tolerance=args.tolerance,
                           derived=args.derived_metric)
@@ -779,7 +558,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_trend(args: argparse.Namespace) -> int:
-    from .trend import collect_history, commits_between, largest_step, render_bisect, render_trend
+    from .trend import collect_history, render_trend
 
     paths = args.artifacts or sorted(glob.glob("BENCH_*.json"))
     if not paths:
@@ -816,97 +595,14 @@ def cmd_trend(args: argparse.Namespace) -> int:
         for snapshot in snapshots:
             snapshot.results = [r for r in snapshot.results if r.scenario_id in keep]
         snapshots = [s for s in snapshots if s.results]
-        if not snapshots and not args.bisect:
+        if not snapshots:
             # A scenario with no committed artifact versions yet is a normal
             # state (freshly registered scenario), not a harness failure.
             names = ", ".join(sorted(keep)) if keep else ", ".join(args.scenario)
             print(f"no history: no committed artifact versions yet for {names}")
             return 0
-    if args.bisect:
-        from .trend import metric_series
-
-        scenario_id, metric = args.bisect
-        step = largest_step(snapshots, scenario_id, metric)
-        if step is None:
-            # A flat, fully-observed history has no step to bisect — that is
-            # a healthy outcome, not missing data.
-            observations = max(
-                (sum(v is not None for v in values)
-                 for values in metric_series(snapshots, scenario_id, metric).values()),
-                default=0,
-            )
-            if observations >= 2:
-                print(f"bisect: {metric} is flat across {observations} run(s) "
-                      f"of {scenario_id}; no step to report")
-                return 0
-            print(render_bisect(None, []))
-            return 1
-        commits = (
-            commits_between(step.from_rev, step.to_rev)
-            if step.from_rev != step.to_rev else []
-        )
-        outcome = None
-        if len(commits) > 1 and step.metric == "elapsed_s":
-            # Historical elapsed_s values were recorded on whatever machine
-            # produced the artifact; a re-run on this machine cannot be
-            # classified against them, so the range is not tightened.
-            _log.info("note", message="note: elapsed_s is harness wall-clock "
-                      "(machine-dependent); skipping midpoint re-runs, "
-                      "reporting the range only")
-        if len(commits) > 1 and step.metric != "elapsed_s":
-            # Inside a checkout (the range resolved), tighten the range to a
-            # single commit by re-running the scenario at range midpoints.
-            from .trend import bisect_commits, run_scenario_at_revision
-
-            _log.info("bisect", message=f"bisecting {len(commits)} commits "
-                      f"by re-running {scenario_id} at range midpoints...",
-                      commits=len(commits), scenario=scenario_id)
-            outcome = bisect_commits(
-                step, commits,
-                lambda revision: run_scenario_at_revision(
-                    revision, scenario_id, step.series_label, metric
-                ),
-            )
-        print(render_bisect(step, commits, outcome))
-        return 0
     print(render_trend(snapshots))
     return 0 if snapshots else 1
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    serve_log = get_run_logger("bench.serve")
-    host, port = parse_hostport(args.bind)
-    if args.status_interval < 0:
-        raise ValueError("--status-interval must be non-negative")
-    coordinator = Coordinator(
-        host=host, port=port, max_attempts=args.max_attempts,
-        heartbeat_s=args.heartbeat, lease_grace_s=args.lease_grace,
-        worker_timeout_s=args.worker_timeout,
-        status_interval_s=args.status_interval,
-        log=lambda message: serve_log.info("coordinator", message=message),
-    ).start()
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        serve_log.info("shutdown", message="shutting down")
-        return 0
-    finally:
-        coordinator.close()
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    worker_log = get_run_logger("bench.worker")
-    if args.jobs <= 0:
-        raise ValueError("--jobs must be positive")
-    if args.max_units is not None and args.max_units <= 0:
-        raise ValueError("--max-units must be positive")
-    host, port = parse_hostport(args.connect)
-    return run_worker(
-        host, port, jobs=args.jobs, connect_timeout_s=args.connect_timeout,
-        log=lambda message: worker_log.info("worker", message=message),
-        max_units=args.max_units,
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -918,8 +614,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     handlers = {"list": cmd_list, "run": cmd_run, "trace": cmd_trace,
                 "analyze": cmd_analyze, "compare": cmd_compare,
-                "trend": cmd_trend, "serve": cmd_serve,
-                "worker": cmd_worker, "status": cmd_status}
+                "trend": cmd_trend}
     try:
         return handlers[args.command](args)
     except BrokenPipeError:  # e.g. `repro-bench list | head`

@@ -3,9 +3,10 @@
 :class:`ExecBackend` is the small contract the matrix runner drives —
 ``submit(units) -> iterator of (unit, UnitResult)`` — so the same
 :func:`repro.bench.runner.run_scenarios` front end can execute a grid
-in-process (:class:`SerialBackend`), on a local process pool
-(:class:`ProcessPoolBackend`) or across a worker fleet leased from a TCP
-coordinator (:class:`repro.bench.exec.coordinator.QueueBackend`).
+in-process (:class:`SerialBackend`, or :class:`TracingSerialBackend` with a
+trace recorder attached) or on a local process pool
+(:class:`ProcessPoolBackend`).  :func:`default_backend` picks between them
+from ``--jobs`` and ``--profile``; tests substitute their own backends.
 
 The determinism contract spans backends: every unit derives its seed from
 its grid index, so for a fixed scenario the merged results are bit-identical
@@ -20,8 +21,8 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor, wait
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from ..registry import ScenarioUnit
-from ..runner import UnitResult, execute_unit, execute_unit_profiled
+from .registry import ScenarioUnit
+from .runner import UnitResult, execute_unit, execute_unit_profiled
 
 try:  # pragma: no cover - Protocol is 3.8+; the repo supports >=3.9
     from typing import Protocol
@@ -103,7 +104,7 @@ class TracingSerialBackend(SerialBackend):
     def submit(
         self, units: Iterable[ScenarioUnit], timeout_s: Optional[float] = None
     ) -> Iterator[Tuple[ScenarioUnit, UnitResult]]:
-        from ...obs import analyze_group, derived_metrics, use_tracer
+        from ..obs import analyze_group, derived_metrics, use_tracer
 
         for unit in units:
             budget = effective_timeout(unit, timeout_s)
@@ -190,3 +191,11 @@ class ProcessPoolBackend:
                 for process in list(getattr(pool, "_processes", {}).values()):
                     if process.is_alive():
                         process.terminate()
+
+
+def default_backend(jobs: int = 1, profile_top: Optional[int] = None) -> ExecBackend:
+    """The backend `run_scenarios` historically implied: serial for one job
+    (or any profiled run), the local process pool otherwise."""
+    if profile_top is not None or jobs == 1:
+        return SerialBackend(profile_top=profile_top)
+    return ProcessPoolBackend(jobs=jobs)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .compare import ComparisonReport
 from .registry import ScenarioConfig
@@ -153,73 +153,3 @@ def render_comparison(report: ComparisonReport) -> str:
         f"result: {outcome}",
     ])
 
-
-def render_status(status: Dict[str, object], address: str = "") -> str:
-    """Render one coordinator ``status`` snapshot as fixed-width tables."""
-    counters: Dict[str, object] = status.get("counters", {})
-    wall: Dict[str, object] = status.get("unit_wall_s", {})
-    title = f"coordinator {address}".rstrip()
-    lines: List[str] = [
-        f"{title} | up {float(status.get('uptime_s', 0.0)):.0f}s | "
-        f"queue depth {status.get('queue_depth', 0)} | "
-        f"heartbeat {float(status.get('heartbeat_s', 0.0)):.1f}s",
-        f"completed {counters.get('units_completed', 0)} | "
-        f"requeues {counters.get('requeues', 0)} | "
-        f"speculations {counters.get('speculations', 0)} | "
-        f"exhausted {counters.get('units_exhausted', 0)}",
-    ]
-    if wall.get("count"):
-        mean_s = wall.get("mean_s")
-        last_s = wall.get("last_s")
-        lines.append(
-            f"unit wall-clock: mean {mean_s:.3f}s over {wall['count']} unit(s)"
-            + (f", last {last_s:.3f}s" if last_s is not None else "")
-        )
-    workers = status.get("workers", [])
-    lines.append("")
-    if workers:
-        rows = [
-            [
-                w.get("worker_id"), f"{w.get('host')}:{w.get('port')}",
-                w.get("jobs"), w.get("leases"), w.get("units_done"),
-                float(w.get("heartbeat_age_s", 0.0)),
-                w.get("last_wall_s") if w.get("last_wall_s") is not None
-                else float("nan"),
-                ", ".join(f"{e.get('unit')} ({e.get('running_s', 0.0)}s)"
-                          for e in w.get("inflight", [])) or "-",
-            ]
-            for w in workers
-        ]
-        lines.append(format_table(
-            ["worker", "address", "jobs", "leases", "done", "beat_age_s",
-             "last_wall_s", "inflight"],
-            rows,
-        ))
-    else:
-        lines.append("no workers connected")
-    leases = status.get("leases", [])
-    if leases:
-        rows = [
-            [
-                l.get("lease_id"), l.get("scenario_id"), l.get("unit"),
-                l.get("worker_id"), l.get("attempt"),
-                float(l.get("age_s", 0.0)), float(l.get("deadline_in_s", 0.0)),
-                bool(l.get("speculated")),
-            ]
-            for l in leases
-        ]
-        lines.append("")
-        lines.append(format_table(
-            ["lease", "scenario", "unit", "worker", "attempt", "age_s",
-             "deadline_in_s", "speculated"],
-            rows,
-        ))
-    batches = status.get("batches", [])
-    if batches:
-        lines.append("")
-        lines.append(format_table(
-            ["batch", "units", "completed", "remaining"],
-            [[b.get("batch_id"), b.get("units"), b.get("completed"),
-              b.get("remaining")] for b in batches],
-        ))
-    return "\n".join(lines)

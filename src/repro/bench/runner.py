@@ -1,16 +1,15 @@
 """Parallel matrix runner for the scenario registry.
 
 :func:`run_scenarios` expands every selected :class:`ScenarioConfig` into its
-(system × GPU scale × variant) units, executes them on a pluggable execution
-backend (:mod:`repro.bench.exec`: in-process, local ``ProcessPoolExecutor``,
-or a distributed coordinator + worker fleet) with per-unit timeouts, and
-regroups the structured :class:`UnitResult`s into per-scenario
-:class:`ScenarioResult`s.
+(system × GPU scale × variant) units, executes them on an execution backend
+(:mod:`repro.bench.exec`: in-process or a local ``ProcessPoolExecutor``)
+with per-unit timeouts, and regroups the structured :class:`UnitResult`s
+into per-scenario :class:`ScenarioResult`s.
 
 Unit execution is fully deterministic for a fixed scenario seed: every unit
 derives its own seed from the grid index, so results are bit-identical
-between ``jobs=1``, ``jobs=N`` and any worker-fleet topology (the
-harness-measured ``elapsed_s`` is kept outside the comparable payload).
+between ``jobs=1`` and ``jobs=N`` (the harness-measured ``elapsed_s`` is
+kept outside the comparable payload).
 """
 
 from __future__ import annotations
@@ -598,17 +597,15 @@ def run_scenarios(
     Units run on an execution backend (:mod:`repro.bench.exec`): with no
     explicit ``backend``, ``jobs == 1`` implies the in-process
     ``SerialBackend`` and ``jobs > 1`` the local ``ProcessPoolBackend`` —
-    the historical behaviour.  Passing a backend (e.g. a ``QueueBackend``
-    leasing units to a remote worker fleet) overrides ``jobs`` entirely.
-    Because every unit derives its seed from its grid index, the regrouped
-    results are bit-identical across backends.
+    the historical behaviour.  Passing a backend (e.g. the CLI's
+    ``TracingSerialBackend``) overrides ``jobs`` entirely.  Because every
+    unit derives its seed from its grid index, the regrouped results are
+    bit-identical across backends.
 
     Per-unit budgets are enforced where the unit executes (``SIGALRM`` in
     :func:`execute_unit`, so the clock starts at actual execution, not at
     submission) and over-budget units are reported with status
-    ``"timeout"``; the distributed coordinator additionally bounds each
-    lease by the same budget.  ``timeout_s`` overrides every scenario's own
-    budget.
+    ``"timeout"``.  ``timeout_s`` overrides every scenario's own budget.
 
     ``profile_top`` runs every unit under cProfile (serially, regardless of
     ``jobs``) and attaches a top-N cumulative report to each result's

@@ -8,23 +8,11 @@ perf trajectory of the repo is visible from the committed JSONs alone — and
 renders them as sparkline tables: one ``elapsed_s`` row (the engine-speed
 signal perf PRs move) plus one row per unit's primary metric (the
 regression-gate signal that must stay flat).
-
-``repro-bench trend --bisect SCENARIO METRIC`` turns the same history into a
-regression-hunting tool: :func:`largest_step` finds the biggest run-to-run
-move of a metric and :func:`commits_between` maps it to the commit range
-that produced it.  Inside a git checkout, :func:`bisect_commits` then
-tightens a unit-metric range to a single commit by true bisection —
-:func:`run_scenario_at_revision` checks each midpoint out into a temporary
-``git worktree``, re-runs the scenario there, and the observed value decides
-which half of the range the step lives in.  ``elapsed_s`` steps stay
-range-only: historical wall-clocks were recorded on other machines, so a
-local re-run cannot be classified against them.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
 from dataclasses import dataclass, field
@@ -209,266 +197,6 @@ def scenario_trends(
         )
         out[scenario_id] = (kinds[scenario_id], ordered)
     return out
-
-
-@dataclass
-class MetricStep:
-    """One run-to-run move of a metric, attributable to a commit range."""
-
-    scenario_id: str
-    series_label: str
-    metric: str
-    before: float
-    after: float
-    #: Snapshot bounds of the step: the runs just before and just after.
-    from_rev: str
-    to_rev: str
-    from_created: str
-    to_created: str
-
-    @property
-    def rel_change(self) -> float:
-        if self.before == 0:
-            return math.inf if self.after != 0 else 0.0
-        return (self.after - self.before) / abs(self.before)
-
-    @property
-    def magnitude(self) -> float:
-        """Ranking key: absolute relative change (inf-safe)."""
-        change = self.rel_change
-        return abs(change) if math.isfinite(change) else math.inf
-
-
-def metric_series(
-    snapshots: Sequence[RunSnapshot], scenario_id: str, metric: str
-) -> Dict[str, List[Optional[float]]]:
-    """Per-series history of one metric for one scenario.
-
-    ``metric="elapsed_s"`` yields the scenario wall-clock as a single
-    series; any other name is looked up in every unit's metrics dict, falling
-    back to the unit's trace-analytics ``extras`` (so derived metrics like
-    ``critical_path_gen_share`` from traced artifacts are minable too —
-    bisection is not limited to the kind's primary metric).
-    """
-    runs = len(snapshots)
-    series: Dict[str, List[Optional[float]]] = {}
-    for index, snapshot in enumerate(snapshots):
-        for result in snapshot.results:
-            if result.scenario_id != scenario_id:
-                continue
-            if metric == "elapsed_s":
-                row = series.setdefault("elapsed_s", [None] * runs)
-                row[index] = float(result.elapsed_s)
-                continue
-            for unit in result.units:
-                value = unit.metrics.get(metric)
-                if value is None:
-                    value = unit.extras.get(metric)
-                if value is None:
-                    continue
-                row = series.setdefault(unit.label, [None] * runs)
-                row[index] = float(value)
-    return series
-
-
-def largest_step(
-    snapshots: Sequence[RunSnapshot], scenario_id: str, metric: str
-) -> Optional[MetricStep]:
-    """The biggest run-to-run move of ``metric`` across the history.
-
-    Consecutive *present* values are compared (runs missing the scenario or
-    the metric are skipped over), and the step with the largest absolute
-    relative change across all unit series wins.  Returns ``None`` when the
-    history holds fewer than two observations of the metric.
-    """
-    best: Optional[MetricStep] = None
-    for label, values in sorted(metric_series(snapshots, scenario_id, metric).items()):
-        observed = [
-            (index, value) for index, value in enumerate(values) if value is not None
-        ]
-        for (prev_index, before), (next_index, after) in zip(observed, observed[1:]):
-            step = MetricStep(
-                scenario_id=scenario_id, series_label=label, metric=metric,
-                before=before, after=after,
-                from_rev=snapshots[prev_index].git_rev,
-                to_rev=snapshots[next_index].git_rev,
-                from_created=snapshots[prev_index].created_at,
-                to_created=snapshots[next_index].created_at,
-            )
-            if step.magnitude == 0.0:
-                continue
-            if best is None or step.magnitude > best.magnitude:
-                best = step
-    return best
-
-
-@dataclass
-class BisectOutcome:
-    """Result of tightening a commit range by re-running the scenario."""
-
-    #: ``git log --oneline`` line of the single culprit commit, if found.
-    culprit: Optional[str]
-    #: ``(revision, observed value)`` for every midpoint actually re-run.
-    tested: List[Tuple[str, Optional[float]]] = field(default_factory=list)
-    note: str = ""
-
-
-def run_scenario_at_revision(
-    revision: str,
-    scenario_id: str,
-    series_label: str,
-    metric: str,
-    cwd: Optional[str] = None,
-    timeout_s: float = 900.0,
-) -> Optional[float]:
-    """Re-run ``scenario_id`` at ``revision`` and read one metric value.
-
-    Checks the revision out into a temporary ``git worktree``, runs
-    ``python -m repro.bench run --scenario <id>`` there with the worktree's
-    own ``src`` on ``PYTHONPATH``, and extracts ``metric`` for
-    ``series_label`` (an exact unit label, or ``elapsed_s`` for the scenario
-    wall-clock) from the exported artifact.  Returns ``None`` when the
-    revision cannot be built or run — the bisection then falls back to the
-    range-only report.
-    """
-    import shutil
-    import sys
-    import tempfile
-
-    tmpdir = tempfile.mkdtemp(prefix="repro-bisect-")
-    worktree = os.path.join(tmpdir, "tree")
-    export = os.path.join(tmpdir, "out.json")
-    try:
-        added = subprocess.run(
-            ["git", "worktree", "add", "--detach", worktree, revision],
-            cwd=cwd, capture_output=True, text=True, timeout=60,
-        )
-        if added.returncode != 0:
-            return None
-        env = dict(os.environ)
-        src = os.path.join(worktree, "src")
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        ran = subprocess.run(
-            [sys.executable, "-m", "repro.bench", "run",
-             "--scenario", scenario_id, "--export", export],
-            cwd=worktree, env=env, capture_output=True, text=True,
-            timeout=timeout_s,
-        )
-        if ran.returncode != 0 or not os.path.exists(export):
-            return None
-        for result in results_from_artifact(load_artifact(export)):
-            if result.scenario_id != scenario_id:
-                continue
-            if metric == "elapsed_s":
-                return float(result.elapsed_s)
-            for unit in result.units:
-                if unit.label == series_label and metric in unit.metrics:
-                    return float(unit.metrics[metric])
-        return None
-    except (OSError, subprocess.TimeoutExpired, ValueError):
-        return None
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", worktree],
-                       cwd=cwd, capture_output=True, text=True, timeout=60)
-        shutil.rmtree(tmpdir, ignore_errors=True)
-
-
-def bisect_commits(
-    step: MetricStep,
-    commits: Sequence[str],
-    run_metric,
-) -> BisectOutcome:
-    """Tighten ``step``'s commit range to one commit by true bisection.
-
-    ``commits`` is the ``git log --oneline from..to`` range (newest first:
-    excludes the known-good ``from_rev``, includes the known-bad side).
-    ``run_metric(revision) -> Optional[float]`` re-measures the metric at a
-    revision; each observation is classified by which endpoint value it is
-    closer to, and the first commit on the ``after`` side is the culprit.
-    A midpoint that fails to run aborts the search (range-only fallback).
-    """
-    candidates = [line.split()[0] for line in reversed(list(commits))]  # oldest first
-    if len(candidates) == 1:
-        return BisectOutcome(culprit=list(commits)[0],
-                             note="range already contains a single commit")
-    tested: List[Tuple[str, Optional[float]]] = []
-    lo, hi = -1, len(candidates) - 1  # lo: before-side index, hi: after-side
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        value = run_metric(candidates[mid])
-        tested.append((candidates[mid], value))
-        if value is None:
-            return BisectOutcome(
-                culprit=None, tested=tested,
-                note=f"could not re-run the scenario at {candidates[mid]}; "
-                     "reporting the range only",
-            )
-        if abs(value - step.after) < abs(value - step.before):
-            hi = mid  # the step already happened at this midpoint
-        else:
-            lo = mid
-    culprit_sha = candidates[hi]
-    culprit = next(
-        (line for line in commits if line.split()[0] == culprit_sha), culprit_sha
-    )
-    return BisectOutcome(culprit=culprit, tested=tested)
-
-
-def commits_between(from_rev: str, to_rev: str, cwd: Optional[str] = None) -> List[str]:
-    """``git log --oneline from..to`` — the commits that could have produced
-    a step between two artifact runs (newest first; [] outside a checkout)."""
-    try:
-        out = subprocess.run(
-            ["git", "log", "--oneline", f"{from_rev}..{to_rev}"],
-            cwd=cwd, capture_output=True, text=True, timeout=20,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return []
-    if out.returncode != 0:
-        return []
-    return [line for line in out.stdout.splitlines() if line.strip()]
-
-
-def render_bisect(
-    step: Optional[MetricStep],
-    commits: Sequence[str],
-    outcome: Optional[BisectOutcome] = None,
-) -> str:
-    """Console report mapping the largest metric step to its commit range
-    (tightened to a single commit when a :class:`BisectOutcome` is given)."""
-    if step is None:
-        return "bisect: fewer than two observations of that metric in the history"
-    change = (
-        f"{step.rel_change:+.1%}" if math.isfinite(step.rel_change) else "from zero"
-    )
-    lines = [
-        f"largest step of {step.metric} in {step.scenario_id} "
-        f"[{step.series_label}]:",
-        f"  {step.before:g} -> {step.after:g} ({change})",
-        f"  between runs {step.from_rev}@{step.from_created[:10] or '?'} "
-        f"and {step.to_rev}@{step.to_created[:10] or '?'}",
-    ]
-    if outcome is not None and outcome.culprit is not None:
-        for revision, value in outcome.tested:
-            observed = f"{value:g}" if value is not None else "run failed"
-            lines.append(f"  re-ran at {revision}: {observed}")
-        lines.append("  bisected to a single commit:")
-        lines.append(f"    {outcome.culprit}")
-        if outcome.note:
-            lines.append(f"  note: {outcome.note}")
-        return "\n".join(lines)
-    if commits:
-        lines.append(f"  produced by one of these {len(commits)} commit(s):")
-        lines.extend(f"    {line}" for line in commits)
-        if outcome is not None and outcome.note:
-            lines.append(f"  note: {outcome.note}")
-    else:
-        lines.append(
-            f"  commit range: git log --oneline {step.from_rev}..{step.to_rev}"
-        )
-    return "\n".join(lines)
 
 
 def render_trend(snapshots: Sequence[RunSnapshot]) -> str:

@@ -10,8 +10,8 @@ Two complementary surfaces:
   summaries.  Contract: tracing on is **bit-identical** to tracing off.
 
 * **Wall-clock time** (:mod:`.runlog`) — structured :mod:`logging`-based run
-  logs for the CLI and the distributed coordinator/worker fleet, with
-  human-readable or JSON-lines console output.
+  logs for the ``repro-bench`` CLI, with human-readable or JSON-lines console
+  output.
 
 * **Analysis** (:mod:`.analysis`) — critical-path attribution over recorded
   timelines: per-iteration phase attribution, per-track busy/idle/overlap

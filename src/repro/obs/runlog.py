@@ -1,8 +1,9 @@
-"""Structured run logging for the real-time side (CLI, coordinator, workers).
+"""Structured run logging for the real-time side (the ``repro-bench`` CLI).
 
 Simulated time is traced (:mod:`repro.obs.trace`); *wall-clock* events —
-scenario progress, worker joins, lease grants, requeues — are logged through
-the stdlib :mod:`logging` machinery under the ``repro`` logger namespace.
+scenario progress, per-unit completions, notes about forced settings — are
+logged through the stdlib :mod:`logging` machinery under the ``repro``
+logger namespace.
 
 Every record carries an ``event`` slug plus structured ``fields``.  The
 default console formatter renders a human-readable line (so ``repro-bench``

@@ -192,6 +192,9 @@ def test_runner_parallel_matches_serial_bit_identically(tiny_scenario):
     serial = run_scenarios([tiny_scenario], jobs=1)
     parallel = run_scenarios([tiny_scenario], jobs=2)
     assert [r.comparable() for r in serial] == [r.comparable() for r in parallel]
+    # The regression gate agrees: every unit is exactly on the baseline.
+    report = compare_runs(parallel, serial, tolerance=0.0)
+    assert report.passed and all(v.delta == 0.0 for v in report.verdicts)
 
 
 def test_runner_reports_unit_failures_without_raising():

@@ -1,39 +1,18 @@
-"""Tests for `repro.bench.exec`: backend protocol, wire format, coordinator
-fault paths (worker crash mid-lease, lease expiry, duplicate delivery, retry
-budgets) and backend-vs-serial bit-equivalence — including the chaos drill
-that kills a worker mid-grid."""
+"""Tests for `repro.bench.exec`: backend selection, the `repro` package
+surface (lazy exports, one version string), unit-timeout surfacing and the
+`compare` re-run path."""
 
-import json
 import os
-import signal
-import socket
 import subprocess
 import sys
-import threading
-import time
 
 import pytest
 
-from repro.bench import ScenarioConfig, register_scenario, run_scenarios, unregister_scenario
+from repro.bench import ScenarioConfig, register_scenario, unregister_scenario
 from repro.bench.cli import main as bench_main
-from repro.bench.compare import VERDICT_TIMEOUT, compare_runs, judge_unit
-from repro.bench.exec import (
-    Coordinator,
-    ProcessPoolBackend,
-    QueueBackend,
-    SerialBackend,
-    WireError,
-    default_backend,
-    make_backend,
-    parse_hostport,
-    recv_message,
-    send_message,
-    unit_from_wire,
-    unit_to_wire,
-)
-from repro.bench.registry import get_scenario
-from repro.bench.runner import UnitResult, execute_unit
-from repro.bench.store import save_artifact
+from repro.bench.compare import VERDICT_TIMEOUT, judge_unit
+from repro.bench.exec import ProcessPoolBackend, SerialBackend, default_backend
+from repro.bench.runner import UnitResult
 
 
 def _tiny_scenario(scenario_id="exec_test_scenario", **kwargs):
@@ -59,22 +38,9 @@ def tiny_scenario():
     unregister_scenario(scenario.id)
 
 
-def _spawn_worker(host, port, jobs=1, max_units=None, extra=()):
-    """A real `repro-bench worker` agent in a subprocess."""
-    argv = [sys.executable, "-m", "repro.bench", "worker",
-            "--connect", f"{host}:{port}", "--jobs", str(jobs)]
-    if max_units is not None:
-        argv += ["--max-units", str(max_units)]
-    argv += list(extra)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(argv, env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
 # --------------------------------------------------------------------------- lazy exports
 def test_repro_lazy_bench_exports_resolve_in_fresh_interpreter():
-    """`repro.run_scenarios` / `repro.QueueBackend` must resolve without
+    """`repro.run_scenarios` / `repro.ProcessPoolBackend` must resolve without
     importing repro.bench first (the PEP 562 hook used to recurse: the
     `from . import bench` fromlist probe re-entered __getattr__)."""
     env = dict(os.environ)
@@ -82,58 +48,25 @@ def test_repro_lazy_bench_exports_resolve_in_fresh_interpreter():
     out = subprocess.run(
         [sys.executable, "-c",
          "import repro; print(repro.run_scenarios.__name__, "
-         "repro.QueueBackend.__name__)"],
+         "repro.ProcessPoolBackend.__name__)"],
         capture_output=True, text=True, timeout=120, env=env,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["run_scenarios", "QueueBackend"]
+    assert out.stdout.split() == ["run_scenarios", "ProcessPoolBackend"]
 
 
-# --------------------------------------------------------------------------- wire format
-def test_wire_round_trips_units_and_frames():
-    unit = _tiny_scenario(variants=(("v", (("staleness_bound", 2),)),)).expand()[1]
-    assert unit_from_wire(unit_to_wire(unit)) == unit
+def test_setup_py_version_is_the_package_version():
+    """One version string: setup.py reads `repro.__version__`."""
+    import repro
 
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    client = socket.create_connection(server.getsockname())
-    peer, _ = server.accept()
-    send_message(client, {"type": "hello", "payload": [1, 2.5, "x", None]})
-    assert recv_message(peer) == {"type": "hello", "payload": [1, 2.5, "x", None]}
-    # Closed connections surface as WireError, not silent truncation.
-    client.close()
-    with pytest.raises(WireError):
-        recv_message(peer)
-    peer.close()
-    server.close()
-
-
-def test_wire_rejects_untyped_and_oversized_frames():
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    client = socket.create_connection(server.getsockname())
-    peer, _ = server.accept()
-    send_message(client, {"no_type": 1})
-    with pytest.raises(WireError):
-        recv_message(peer)
-    client.sendall(b"\xff\xff\xff\xff")  # 4 GiB frame length
-    with pytest.raises(WireError):
-        recv_message(peer)
-    for sock in (client, peer, server):
-        sock.close()
-
-
-def test_parse_hostport_forms():
-    assert parse_hostport("10.0.0.1:7781") == ("10.0.0.1", 7781)
-    assert parse_hostport(":7781") == ("127.0.0.1", 7781)
-    assert parse_hostport("7781") == ("127.0.0.1", 7781)
-    with pytest.raises(ValueError):
-        parse_hostport("nope")
-    with pytest.raises(ValueError):
-        parse_hostport("host:99999")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "setup.py", "--version"],
+        capture_output=True, text=True, timeout=120, cwd=root,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == repro.__version__
 
 
 # --------------------------------------------------------------------------- backend selection
@@ -141,270 +74,6 @@ def test_default_backend_matches_jobs():
     assert isinstance(default_backend(jobs=1), SerialBackend)
     assert isinstance(default_backend(jobs=4), ProcessPoolBackend)
     assert isinstance(default_backend(jobs=4, profile_top=5), SerialBackend)
-
-
-def test_make_backend_names_and_validation():
-    assert isinstance(make_backend("serial"), SerialBackend)
-    assert isinstance(make_backend("process", jobs=2), ProcessPoolBackend)
-    assert isinstance(make_backend("queue", connect="127.0.0.1:1"), QueueBackend)
-    with pytest.raises(ValueError):
-        make_backend("carrier-pigeon")
-    with pytest.raises(ValueError):
-        make_backend("process", jobs=2, profile_top=5)
-    with pytest.raises(ValueError):
-        QueueBackend(connect="h:1", bind="h:2")
-
-
-# --------------------------------------------------------------------------- bit-equivalence
-def test_process_and_queue_backends_match_serial_bit_identically(tiny_scenario):
-    serial = run_scenarios([tiny_scenario], backend=SerialBackend())
-    pooled = run_scenarios([tiny_scenario], backend=ProcessPoolBackend(jobs=2))
-    with Coordinator() as coordinator:
-        host, port = coordinator.address
-        worker = _spawn_worker(host, port, jobs=2)
-        try:
-            queued = run_scenarios(
-                [tiny_scenario], backend=QueueBackend(coordinator=coordinator)
-            )
-        finally:
-            coordinator.close()
-            assert worker.wait(timeout=30) == 0
-    reference = [r.comparable() for r in serial]
-    assert [r.comparable() for r in pooled] == reference
-    assert [r.comparable() for r in queued] == reference
-    # The regression gate agrees: every unit is exactly on the baseline.
-    report = compare_runs(queued, serial, tolerance=0.0)
-    assert report.passed and all(v.delta == 0.0 for v in report.verdicts)
-
-
-def test_chaos_worker_killed_mid_grid_still_bit_identical():
-    """The ISSUE acceptance drill: >=2 workers, one SIGKILLed mid-run, one
-    joining late; merged results must equal the serial reference."""
-    scenario = register_scenario(_tiny_scenario(
-        "exec_chaos_scenario",
-        systems=("verl", "one_step", "stream_gen", "areal", "laminar"),
-    ))
-    try:
-        serial = run_scenarios([scenario], backend=SerialBackend())
-        with Coordinator(heartbeat_s=0.25, worker_timeout_s=1.5) as coordinator:
-            host, port = coordinator.address
-            victim = _spawn_worker(host, port, jobs=1)
-            killed = threading.Event()
-
-            def progress(_unit):
-                if not killed.is_set():
-                    killed.set()
-                    victim.send_signal(signal.SIGKILL)
-
-            late = _spawn_worker(host, port, jobs=2)
-            queued = run_scenarios(
-                [scenario], backend=QueueBackend(coordinator=coordinator),
-                progress=progress,
-            )
-            coordinator.close()
-            victim.wait(timeout=30)
-            assert late.wait(timeout=30) == 0
-        assert killed.is_set()
-        assert [r.comparable() for r in queued] == [r.comparable() for r in serial]
-        assert all(u.status == "ok" for r in queued for u in r.units)
-    finally:
-        unregister_scenario(scenario.id)
-
-
-def test_straggling_worker_speculatively_re_leased():
-    """A SIGSTOPped worker goes silent without dropping its connection; the
-    heartbeat-relative straggling detector must speculatively re-lease its
-    unit (first result wins) long before the worker-timeout drop path, and
-    the merged results must still equal the serial reference."""
-    scenario = register_scenario(_tiny_scenario("exec_straggler_scenario"))
-    try:
-        serial = run_scenarios([scenario], backend=SerialBackend())
-        # worker_timeout_s is deliberately enormous: if the run completes,
-        # the speculative re-lease was the rescue, not the drop path.
-        with Coordinator(heartbeat_s=0.25, worker_timeout_s=300.0) as coordinator:
-            host, port = coordinator.address
-            victim = _spawn_worker(host, port, jobs=1)
-            frozen = threading.Event()
-            reinforcements = []
-
-            def freeze_then_reinforce():
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    with coordinator._lock:
-                        holding = bool(coordinator._leases)
-                    if holding:
-                        victim.send_signal(signal.SIGSTOP)
-                        frozen.set()
-                        reinforcements.append(_spawn_worker(host, port, jobs=2))
-                        return
-                    time.sleep(0.01)
-
-            watcher = threading.Thread(target=freeze_then_reinforce, daemon=True)
-            watcher.start()
-            queued = run_scenarios(
-                [scenario], backend=QueueBackend(coordinator=coordinator)
-            )
-            watcher.join(timeout=30)
-            assert frozen.is_set()
-            assert coordinator.speculations >= 1
-            victim.send_signal(signal.SIGCONT)
-            coordinator.close()
-            assert victim.wait(timeout=30) == 0
-            assert reinforcements[0].wait(timeout=30) == 0
-        assert [r.comparable() for r in queued] == [r.comparable() for r in serial]
-        assert all(u.status == "ok" for r in queued for u in r.units)
-    finally:
-        unregister_scenario(scenario.id)
-
-
-# --------------------------------------------------------------------------- coordinator fault paths
-def _coordinator_units(count=3):
-    scenario = _tiny_scenario(
-        "exec_ledger_scenario",
-        systems=("laminar",),
-        variants=tuple((f"v{i}", ()) for i in range(count)),
-    )
-    return scenario.expand()
-
-
-class _FakeWorkerConn:
-    """Drive the coordinator's socket protocol by hand (no worker agent)."""
-
-    def __init__(self, coordinator, jobs=4):
-        host, port = coordinator.address
-        self.sock = socket.create_connection((host, port), timeout=10.0)
-        self.sock.settimeout(10.0)
-        send_message(self.sock, {"type": "hello", "role": "worker",
-                                 "wire_version": 1, "jobs": jobs})
-        welcome = recv_message(self.sock)
-        assert welcome["type"] == "welcome"
-        self.worker_id = welcome["worker_id"]
-
-    def lease(self):
-        send_message(self.sock, {"type": "lease"})
-        return recv_message(self.sock)
-
-    def deliver(self, lease_id, result):
-        send_message(self.sock, {"type": "result", "lease_id": lease_id,
-                                 "result": result.as_dict()})
-
-    def close(self):
-        self.sock.close()
-
-
-def _drain(submission, expected):
-    """Collect (index, result) pairs from a submit_units iterator."""
-    out = {}
-    for index, result in submission:
-        out[index] = result
-    assert len(out) == expected
-    return out
-
-
-def test_coordinator_worker_death_requeues_leases():
-    units = _coordinator_units(2)
-    with Coordinator(heartbeat_s=0.25, worker_timeout_s=10.0) as coordinator:
-        results = {}
-        done = threading.Event()
-
-        def consume():
-            results.update(_drain(coordinator.submit_units(units), len(units)))
-            done.set()
-
-        threading.Thread(target=consume, daemon=True).start()
-        flaky = _FakeWorkerConn(coordinator)
-        lease = flaky.lease()
-        assert lease["type"] == "unit"
-        flaky.close()  # dies holding the lease -> connection-drop requeue
-
-        healthy = _FakeWorkerConn(coordinator)
-        served = 0
-        while served < len(units):
-            reply = healthy.lease()
-            if reply["type"] == "idle":
-                time.sleep(0.05)
-                continue
-            unit = unit_from_wire(reply["unit"])
-            healthy.deliver(reply["lease_id"], execute_unit(unit, reply["timeout_s"]))
-            served += 1
-        assert done.wait(timeout=30)
-        healthy.close()
-    assert all(r.status == "ok" for r in results.values())
-
-
-def test_coordinator_lease_expiry_requeues_and_exhausts_budget():
-    units = _coordinator_units(1)
-    # Tiny budget + zero grace: an unserved lease expires almost immediately.
-    with Coordinator(heartbeat_s=0.1, worker_timeout_s=60.0, lease_grace_s=0.0,
-                     max_attempts=2) as coordinator:
-        results = {}
-        done = threading.Event()
-
-        def consume():
-            results.update(
-                _drain(coordinator.submit_units(units, timeout_s=0.2), len(units))
-            )
-            done.set()
-
-        threading.Thread(target=consume, daemon=True).start()
-        lazy = _FakeWorkerConn(coordinator)
-        leases = []
-        deadline = time.monotonic() + 30.0
-        # Take every grant but never deliver: both attempts must expire.
-        while len(leases) < 2 and time.monotonic() < deadline:
-            reply = lazy.lease()
-            if reply["type"] == "unit":
-                leases.append(reply["lease_id"])
-            else:
-                time.sleep(0.05)
-        assert done.wait(timeout=30)
-        assert len(leases) == 2  # retry budget produced exactly two grants
-        (result,) = results.values()
-        assert result.status == "timeout"
-        assert "retry budget exhausted" in result.error
-        # A delivery for the expired lease is dropped, not double-recorded.
-        lazy.deliver(leases[-1], execute_unit(units[0], 120.0))
-        time.sleep(0.2)
-        lazy.close()
-
-
-def test_coordinator_duplicate_delivery_is_idempotent():
-    units = _coordinator_units(1)
-    with Coordinator(heartbeat_s=0.25) as coordinator:
-        collected = []
-        done = threading.Event()
-
-        def consume():
-            for item in coordinator.submit_units(units):
-                collected.append(item)
-            done.set()
-
-        threading.Thread(target=consume, daemon=True).start()
-        worker = _FakeWorkerConn(coordinator)
-        while True:
-            reply = worker.lease()
-            if reply["type"] == "unit":
-                break
-            time.sleep(0.05)
-        unit = unit_from_wire(reply["unit"])
-        result = execute_unit(unit, reply["timeout_s"])
-        worker.deliver(reply["lease_id"], result)
-        worker.deliver(reply["lease_id"], result)  # duplicate: must be dropped
-        assert done.wait(timeout=30)
-        time.sleep(0.1)
-        worker.close()
-    assert len(collected) == 1
-
-
-def test_coordinator_rejects_incompatible_hello():
-    with Coordinator() as coordinator:
-        sock = socket.create_connection(coordinator.address, timeout=10.0)
-        sock.settimeout(10.0)
-        send_message(sock, {"type": "hello", "role": "worker",
-                            "wire_version": 999})
-        reply = recv_message(sock)
-        assert reply["type"] == "error"
-        sock.close()
 
 
 # --------------------------------------------------------------------------- timeout surfacing
@@ -435,255 +104,17 @@ def test_cli_run_compare_reports_unit_timeout(tiny_scenario, tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------- CLI integration
-def test_cli_queue_backend_flag_validation(capsys):
-    assert bench_main(["run", "--scenario", "smoke", "--bind", ":1"]) == 2
-    assert "--backend queue" in capsys.readouterr().err
-    assert bench_main(["run", "--scenario", "smoke", "--backend", "process",
-                       "--connect", ":1"]) == 2
-    assert bench_main(["run", "--scenario", "smoke", "--backend", "queue",
-                       "--profile", "5", "--no-save"]) == 2
-    capsys.readouterr()
-    # --bind and --connect contradict each other; never silently prefer one.
-    assert bench_main(["run", "--scenario", "smoke", "--backend", "queue",
-                       "--bind", ":1", "--connect", ":2"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-
-
-def test_cli_embedded_queue_run_with_cli_worker(tiny_scenario, capsys):
-    """`repro-bench run --backend queue --bind :0`-equivalent via the API,
-    with the worker launched through the real CLI subcommand."""
-    with Coordinator() as coordinator:
-        host, port = coordinator.address
-        worker = _spawn_worker(host, port, jobs=2)
-        try:
-            queued = run_scenarios(
-                [tiny_scenario], backend=QueueBackend(coordinator=coordinator)
-            )
-        finally:
-            coordinator.close()
-            assert worker.wait(timeout=30) == 0
-    serial = run_scenarios([tiny_scenario], backend=SerialBackend())
-    assert [r.comparable() for r in queued] == [r.comparable() for r in serial]
-
-
-def test_worker_max_units_drains_and_exits(tiny_scenario):
-    with Coordinator(heartbeat_s=0.25) as coordinator:
-        host, port = coordinator.address
-        first = _spawn_worker(host, port, jobs=1, max_units=1)
-        second = _spawn_worker(host, port, jobs=1)
-        try:
-            queued = run_scenarios(
-                [tiny_scenario], backend=QueueBackend(coordinator=coordinator)
-            )
-        finally:
-            coordinator.close()
-        assert first.wait(timeout=30) == 0  # left after its single unit
-        assert second.wait(timeout=30) == 0
-    assert all(u.status == "ok" for r in queued for u in r.units)
-
-
-def test_cli_compare_rerun_through_queue_backend(tiny_scenario, tmp_path, capsys):
-    """`repro-bench compare --backend queue --connect ...`: the compare
-    re-run executes on the distributed backend (one coordinator + one CLI
-    worker) and gates bit-identically against the serial baseline."""
-    artifact = str(tmp_path / "BENCH_queue_compare.json")
+def test_cli_compare_rerun_on_process_pool(tiny_scenario, tmp_path, capsys):
+    """`repro-bench compare` without --candidate re-runs the baseline's
+    scenarios (here on a 2-process pool) and gates them bit-identically
+    against the serial export."""
+    artifact = str(tmp_path / "BENCH_pool_compare.json")
     assert bench_main(["run", "--scenario", tiny_scenario.id,
                        "--export", artifact]) == 0
     capsys.readouterr()
-    with Coordinator() as coordinator:
-        host, port = coordinator.address
-        worker = _spawn_worker(host, port, jobs=2)
-        try:
-            code = bench_main([
-                "compare", "--baseline", artifact,
-                "--backend", "queue", "--connect", f"{host}:{port}",
-                "--tolerance", "0",
-            ])
-        finally:
-            coordinator.close()
-            assert worker.wait(timeout=30) == 0
+    code = bench_main(["compare", "--baseline", artifact, "--jobs", "2",
+                       "--tolerance", "0"])
     out = capsys.readouterr().out
     assert code == 0
     assert "re-running 1 scenario(s)" in out
     assert "no regression" in out
-
-
-def test_cli_compare_backend_flags_validated(tmp_path, capsys):
-    # --backend applies to re-runs only; artifact-vs-artifact comparisons
-    # must reject it instead of silently ignoring the flag.
-    artifact = str(tmp_path / "b.json")
-    save_artifact([], artifact)
-    code = bench_main(["compare", "--baseline", artifact,
-                       "--candidate", artifact, "--backend", "queue"])
-    assert code == 2
-    assert "re-runs only" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------------- fleet telemetry
-class _StatusConn:
-    """Drive the coordinator's ``status`` wire role by hand."""
-
-    def __init__(self, coordinator):
-        self.sock = socket.create_connection(coordinator.address, timeout=10.0)
-        self.sock.settimeout(10.0)
-        send_message(self.sock, {"type": "hello", "role": "status",
-                                 "wire_version": 1})
-        welcome = recv_message(self.sock)
-        assert welcome["type"] == "welcome"
-
-    def snapshot(self):
-        send_message(self.sock, {"type": "status"})
-        reply = recv_message(self.sock)
-        assert reply["type"] == "status"
-        return reply["status"]
-
-    def close(self):
-        try:
-            send_message(self.sock, {"type": "goodbye"})
-        except OSError:
-            pass
-        self.sock.close()
-
-
-def test_status_snapshot_tracks_queue_leases_and_counters():
-    units = _coordinator_units(2)
-    with Coordinator(heartbeat_s=0.25) as coordinator:
-        status = _StatusConn(coordinator)
-        empty = status.snapshot()
-        assert empty["queue_depth"] == 0
-        assert empty["workers"] == [] and empty["leases"] == []
-        assert empty["counters"]["units_completed"] == 0
-        assert empty["unit_wall_s"] == {"count": 0, "mean_s": None,
-                                        "last_s": None}
-        assert json.dumps(empty)  # the whole snapshot is JSON-serializable
-
-        collected = []
-        done = threading.Event()
-
-        def consume():
-            for item in coordinator.submit_units(units):
-                collected.append(item)
-            done.set()
-
-        threading.Thread(target=consume, daemon=True).start()
-        worker = _FakeWorkerConn(coordinator)
-        leases = []
-        while len(leases) < 2:
-            reply = worker.lease()
-            if reply["type"] == "unit":
-                leases.append(reply)
-            else:
-                time.sleep(0.05)
-
-        mid = status.snapshot()
-        assert {l["lease_id"] for l in mid["leases"]} == {
-            r["lease_id"] for r in leases
-        }
-        lease = mid["leases"][0]
-        assert lease["scenario_id"] == units[0].scenario_id
-        assert lease["attempt"] == 1 and not lease["speculated"]
-        assert lease["deadline_in_s"] > 0
-        assert mid["workers"][0]["leases"] == 2
-        assert mid["batches"] == [
-            {"batch_id": mid["batches"][0]["batch_id"], "units": 2,
-             "completed": 0, "remaining": 2}
-        ]
-
-        for reply in leases:
-            unit = unit_from_wire(reply["unit"])
-            result = execute_unit(unit, reply["timeout_s"])
-            send_message(worker.sock, {
-                "type": "result", "lease_id": reply["lease_id"],
-                "result": result.as_dict(), "wall_s": 0.5,
-            })
-        assert done.wait(timeout=30)
-        final = status.snapshot()
-        assert final["counters"]["units_completed"] == 2
-        assert final["counters"]["requeues"] == 0
-        assert final["unit_wall_s"]["count"] == 2
-        assert final["unit_wall_s"]["mean_s"] == pytest.approx(0.5)
-        assert final["workers"][0]["units_done"] == 2
-        assert final["workers"][0]["last_wall_s"] == pytest.approx(0.5)
-        assert final["batches"] == []  # completed batches leave the ledger
-        worker.close()
-        status.close()
-    assert len(collected) == 2
-
-
-def test_heartbeat_piggyback_surfaces_inflight_progress():
-    with Coordinator(heartbeat_s=0.25) as coordinator:
-        worker = _FakeWorkerConn(coordinator)
-        send_message(worker.sock, {
-            "type": "heartbeat",
-            "inflight": [{"unit": "laminar:7B/16gpu", "lease": 7,
-                          "running_s": 1.25}],
-            "last_wall_s": 3.5,
-        })
-        status = _StatusConn(coordinator)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            snap = status.snapshot()
-            if snap["workers"] and snap["workers"][0]["inflight"]:
-                break
-            time.sleep(0.05)
-        entry = snap["workers"][0]
-        assert entry["inflight"] == [{"unit": "laminar:7B/16gpu", "lease": 7,
-                                      "running_s": 1.25}]
-        assert entry["last_wall_s"] == 3.5
-        # A bare heartbeat (an older worker) clears nothing and breaks nothing.
-        send_message(worker.sock, {"type": "heartbeat"})
-        time.sleep(0.2)
-        assert status.snapshot()["workers"][0]["last_wall_s"] == 3.5
-        status.close()
-        worker.close()
-
-
-def test_real_worker_heartbeats_carry_wall_clock(tiny_scenario):
-    units = [u for u in tiny_scenario.expand() if u.system == "laminar"]
-    with Coordinator(heartbeat_s=0.25) as coordinator:
-        host, port = coordinator.address
-        worker = _spawn_worker(host, port, jobs=1)
-        status = _StatusConn(coordinator)
-        try:
-            results = list(coordinator.submit_units(units, timeout_s=120.0))
-            assert len(results) == len(units)
-            deadline = time.monotonic() + 15.0
-            seen = None
-            while time.monotonic() < deadline:
-                snap = status.snapshot()
-                if snap["counters"]["units_completed"] == len(units):
-                    seen = snap
-                    break
-                time.sleep(0.1)
-            assert seen is not None
-            assert seen["unit_wall_s"]["count"] == len(units)
-            assert seen["unit_wall_s"]["mean_s"] > 0
-        finally:
-            status.close()
-            coordinator.close()
-            worker.wait(timeout=30)
-
-
-def test_cli_status_renders_and_emits_json(capsys):
-    with Coordinator() as coordinator:
-        host, port = coordinator.address
-        assert bench_main(["status", "--connect", f"{host}:{port}"]) == 0
-        out = capsys.readouterr().out
-        assert f"coordinator {host}:{port}" in out
-        assert "no workers connected" in out
-        assert bench_main(["status", "--connect", f"{host}:{port}",
-                           "--json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert set(snapshot) >= {"queue_depth", "workers", "leases",
-                                 "batches", "counters", "unit_wall_s"}
-
-
-def test_cli_status_unreachable_coordinator(capsys):
-    # A port nothing listens on: connect must fail fast with exit 1.
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    free_port = probe.getsockname()[1]
-    probe.close()
-    assert bench_main(["status", "--connect",
-                       f"127.0.0.1:{free_port}"]) == 1
-    assert "could not reach coordinator" in capsys.readouterr().err

@@ -20,9 +20,6 @@ from repro.bench.store import save_artifact
 from repro.bench.trend import (
     RunSnapshot,
     collect_history,
-    largest_step,
-    metric_series,
-    render_bisect,
     render_trend,
     scenario_trends,
     sparkline,
@@ -235,78 +232,6 @@ def test_cli_trend_tolerates_retired_scenarios(tmp_path, capsys, monkeypatch):
     assert "no history" in capsys.readouterr().out
 
 
-# --------------------------------------------------------------------------- bisect
-def test_largest_step_finds_the_biggest_move_and_its_revisions():
-    snapshots = [
-        _snapshot("aaa", "2026-01-01T00:00:00", "ws", 1.5, 10.0),
-        _snapshot("bbb", "2026-02-01T00:00:00", "ws", 1.6, 9.0),
-        _snapshot("ccc", "2026-03-01T00:00:00", "ws", 3.2, 2.0),  # the jump
-        _snapshot("ddd", "2026-04-01T00:00:00", "ws", 3.3, 2.1),
-    ]
-    step = largest_step(snapshots, "ws", "relay_speedup_vs_gpu_direct")
-    assert step is not None
-    assert (step.from_rev, step.to_rev) == ("bbb", "ccc")
-    assert step.before == 1.6 and step.after == 3.2
-    assert step.rel_change == pytest.approx(1.0)
-    # elapsed_s is addressable as a pseudo-metric of the scenario itself.
-    elapsed = largest_step(snapshots, "ws", "elapsed_s")
-    assert (elapsed.from_rev, elapsed.to_rev) == ("bbb", "ccc")
-    assert elapsed.series_label == "elapsed_s"
-    rendered = render_bisect(step, ["ccc fix the thing"])
-    assert "bbb" in rendered and "ccc" in rendered and "+100.0%" in rendered
-
-
-def test_largest_step_skips_gaps_and_handles_missing_history():
-    snapshots = [
-        _snapshot("aaa", "2026-01-01T00:00:00", "ws", 1.0, 1.0),
-        _snapshot("bbb", "2026-02-01T00:00:00", "other", 9.0, 1.0),  # gap for ws
-        _snapshot("ccc", "2026-03-01T00:00:00", "ws", 2.0, 1.0),
-    ]
-    step = largest_step(snapshots, "ws", "relay_speedup_vs_gpu_direct")
-    # The gap run is skipped over: the step spans aaa -> ccc.
-    assert (step.from_rev, step.to_rev) == ("aaa", "ccc")
-    assert largest_step(snapshots, "ws", "no_such_metric") is None
-    assert largest_step([], "ws", "elapsed_s") is None
-    assert "fewer than two" in render_bisect(None, [])
-    series = metric_series(snapshots, "ws", "relay_speedup_vs_gpu_direct")
-    assert series["laminar:32B/128gpu"] == [1.0, None, 2.0]
-
-
-def test_cli_trend_bisect(tmp_path, cheap_scenario, capsys, monkeypatch):
-    results = run_scenarios([cheap_scenario])
-    path = tmp_path / "BENCH_t.json"
-    save_artifact(results, str(path), configs=[cheap_scenario])
-    # Second, degraded run under a different fake revision.
-    import json as _json
-    payload = _json.loads(path.read_text())
-    payload["git_rev"] = "0000000"
-    payload["created_at"] = "2099-01-01T00:00:00+00:00"
-    entry = payload["scenarios"][cheap_scenario.id]["result"]
-    for unit in entry["units"]:
-        unit["metrics"]["relay_speedup_vs_gpu_direct"] *= 2.0
-    degraded = tmp_path / "BENCH_t2.json"
-    degraded.write_text(_json.dumps(payload))
-    monkeypatch.chdir(tmp_path)
-    code = bench_main(["trend", "--no-git-history", "--bisect", cheap_scenario.id,
-                       "relay_speedup_vs_gpu_direct", "BENCH_t.json", "BENCH_t2.json"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "largest step" in out and "+100.0%" in out and "0000000" in out
-    # Unknown metric: explicit failure, not a silent empty report.
-    assert bench_main(["trend", "--no-git-history", "--bisect", cheap_scenario.id,
-                       "nope_metric", "BENCH_t.json", "BENCH_t2.json"]) == 1
-    capsys.readouterr()
-    # A flat, fully-observed metric is healthy (exit 0), not "missing data".
-    flat = _json.loads(path.read_text())
-    flat["git_rev"] = "1111111"
-    flat["created_at"] = "2099-02-01T00:00:00+00:00"
-    (tmp_path / "BENCH_t3.json").write_text(_json.dumps(flat))
-    code = bench_main(["trend", "--no-git-history", "--bisect", cheap_scenario.id,
-                       "relay_speedup_vs_gpu_direct", "BENCH_t.json", "BENCH_t3.json"])
-    out = capsys.readouterr().out
-    assert code == 0 and "flat" in out
-
-
 # --------------------------------------------------------------------------- profiling
 def test_execute_unit_profiled_attaches_report(cheap_scenario):
     unit = cheap_scenario.expand()[0]
@@ -346,76 +271,6 @@ def test_cli_run_budget_gate(cheap_scenario, capsys):
     out = capsys.readouterr().out
     assert failed == 1
     assert "EXCEEDED" in out
-
-
-# --------------------------------------------------------------------------- true bisection
-def _step(before=1.0, after=2.0):
-    from repro.bench.trend import MetricStep
-
-    return MetricStep(
-        scenario_id="s", series_label="laminar:32B/128gpu",
-        metric="relay_speedup_vs_gpu_direct", before=before, after=after,
-        from_rev="aaa0000", to_rev="fff0000",
-        from_created="2099-01-01", to_created="2099-02-01",
-    )
-
-
-def test_bisect_commits_tightens_range_to_single_commit():
-    from repro.bench.trend import bisect_commits
-
-    # Newest first, like `git log --oneline from..to`; the regression landed
-    # in commit c3.
-    commits = [f"c{i} subject {i}" for i in (5, 4, 3, 2, 1)]
-    values = {"c1": 1.0, "c2": 1.0, "c3": 2.0, "c4": 2.0, "c5": 2.0}
-    runs = []
-
-    def run_metric(revision):
-        runs.append(revision)
-        return values[revision]
-
-    outcome = bisect_commits(_step(), commits, run_metric)
-    assert outcome.culprit == "c3 subject 3"
-    # True bisection: log2(5) ~ 2-3 re-runs, not a linear scan.
-    assert 1 <= len(runs) <= 3
-    assert [r for r, _ in outcome.tested] == runs
-
-
-def test_bisect_commits_single_commit_range_needs_no_reruns():
-    from repro.bench.trend import bisect_commits
-
-    outcome = bisect_commits(_step(), ["c9 the only one"], lambda rev: 0.0)
-    assert outcome.culprit == "c9 the only one"
-    assert outcome.tested == []
-
-
-def test_bisect_commits_falls_back_when_a_midpoint_cannot_run():
-    from repro.bench.trend import bisect_commits, render_bisect
-
-    commits = [f"c{i} s" for i in (4, 3, 2, 1)]
-    outcome = bisect_commits(_step(), commits, lambda rev: None)
-    assert outcome.culprit is None
-    assert "could not re-run" in outcome.note
-    report = render_bisect(_step(), commits, outcome)
-    assert "4 commit(s)" in report and "could not re-run" in report
-
-
-def test_render_bisect_reports_culprit_and_probes():
-    from repro.bench.trend import BisectOutcome, render_bisect
-
-    outcome = BisectOutcome(culprit="c3 subject 3", tested=[("c2", 1.0)])
-    report = render_bisect(_step(), ["c3 subject 3", "c2 s"], outcome)
-    assert "bisected to a single commit" in report
-    assert "c3 subject 3" in report and "re-ran at c2: 1" in report
-
-
-def test_run_scenario_at_revision_survives_bad_revision(tmp_path, monkeypatch):
-    from repro.bench.trend import run_scenario_at_revision
-
-    monkeypatch.chdir(tmp_path)  # not a checkout: worktree add fails cleanly
-    assert run_scenario_at_revision(
-        "definitely-not-a-rev", "throughput_smoke", "verl:7B/16gpu",
-        "throughput_tok_s",
-    ) is None
 
 
 # --------------------------------------------------------------------------- system CLI surface

@@ -251,14 +251,6 @@ def test_cli_trace_rejects_out_of_range_unit(obs_scenario, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
-def test_cli_run_trace_requires_serial_backend(obs_scenario, tmp_path, capsys):
-    code = bench_main(["run", "--scenario", obs_scenario.id, "--no-save",
-                       "--trace", str(tmp_path / "t.json"),
-                       "--backend", "process", "--jobs", "2"])
-    assert code == 2
-    assert "serial" in capsys.readouterr().err
-
-
 def test_cli_run_trace_gates_bit_identical(tmp_path, obs_scenario, capsys):
     baseline = str(tmp_path / "baseline.json")
     trace_path = str(tmp_path / "trace.json")
