@@ -11,9 +11,10 @@
 * :mod:`repro.bench.compare` — regression gating of a run against a stored
   baseline with configurable tolerance.
 * :mod:`repro.bench.report` — console presenters.
-* :mod:`repro.bench.trend` — sparkline history of the artifact trajectory
-  (current files plus prior versions mined from git).
 * :mod:`repro.bench.cli` — the ``repro-bench`` command-line front end.
+
+Results hold simulated quantities only.  Host speed is measured outside the
+system under test, by ``perfbench/``.
 """
 
 from .compare import (
@@ -40,10 +41,8 @@ from .runner import (
     ScenarioResult,
     UnitResult,
     execute_unit,
-    execute_unit_profiled,
     run_scenarios,
 )
-from .trend import RunSnapshot, collect_history, render_trend, sparkline
 from .store import (
     SCHEMA_VERSION,
     default_artifact_path,
@@ -79,12 +78,7 @@ __all__ = [
     "ScenarioResult",
     "UnitResult",
     "execute_unit",
-    "execute_unit_profiled",
     "run_scenarios",
-    "RunSnapshot",
-    "collect_history",
-    "render_trend",
-    "sparkline",
     "SCHEMA_VERSION",
     "default_artifact_path",
     "load_artifact",

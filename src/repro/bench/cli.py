@@ -7,14 +7,15 @@ Workflow::
     repro-bench run --scenario throughput_smoke --jobs 2 --export BENCH_smoke.json
     repro-bench run --scenario smoke --system laminar --system verl  # grid filter
     repro-bench run --scenario smoke --compare      # regression-gate vs stored artifact
-    repro-bench run --scenario smoke --profile 20   # per-unit cProfile hot paths
+    repro-bench run --scenario smoke --budget 300   # fail if the sweep takes > 300 s
     repro-bench compare --baseline BENCH_smoke.json # re-run + gate against an artifact
-    repro-bench trend                               # sparkline history of BENCH_*.json
     repro-bench analyze trace.json                  # critical-path + utilization
     repro-bench analyze trace.json --diff old.json  # attribution drift vs old trace
 
 Everything runs on one host: ``--jobs 1`` executes units in-process,
 ``--jobs N`` on a local process pool, with bit-identical results.
+Artifacts hold simulated quantities only; host speed is measured by
+``python3 perfbench/run.py`` (``--trace 1`` attributes it to layers).
 
 ``run`` persists results to ``BENCH_<scenario>.json`` artifacts (or a single
 ``--export`` file) and, with ``--compare``, gates the fresh results against
@@ -25,8 +26,6 @@ success / no regression and 1 otherwise.
 from __future__ import annotations
 
 import argparse
-import fnmatch
-import glob
 import json
 import os
 import sys
@@ -121,11 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"relative regression tolerance (default: {DEFAULT_TOLERANCE})")
     run_cmd.add_argument("--no-save", action="store_true",
                          help="do not persist results")
-    run_cmd.add_argument("--profile", nargs="?", const=25, default=None, type=int,
-                         metavar="TOP",
-                         help="run each unit under cProfile and print the top "
-                              "TOP cumulative entries (forces --jobs 1; "
-                              "default TOP: 25)")
     run_cmd.add_argument("--budget", type=float, default=None, metavar="SECONDS",
                          help="fail (exit 1) if the whole run's wall-clock "
                               "exceeds SECONDS — the CI engine-speed gate")
@@ -134,11 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "the serial backend) and write a merged "
                               "Chrome-trace/Perfetto timeline to PATH; results "
                               "are bit-identical to an untraced run")
-    run_cmd.add_argument("--profile-json", metavar="PATH", default=None,
-                         help="write per-unit cProfile hotspots as machine-"
-                              "readable JSON to PATH (implies --profile 25 "
-                              "when --profile is absent; never merged into "
-                              "BENCH artifacts)")
     run_cmd.add_argument("--derived-metric", action="append", default=[],
                          metavar="NAME", dest="derived_metric",
                          help="with --compare: also gate this trace-analytics "
@@ -203,21 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="span families to show per unit "
                                   "(default: 8)")
 
-    trend_cmd = sub.add_parser(
-        "trend", parents=[common],
-        help="per-scenario wall-clock + primary-metric history over "
-             "merged artifact runs (sparklines)")
-    trend_cmd.add_argument("artifacts", nargs="*", metavar="PATH",
-                           help="artifact files (default: BENCH_*.json in the "
-                                "current directory)")
-    trend_cmd.add_argument("--scenario", action="append", default=[], metavar="PATTERN",
-                           help="restrict to matching scenarios")
-    trend_cmd.add_argument("--no-git-history", action="store_true",
-                           help="only read the files on disk; skip prior "
-                                "versions from git history")
-    trend_cmd.add_argument("--max-revisions", type=int, default=50, metavar="N",
-                           help="cap on historical versions per artifact "
-                                "(default: 50)")
     return parser
 
 
@@ -306,19 +280,6 @@ def cmd_run(args: argparse.Namespace) -> int:
               message=f"running {len(scenarios)} scenario(s): "
                       + ", ".join(s.id for s in scenarios),
               scenarios=[s.id for s in scenarios])
-    if args.profile_json and args.profile is None:
-        args.profile = 25
-    if args.profile is not None:
-        if args.jobs > 1:
-            _log.info("note", message="note: --profile collects in-process; "
-                      "running with --jobs 1")
-        if not args.no_save:
-            # Profiling inflates the harness wall-clock, and elapsed_s is the
-            # engine-speed signal `repro-bench trend` tracks — never let a
-            # profiled run pollute the persisted artifacts.
-            _log.info("note", message="note: --profile implies --no-save "
-                      "(profiled elapsed_s is not comparable)")
-            args.no_save = True
     recorder: Optional[TraceRecorder] = None
     if args.trace:
         if args.jobs > 1:
@@ -348,36 +309,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         # The tracer only observes, so swapping the serial backend for its
         # tracing twin cannot change any result — the --compare --tolerance 0
         # CI leg exists to prove exactly that.
-        backend = TracingSerialBackend(recorder, profile_top=args.profile)
+        backend = TracingSerialBackend(recorder)
     run_started = time.perf_counter()
     results = run_scenarios(
         scenarios, jobs=args.jobs, timeout_s=args.timeout, progress=_progress,
-        # An explicit backend already embeds the profile setting.
-        profile_top=args.profile if backend is None else None,
-        backend=backend,
-        systems=args.system or None,
+        backend=backend, systems=args.system or None,
     )
     run_elapsed = time.perf_counter() - run_started
     print()
     print(render_results(results))
-    if args.profile is not None:
-        for result in results:
-            for unit in result.units:
-                if unit.profile_text:
-                    print(f"\n--- profile: {unit.scenario_id} {unit.label} ---")
-                    print(unit.profile_text.rstrip())
-    if args.profile_json:
-        hotspots: Dict[str, Dict[str, object]] = {}
-        for result in results:
-            for unit in result.units:
-                if unit.profile_stats:
-                    hotspots.setdefault(result.scenario_id, {})[unit.label] = (
-                        unit.profile_stats
-                    )
-        with open(args.profile_json, "w", encoding="utf-8") as handle:
-            json.dump({"profile": hotspots}, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nwrote {args.profile_json}")
     if recorder is not None:
         payload = write_chrome_trace(recorder, args.trace)
         print()
@@ -557,54 +497,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_trend(args: argparse.Namespace) -> int:
-    from .trend import collect_history, render_trend
-
-    paths = args.artifacts or sorted(glob.glob("BENCH_*.json"))
-    if not paths:
-        print("error: no artifacts given and no BENCH_*.json found here",
-              file=sys.stderr)
-        return 1
-    snapshots = collect_history(
-        paths,
-        include_git_history=not args.no_git_history,
-        max_revisions=args.max_revisions,
-    )
-    if args.scenario:
-        # Artifacts outlive the scenario registry: a renamed or retired
-        # scenario still has committed history worth plotting.  Resolve each
-        # pattern against the registry *and* the ids present in the collected
-        # history; a pattern matching neither is noted and skipped rather
-        # than failing the whole trend.
-        history_ids = {r.scenario_id for s in snapshots for r in s.results}
-        keep = set()
-        for pattern in args.scenario:
-            try:
-                matched = {s.id for s in select_scenarios([pattern])}
-            except KeyError:
-                matched = set()
-            matched |= {
-                sid for sid in history_ids
-                if sid == pattern or fnmatch.fnmatch(sid, pattern) or pattern in sid
-            }
-            if not matched:
-                print(f"note: pattern {pattern!r} matches no registered or "
-                      f"historical scenario; skipping")
-                continue
-            keep |= matched
-        for snapshot in snapshots:
-            snapshot.results = [r for r in snapshot.results if r.scenario_id in keep]
-        snapshots = [s for s in snapshots if s.results]
-        if not snapshots:
-            # A scenario with no committed artifact versions yet is a normal
-            # state (freshly registered scenario), not a harness failure.
-            names = ", ".join(sorted(keep)) if keep else ", ".join(args.scenario)
-            print(f"no history: no committed artifact versions yet for {names}")
-            return 0
-    print(render_trend(snapshots))
-    return 0 if snapshots else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(
@@ -613,8 +505,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         quiet=getattr(args, "quiet", False),
     )
     handlers = {"list": cmd_list, "run": cmd_run, "trace": cmd_trace,
-                "analyze": cmd_analyze, "compare": cmd_compare,
-                "trend": cmd_trend}
+                "analyze": cmd_analyze, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
     except BrokenPipeError:  # e.g. `repro-bench list | head`

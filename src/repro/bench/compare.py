@@ -6,6 +6,10 @@ kind's primary metric with a configurable relative tolerance.  A run passes
 when no unit regresses beyond tolerance and no unit that used to succeed now
 fails.
 
+Tolerance 0 is an identity gate, not a directional one: a unit passes only
+when its whole ``metrics`` map equals the baseline's, so an "improvement" or
+a drifted secondary metric fails it just as a regression does.
+
 Traced runs may additionally opt into **derived-metric gates**
 (``--derived-metric NAME``): attribution fractions from
 :mod:`repro.obs.analysis` carried in ``UnitResult.extras``.  Unlike primary
@@ -119,7 +123,11 @@ def judge_unit(
     candidate: Optional[UnitResult],
     tolerance: float,
 ) -> UnitVerdict:
-    """Judge one (baseline, candidate) unit pair on the kind's primary metric."""
+    """Judge one (baseline, candidate) unit pair on the kind's primary metric.
+
+    At ``tolerance == 0`` the pair must instead match on every metric; any
+    difference is a regression whose note names the differing keys.
+    """
     metric, higher_is_better = PRIMARY_METRICS[kind]
     some = candidate or baseline
     verdict = UnitVerdict(
@@ -152,6 +160,15 @@ def judge_unit(
         verdict.delta = 0.0 if verdict.candidate == 0 else math.inf
     else:
         verdict.delta = (verdict.candidate - verdict.baseline) / abs(verdict.baseline)
+    if tolerance == 0:
+        differing = sorted(
+            key for key in baseline.metrics.keys() | candidate.metrics.keys()
+            if baseline.metrics.get(key) != candidate.metrics.get(key)
+        )
+        if differing:
+            verdict.verdict = VERDICT_REGRESSION
+            verdict.note = "metrics differ at tolerance 0: " + ", ".join(differing)
+        return verdict
     gain = verdict.delta if higher_is_better else -verdict.delta
     if gain < -tolerance:
         verdict.verdict = VERDICT_REGRESSION

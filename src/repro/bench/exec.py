@@ -6,7 +6,7 @@
 in-process (:class:`SerialBackend`, or :class:`TracingSerialBackend` with a
 trace recorder attached) or on a local process pool
 (:class:`ProcessPoolBackend`).  :func:`default_backend` picks between them
-from ``--jobs`` and ``--profile``; tests substitute their own backends.
+from ``--jobs``; tests substitute their own backends.
 
 The determinism contract spans backends: every unit derives its seed from
 its grid index, so for a fixed scenario the merged results are bit-identical
@@ -22,7 +22,7 @@ from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecu
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .registry import ScenarioUnit
-from .runner import UnitResult, execute_unit, execute_unit_profiled
+from .runner import UnitResult, execute_unit
 
 try:  # pragma: no cover - Protocol is 3.8+; the repo supports >=3.9
     from typing import Protocol
@@ -32,10 +32,6 @@ except ImportError:  # pragma: no cover
 
 class ExecBackend(Protocol):
     """Contract every execution backend implements."""
-
-    #: Whether units may execute concurrently (the runner uses this to keep
-    #: per-scenario elapsed_s semantics identical to the historical runner).
-    concurrent: bool
 
     def submit(
         self, units: Iterable[ScenarioUnit], timeout_s: Optional[float] = None
@@ -60,24 +56,13 @@ def failed_result(unit: ScenarioUnit, status: str, error: str) -> UnitResult:
 
 
 class SerialBackend:
-    """In-process, in-order execution (optionally under cProfile)."""
-
-    concurrent = False
-
-    def __init__(self, profile_top: Optional[int] = None) -> None:
-        if profile_top is not None and profile_top <= 0:
-            raise ValueError("profile_top must be positive")
-        self.profile_top = profile_top
+    """In-process, in-order execution."""
 
     def submit(
         self, units: Iterable[ScenarioUnit], timeout_s: Optional[float] = None
     ) -> Iterator[Tuple[ScenarioUnit, UnitResult]]:
         for unit in units:
-            budget = effective_timeout(unit, timeout_s)
-            if self.profile_top is not None:
-                yield unit, execute_unit_profiled(unit, budget, top=self.profile_top)
-            else:
-                yield unit, execute_unit(unit, budget)
+            yield unit, execute_unit(unit, effective_timeout(unit, timeout_s))
 
 
 class TracingSerialBackend(SerialBackend):
@@ -97,8 +82,7 @@ class TracingSerialBackend(SerialBackend):
     what an untraced run produces.
     """
 
-    def __init__(self, recorder, profile_top: Optional[int] = None) -> None:
-        super().__init__(profile_top=profile_top)
+    def __init__(self, recorder) -> None:
         self.recorder = recorder
 
     def submit(
@@ -111,10 +95,7 @@ class TracingSerialBackend(SerialBackend):
             group = f"{unit.scenario_id}:{unit.label}"
             self.recorder.set_group(group)
             with use_tracer(self.recorder):
-                if self.profile_top is not None:
-                    result = execute_unit_profiled(unit, budget, top=self.profile_top)
-                else:
-                    result = execute_unit(unit, budget)
+                result = execute_unit(unit, budget)
             analysis = analyze_group(self.recorder, group)
             if analysis is not None:
                 # Analytic executors record no timeline; derived_metrics is
@@ -132,8 +113,6 @@ class ProcessPoolBackend:
     die or hang outright — deliberately loose, because the executor flags
     futures as "running" while they are still queued behind other units.
     """
-
-    concurrent = True
 
     def __init__(self, jobs: int) -> None:
         if jobs <= 0:
@@ -193,9 +172,9 @@ class ProcessPoolBackend:
                         process.terminate()
 
 
-def default_backend(jobs: int = 1, profile_top: Optional[int] = None) -> ExecBackend:
-    """The backend `run_scenarios` historically implied: serial for one job
-    (or any profiled run), the local process pool otherwise."""
-    if profile_top is not None or jobs == 1:
-        return SerialBackend(profile_top=profile_top)
+def default_backend(jobs: int = 1) -> ExecBackend:
+    """The backend `run_scenarios` historically implied: serial for one job,
+    the local process pool otherwise."""
+    if jobs == 1:
+        return SerialBackend()
     return ProcessPoolBackend(jobs=jobs)

@@ -110,11 +110,9 @@ def render_results(results: Sequence[ScenarioResult]) -> str:
                 unit.metrics.get(metric, float("nan")),
                 unit.metrics.get("iteration_time_s", float("nan")),
             ])
-        header = (
-            f"=== {result.scenario_id} [{result.kind}] "
-            f"status={result.status} elapsed={result.elapsed_s:.1f}s ==="
+        blocks.append(
+            f"=== {result.scenario_id} [{result.kind}] status={result.status} ==="
         )
-        blocks.append(header)
         blocks.append(format_table(["unit", "status", metric, "iteration_time_s"], rows))
         speedups = result.summary.get("laminar_speedup_vs_verl")
         if speedups:
@@ -146,8 +144,11 @@ def render_comparison(report: ComparisonReport) -> str:
         "no regression" if report.passed
         else f"REGRESSION ({len(report.regressions)} failing unit(s))"
     )
+    notes = [f"!! {v.scenario_id} {v.unit_label}: {v.note}"
+             for v in report.regressions if v.note]
     return "\n".join([
         table,
+        *notes,
         "",
         f"tolerance: {report.tolerance:.0%} | {counts}",
         f"result: {outcome}",

@@ -8,15 +8,14 @@ into per-scenario :class:`ScenarioResult`s.
 
 Unit execution is fully deterministic for a fixed scenario seed: every unit
 derives its own seed from the grid index, so results are bit-identical
-between ``jobs=1`` and ``jobs=N`` (the harness-measured ``elapsed_s`` is
-kept outside the comparable payload).
+between ``jobs=1`` and ``jobs=N``.  Results hold simulated quantities only;
+host speed is measured by ``perfbench/``, outside the system under test.
 """
 
 from __future__ import annotations
 
 import signal
 import threading
-import time
 import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -58,13 +57,6 @@ class UnitResult:
     #: byte-identical with or without analytics; ``compare`` gates these only
     #: via an explicit ``--derived-metric`` opt-in.
     extras: Dict[str, float] = field(default_factory=dict)
-    #: Optional cProfile report (``--profile`` runs only); never persisted.
-    profile_text: str = field(default="", compare=False, repr=False)
-    #: Structured top-N hotspots (``--profile-json``); like ``profile_text``,
-    #: excluded from ``as_dict`` so profiling data never reaches artifacts.
-    profile_stats: List[Dict[str, object]] = field(
-        default_factory=list, compare=False, repr=False
-    )
 
     @property
     def key(self) -> Tuple[str, str, int, str]:
@@ -117,8 +109,6 @@ class ScenarioResult:
     kind: str
     units: List[UnitResult] = field(default_factory=list)
     summary: Dict[str, object] = field(default_factory=dict)
-    #: Harness wall-clock; informational only, excluded from comparisons.
-    elapsed_s: float = 0.0
 
     @property
     def status(self) -> str:
@@ -130,7 +120,7 @@ class ScenarioResult:
         return "ok"
 
     def comparable(self) -> Dict[str, object]:
-        """The deterministic payload: everything except harness timing."""
+        """The deterministic payload: everything except the derived status."""
         return {
             "scenario_id": self.scenario_id,
             "kind": self.kind,
@@ -141,7 +131,6 @@ class ScenarioResult:
     def as_dict(self) -> Dict[str, object]:
         payload = self.comparable()
         payload["status"] = self.status
-        payload["elapsed_s"] = self.elapsed_s
         return payload
 
     @classmethod
@@ -151,7 +140,6 @@ class ScenarioResult:
             kind=str(payload["kind"]),
             units=[UnitResult.from_dict(u) for u in payload.get("units", [])],
             summary=dict(payload.get("summary", {})),
-            elapsed_s=float(payload.get("elapsed_s", 0.0)),
         )
 
 
@@ -204,22 +192,9 @@ def _run_convergence(unit: ScenarioUnit) -> Dict[str, float]:
 
 
 def _run_fault_injection(unit: ScenarioUnit) -> Dict[str, float]:
-    from ..systems import FailureEvent, FailureInjector, FailureKind, LaminarSystem
-
-    params = overrides_dict(unit.overrides)
-    failure_kind = str(params.pop("failure_kind", FailureKind.ROLLOUT_MACHINE))
-    failure_time = float(params.pop("failure_time", 60.0))
-    failure_target = int(params.pop("failure_target", 0))
-    reinit = bool(params.pop("reinit_succeeds", False))
-    config = _build_config(unit, params)
-    injector = FailureInjector()
-    injector.add(
-        FailureEvent(
-            time=failure_time, kind=failure_kind, target=failure_target,
-            reinit_succeeds=reinit,
-        )
-    )
-    system = LaminarSystem(config, failure_injector=injector)
+    # The same build as `repro-bench trace` and perfbench, so all three
+    # simulate the run this gate checks.
+    system = system_for_unit(unit)
     result = system.run()
     records = system.manager.recovery_records
     return {
@@ -502,39 +477,6 @@ def execute_unit(unit: ScenarioUnit, timeout_s: Optional[float] = None) -> UnitR
     return result
 
 
-def execute_unit_profiled(
-    unit: ScenarioUnit, timeout_s: Optional[float] = None, top: int = 25
-) -> UnitResult:
-    """Run one grid point under cProfile; attaches the top-``top`` cumulative
-    report to ``result.profile_text`` (not persisted to artifacts)."""
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = execute_unit(unit, timeout_s)
-    finally:
-        profiler.disable()
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("cumulative").print_stats(top)
-    result.profile_text = stream.getvalue()
-    rows = sorted(stats.stats.items(), key=lambda kv: kv[1][3], reverse=True)
-    result.profile_stats = [
-        {
-            "function": f"{filename}:{line}:{func}",
-            "calls": int(ncalls),
-            "tottime_s": float(tottime),
-            "cumtime_s": float(cumtime),
-        }
-        for (filename, line, func), (_cc, ncalls, tottime, cumtime, _callers)
-        in rows[:top]
-    ]
-    return result
-
-
 # --------------------------------------------------------------------------- aggregation
 def summarise(kind: str, units: Sequence[UnitResult]) -> Dict[str, object]:
     """Scenario-level aggregates over the unit grid."""
@@ -563,8 +505,8 @@ def summarise(kind: str, units: Sequence[UnitResult]) -> Dict[str, object]:
     return summary
 
 
-def _collect(scenarios: Sequence[ScenarioConfig], unit_results: Dict[Tuple, UnitResult],
-             elapsed: Dict[str, float]) -> List[ScenarioResult]:
+def _collect(scenarios: Sequence[ScenarioConfig],
+             unit_results: Dict[Tuple, UnitResult]) -> List[ScenarioResult]:
     results: List[ScenarioResult] = []
     for scenario in scenarios:
         # Grid-order regrouping; a system-filtered run executed only a subset
@@ -577,7 +519,6 @@ def _collect(scenarios: Sequence[ScenarioConfig], unit_results: Dict[Tuple, Unit
                 kind=scenario.kind,
                 units=units,
                 summary=summarise(scenario.kind, units),
-                elapsed_s=elapsed.get(scenario.id, 0.0),
             )
         )
     return results
@@ -588,7 +529,6 @@ def run_scenarios(
     jobs: int = 1,
     timeout_s: Optional[float] = None,
     progress: Optional[Callable[[UnitResult], None]] = None,
-    profile_top: Optional[int] = None,
     backend: Optional[object] = None,
     systems: Optional[Iterable[str]] = None,
 ) -> List[ScenarioResult]:
@@ -607,10 +547,6 @@ def run_scenarios(
     submission) and over-budget units are reported with status
     ``"timeout"``.  ``timeout_s`` overrides every scenario's own budget.
 
-    ``profile_top`` runs every unit under cProfile (serially, regardless of
-    ``jobs``) and attaches a top-N cumulative report to each result's
-    ``profile_text`` — the hot-path locator for perf work.
-
     ``systems`` restricts execution to the named systems' grid points.  The
     filter drops units *after* grid expansion, so the surviving units keep
     their original grid indices — and therefore their seeds and metrics are
@@ -620,12 +556,8 @@ def run_scenarios(
 
     if jobs <= 0:
         raise ValueError("jobs must be positive")
-    if profile_top is not None and profile_top <= 0:
-        raise ValueError("profile_top must be positive")
     if backend is None:
-        backend = default_backend(jobs=jobs, profile_top=profile_top)
-    elif profile_top is not None:
-        raise ValueError("profile_top requires the default (serial) backend")
+        backend = default_backend(jobs=jobs)
     keep_systems = set(systems) if systems is not None else None
     all_units: List[ScenarioUnit] = []
     for scenario in scenarios:
@@ -634,36 +566,8 @@ def run_scenarios(
                 all_units.append(unit)
 
     unit_results: Dict[Tuple, UnitResult] = {}
-    elapsed: Dict[str, float] = {}
-    start_times: Dict[str, float] = {}
-
-    def note(unit: ScenarioUnit, result: UnitResult) -> None:
+    for unit, result in backend.submit(all_units, timeout_s=timeout_s):
         unit_results[unit.key] = result
-        now = time.perf_counter()
-        sid = unit.scenario_id
-        start_times.setdefault(sid, now)
-        elapsed[sid] = now - start_times[sid]
         if progress is not None:
             progress(result)
-
-    # Scenario wall-clocks: a concurrent backend has every scenario "started"
-    # the moment the batch is submitted, while a serial backend starts a
-    # scenario's clock only when its first unit begins executing — identical
-    # to the historical runner's accounting.
-    serial_like = not getattr(backend, "concurrent", True)
-    if serial_like:
-        if all_units:
-            start_times.setdefault(all_units[0].scenario_id, time.perf_counter())
-    else:
-        for unit in all_units:
-            start_times.setdefault(unit.scenario_id, time.perf_counter())
-
-    completed = 0
-    for unit, result in backend.submit(all_units, timeout_s=timeout_s):
-        note(unit, result)
-        completed += 1
-        if serial_like and completed < len(all_units):
-            start_times.setdefault(
-                all_units[completed].scenario_id, time.perf_counter()
-            )
-    return _collect(scenarios, unit_results, elapsed)
+    return _collect(scenarios, unit_results)

@@ -123,10 +123,6 @@ def results_from_artifact(artifact: Dict[str, object]) -> List[ScenarioResult]:
     return sorted(results, key=lambda r: r.scenario_id)
 
 
-def scenario_ids(artifact: Dict[str, object]) -> List[str]:
-    return sorted(artifact.get("scenarios", {}))
-
-
 def load_results(paths: Iterable[str]) -> Tuple[Dict[str, object], List[ScenarioResult]]:
     """Load and merge several artifacts into one result set."""
     merged: Optional[Dict[str, object]] = None

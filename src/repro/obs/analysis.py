@@ -24,7 +24,7 @@ by :func:`~repro.obs.export.write_chrome_trace`, reloaded via
 * **Derived metrics** (:func:`derived_metrics`) — the curated scalar subset
   (``gen_bubble_frac``, ``sync_frac``, ``critical_path_*_share``) that the
   bench layer attaches to traced :class:`~repro.bench.runner.UnitResult`
-  extras so ``trend`` can mine them and ``compare`` can gate them.
+  extras so ``compare`` can gate them.
 
 Everything here *reads* recorded data — analysis can never perturb a run, so
 the bit-identity contract (tracing on == tracing off) extends to analytics

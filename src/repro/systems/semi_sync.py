@@ -12,10 +12,15 @@ composability proof for the system registry:
   batches until it runs ``staleness_bound`` batches ahead of the trainer,
   then blocks on the trainer's consumption event.
 
-With ``staleness_bound = 1`` the schedule degenerates to the one-step
-pipeline; larger bounds hide generation jitter (the long-tail barrier of a
-slow batch overlaps several training iterations) at the cost of staleness up
-to the bound.  The iteration clock is pure event arithmetic: producer and
+With ``staleness_bound = 1`` the hybrid trains on exactly the one-step
+pipeline's batches but keeps a different clock, for two reasons.  Iteration 1
+includes the first batch's generation, which one-step runs as a pipeline fill
+before its first iteration.  And the producer starts the next batch as soon
+as the trainer takes one, so generation overlaps the blocking sync as well as
+training; one-step starts it at the iteration origin, after the sync.
+Larger bounds hide generation jitter (the long-tail barrier of a slow batch
+overlaps several training iterations) at the cost of staleness up to the
+bound.  The iteration clock is pure event arithmetic: producer and
 trainer are peer processes coupled only by ready/consumed events, and every
 stage is a timeout or an ``AllOf`` join.
 """

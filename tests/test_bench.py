@@ -31,6 +31,7 @@ from repro.bench.compare import (
     VERDICT_REGRESSION,
     VERDICT_UNCHANGED,
 )
+from repro.bench.report import render_comparison
 from repro.bench.store import SCHEMA_VERSION
 
 
@@ -325,6 +326,35 @@ def test_compare_respects_tolerance_boundary():
     assert not report.passed
     report = compare_runs([_result([_unit("laminar", 96.0)])], [baseline], tolerance=0.05)
     assert report.passed
+
+
+def test_compare_at_zero_tolerance_fails_a_primary_improvement():
+    baseline = _result([_unit("laminar", 100.0)])
+    report = compare_runs([_result([_unit("laminar", 101.0)])], [baseline], tolerance=0.0)
+    (verdict,) = report.verdicts
+    assert verdict.verdict == VERDICT_REGRESSION
+    assert "throughput_tok_s" in verdict.note
+    assert not report.passed
+
+
+def test_compare_at_zero_tolerance_checks_every_metric():
+    def unit(iteration_time):
+        u = _unit("laminar", 100.0)
+        u.metrics["iteration_time_s"] = iteration_time
+        return u
+
+    baseline = _result([unit(10.0)])
+    candidate = _result([unit(10.5)])
+    report = compare_runs([candidate], [baseline], tolerance=0.0)
+    (verdict,) = report.verdicts
+    assert verdict.verdict == VERDICT_REGRESSION
+    assert verdict.delta == 0.0
+    assert verdict.note.endswith(": iteration_time_s")
+    assert f"laminar:7B/16gpu: {verdict.note}" in render_comparison(report)
+    # A positive tolerance keeps the directional primary-metric rule.
+    report = compare_runs([candidate], [baseline], tolerance=0.05)
+    assert report.passed
+    assert [v.verdict for v in report.verdicts] == [VERDICT_UNCHANGED]
 
 
 # --------------------------------------------------------------------------- CLI

@@ -73,7 +73,6 @@ def test_setup_py_version_is_the_package_version():
 def test_default_backend_matches_jobs():
     assert isinstance(default_backend(jobs=1), SerialBackend)
     assert isinstance(default_backend(jobs=4), ProcessPoolBackend)
-    assert isinstance(default_backend(jobs=4, profile_top=5), SerialBackend)
 
 
 # --------------------------------------------------------------------------- timeout surfacing

@@ -1,30 +1,13 @@
-"""Tests for the PR-3 bench additions: broadcast-latency scenario kind,
-``repro-bench trend`` history reporting, ``--profile`` hot-path capture and
-the ``--budget`` wall-clock gate."""
-
-import json
+"""Tests for the bench features: the broadcast-latency scenario kind, the
+``--budget`` wall-clock gate and the system CLI surface (``list --systems``
+and the ``--system`` grid filter)."""
 
 import pytest
 
 from repro.bench.cli import main as bench_main
 from repro.bench.compare import VERDICT_IMPROVEMENT, VERDICT_REGRESSION, judge_unit
 from repro.bench.registry import ScenarioConfig, get_scenario, register_scenario, unregister_scenario
-from repro.bench.runner import (
-    PRIMARY_METRICS,
-    UnitResult,
-    execute_unit,
-    execute_unit_profiled,
-    run_scenarios,
-)
-from repro.bench.store import save_artifact
-from repro.bench.trend import (
-    RunSnapshot,
-    collect_history,
-    render_trend,
-    scenario_trends,
-    sparkline,
-)
-from repro.bench.runner import ScenarioResult
+from repro.bench.runner import PRIMARY_METRICS, UnitResult, execute_unit
 
 
 @pytest.fixture
@@ -95,167 +78,6 @@ def test_broadcast_latency_gate_treats_lower_as_better():
                  base.metrics["broadcast_s_at_max_scale"] * 0.5},
     )
     assert judge_unit("broadcast_latency", base, faster, 0.05).verdict == VERDICT_IMPROVEMENT
-
-
-# --------------------------------------------------------------------------- sparklines / trend
-def test_sparkline_scales_and_handles_gaps():
-    line = sparkline([1.0, None, 2.0, 3.0])
-    assert len(line) == 4
-    assert line[0] == "▁" and line[1] == " " and line[3] == "█"
-    assert sparkline([]) == ""
-    assert sparkline([None, None]) == "  "
-    flat = sparkline([2.0, 2.0])
-    assert len(set(flat)) == 1  # constant series renders one level
-
-
-def _snapshot(rev, created, scenario_id, value, elapsed):
-    return RunSnapshot(
-        path="x.json", git_rev=rev, created_at=created,
-        results=[ScenarioResult(
-            scenario_id=scenario_id, kind="weight_sync",
-            units=[UnitResult(
-                scenario_id=scenario_id, system="laminar", model_size="32B",
-                total_gpus=128, variant="", seed=0,
-                metrics={"relay_speedup_vs_gpu_direct": value},
-            )],
-            elapsed_s=elapsed,
-        )],
-    )
-
-
-def test_scenario_trends_orders_runs_and_tracks_elapsed():
-    snapshots = [
-        _snapshot("aaa", "2026-01-01T00:00:00", "ws", 1.5, 10.0),
-        _snapshot("bbb", "2026-02-01T00:00:00", "ws", 1.8, 4.0),
-    ]
-    trends = scenario_trends(snapshots)
-    assert set(trends) == {"ws"}
-    _, series_list = trends["ws"]
-    by_label = {s.label: s for s in series_list}
-    assert by_label["elapsed_s"].values == [10.0, 4.0]
-    assert by_label["laminar:32B/128gpu"].values == [1.5, 1.8]
-    assert by_label["elapsed_s"].delta_pct() == pytest.approx(-60.0)
-    rendered = render_trend(snapshots)
-    assert "elapsed_s" in rendered and "ws [weight_sync]" in rendered
-
-
-def test_collect_history_merges_same_revision_and_skips_git(tmp_path, cheap_scenario):
-    results = run_scenarios([cheap_scenario])
-    path_a = tmp_path / "BENCH_a.json"
-    path_b = tmp_path / "BENCH_b.json"
-    save_artifact(results, str(path_a), configs=[cheap_scenario])
-    save_artifact(results, str(path_b), configs=[cheap_scenario])
-    # Same git revision in both files -> one merged run snapshot.
-    snapshots = collect_history([str(path_a), str(path_b)], include_git_history=False)
-    assert len(snapshots) == 1
-    assert {r.scenario_id for r in snapshots[0].results} == {cheap_scenario.id}
-    # A corrupt artifact is skipped, not fatal.
-    bad = tmp_path / "BENCH_bad.json"
-    bad.write_text("{not json")
-    assert len(collect_history([str(path_a), str(bad)], include_git_history=False)) == 1
-
-
-def test_cli_trend_renders_history(tmp_path, cheap_scenario, capsys, monkeypatch):
-    results = run_scenarios([cheap_scenario])
-    save_artifact(results, str(tmp_path / "BENCH_t.json"), configs=[cheap_scenario])
-    monkeypatch.chdir(tmp_path)
-    code = bench_main(["trend", "--no-git-history"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "run(s)" in out and cheap_scenario.id in out
-
-
-def test_cli_trend_without_artifacts_errors(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert bench_main(["trend", "--no-git-history"]) == 1
-
-
-def test_cli_trend_scenario_without_history_reports_cleanly(
-    tmp_path, cheap_scenario, capsys, monkeypatch
-):
-    """A registered scenario with no committed artifact versions is a normal
-    state (e.g. freshly added), so a filtered trend reports it and exits 0."""
-    results = run_scenarios([cheap_scenario])
-    save_artifact(results, str(tmp_path / "BENCH_t.json"), configs=[cheap_scenario])
-    monkeypatch.chdir(tmp_path)
-    code = bench_main(["trend", "--no-git-history",
-                       "--scenario", "datacenter_1k"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "no history" in out and "datacenter_1k" in out
-
-
-def test_cli_trend_tolerates_retired_scenarios(tmp_path, capsys, monkeypatch):
-    """Artifacts outlive the registry: a renamed/retired scenario's history
-    must still trend (formerly a KeyError), and a pattern matching nothing
-    anywhere is noted and skipped rather than failing the whole report."""
-    scenario = register_scenario(ScenarioConfig(
-        id="retired_trend_scenario",
-        description="test-only",
-        kind="weight_sync",
-        systems=("laminar",),
-        model_size="32B",
-        gpu_scales=(128,),
-        iterations=1,
-        warmup=0,
-        timeout_s=60.0,
-        tags=("test-only",),
-    ))
-    try:
-        results = run_scenarios([scenario])
-        save_artifact(results, str(tmp_path / "BENCH_retired.json"),
-                      configs=[scenario])
-    finally:
-        unregister_scenario(scenario.id)
-    monkeypatch.chdir(tmp_path)
-
-    # Unfiltered: the retired scenario's history renders from the artifact.
-    assert bench_main(["trend", "--no-git-history"]) == 0
-    assert "retired_trend_scenario" in capsys.readouterr().out
-
-    # Filtered by the retired id: resolves against the history ids.
-    assert bench_main(["trend", "--no-git-history",
-                       "--scenario", "retired_trend_scenario"]) == 0
-    assert "retired_trend_scenario" in capsys.readouterr().out
-
-    # An unknown pattern alongside a real one: noted and skipped.
-    assert bench_main(["trend", "--no-git-history",
-                       "--scenario", "retired_trend_scenario",
-                       "--scenario", "no_such_scenario_xyz"]) == 0
-    out = capsys.readouterr().out
-    assert "no_such_scenario_xyz" in out and "skipping" in out
-    assert "retired_trend_scenario" in out
-
-    # Only unknown patterns: clean empty report, exit 0.
-    assert bench_main(["trend", "--no-git-history",
-                       "--scenario", "no_such_scenario_xyz"]) == 0
-    assert "no history" in capsys.readouterr().out
-
-
-# --------------------------------------------------------------------------- profiling
-def test_execute_unit_profiled_attaches_report(cheap_scenario):
-    unit = cheap_scenario.expand()[0]
-    result = execute_unit_profiled(unit, top=10)
-    assert result.status == "ok", result.error
-    assert "cumulative" in result.profile_text
-    # The profile never leaks into the persisted artifact payload.
-    assert "profile_text" not in result.as_dict()
-
-
-def test_run_scenarios_profile_top_forces_serial(cheap_scenario):
-    results = run_scenarios([cheap_scenario], jobs=4, profile_top=5)
-    assert all(u.profile_text for r in results for u in r.units)
-    with pytest.raises(ValueError):
-        run_scenarios([cheap_scenario], profile_top=0)
-
-
-def test_cli_run_profile_prints_hot_paths(cheap_scenario, capsys):
-    code = bench_main([
-        "run", "--scenario", cheap_scenario.id, "--no-save", "--profile", "5",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "--- profile:" in out and "cumulative" in out
 
 
 # --------------------------------------------------------------------------- wall-clock budget

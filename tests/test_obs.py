@@ -22,7 +22,6 @@ from repro.bench.registry import (
     unregister_scenario,
 )
 from repro.bench.runner import execute_unit
-from repro.bench.store import default_artifact_path
 from repro.experiments.placements import make_system_config
 from repro.metrics.timeline import EventCounterSeries, TimeSeries
 from repro.obs import (
@@ -266,26 +265,6 @@ def test_cli_run_trace_gates_bit_identical(tmp_path, obs_scenario, capsys):
     assert "no regression" in out
     payload = json.loads((tmp_path / "trace.json").read_text())
     assert payload["traceEvents"]
-
-
-# --------------------------------------------------------------------------- profiling
-def test_cli_profile_json_writes_hotspots_not_artifacts(
-    tmp_path, obs_scenario, capsys, monkeypatch
-):
-    monkeypatch.chdir(tmp_path)
-    profile_path = tmp_path / "profile.json"
-    code = bench_main(["run", "--scenario", obs_scenario.id,
-                       "--profile-json", str(profile_path), "--quiet"])
-    assert code == 0
-    data = json.loads(profile_path.read_text())
-    units = data["profile"][obs_scenario.id]
-    assert set(units) == {"verl:7B/16gpu", "laminar:7B/16gpu"}
-    top = units["laminar:7B/16gpu"][0]
-    assert set(top) == {"function", "calls", "tottime_s", "cumtime_s"}
-    assert top["cumtime_s"] >= 0.0 and top["calls"] >= 1
-    # --profile-json implies --profile, which implies --no-save: the BENCH
-    # artifact must not have been written (profiled elapsed_s pollutes trend).
-    assert not (tmp_path / default_artifact_path(obs_scenario.id, ".")).exists()
 
 
 # --------------------------------------------------------------------------- run logging

@@ -246,17 +246,21 @@ def test_semi_sync_respects_staleness_window_and_runs():
 
 
 def test_semi_sync_window_one_degenerates_toward_one_step():
-    """With a window of one batch the hybrid's schedule is the one-step
-    pipeline's: same barrier, same sync, staleness capped at one, and the
-    steady-state iteration is the same AllOf-joined max(train, generation)
-    plus the blocking sync (the batches themselves are iid draws, so the
-    durations agree only statistically)."""
+    """With a window of one batch the hybrid trains on exactly the one-step
+    pipeline's batches, with staleness capped at one.  The clocks still
+    differ: semi_sync counts the first batch's generation inside iteration 1,
+    where one_step runs it as a pipeline fill before iteration 1, and its
+    producer starts the next batch when the trainer takes one, so generation
+    overlaps the blocking sync."""
     config = replace(quick_config("semi_sync", iters=3, warm=0), staleness_bound=1)
     result = make_system(config).run()
     assert result.max_staleness() <= 1
     one_step = make_system(
         replace(quick_config("one_step", iters=3, warm=0), staleness_bound=1)
     ).run()
+    assert [r.tokens_trained for r in result.iterations] == [
+        r.tokens_trained for r in one_step.iterations
+    ]
     assert result.iterations[-1].duration == pytest.approx(
         one_step.iterations[-1].duration, rel=0.15
     )
