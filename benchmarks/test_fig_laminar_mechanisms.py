@@ -46,6 +46,9 @@ def test_fig15_fault_tolerance(benchmark):
     assert stats["training_continued"]
     assert 0 < stats["recovery_seconds"] < 600.0
     assert stats["trajectories_lost"] == 0
+    # Each rate is the mean of the 60 s buckets inside its own window.
+    assert stats["generation_rate_before"] > 0
+    assert stats["generation_rate_after_recovery"] > 0
 
 
 def test_fig16_repack_efficiency(benchmark):

@@ -2,12 +2,12 @@
 
 The package is organised as:
 
-* :mod:`repro.sim` — discrete-event simulation substrate (engine, cluster,
-  network, KVCache).
+* :mod:`repro.sim` — discrete-event simulation substrate (engine, GPU spec,
+  analytic network costs, KVCache).
 * :mod:`repro.llm` — Qwen2.5 architecture specs and roofline latency models.
 * :mod:`repro.workload` — heavy-tailed response-length / environment-latency
   workload generators and synthetic datasets.
-* :mod:`repro.data` — prompt pool, partial-response pool, experience buffer.
+* :mod:`repro.data` — partial-response pool, FIFO experience buffer.
 * :mod:`repro.rollout` — the replica generation engine shared by every system.
 * :mod:`repro.trainer` — actor training cost model and iteration accounting.
 * :mod:`repro.runtime` — shared execution substrate: seeded workload bundle,
@@ -26,7 +26,7 @@ The package is organised as:
 """
 
 from .config import SystemConfig, default_trainer_parallel
-from .types import Experience, Prompt, Trajectory, WeightVersion
+from .types import Experience, Prompt, Trajectory
 
 __version__ = "2.0.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "Experience",
     "Prompt",
     "Trajectory",
-    "WeightVersion",
     "bench",
     "obs",
     "__version__",

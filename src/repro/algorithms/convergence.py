@@ -70,9 +70,6 @@ class ConvergenceCurve:
     system: str
     points: List[ConvergencePoint] = field(default_factory=list)
 
-    def rewards(self) -> List[float]:
-        return [p.policy_reward for p in self.points]
-
     def times(self) -> List[float]:
         return [p.wall_clock for p in self.points]
 

@@ -9,7 +9,7 @@ gradient of the clipped surrogate objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class SoftmaxPolicy:
         cdf = probs.cumsum(axis=-1)
         draws = rng.random((len(features), 1))
         return (draws < cdf).argmax(axis=-1)
-
-    def entropy(self, features: np.ndarray) -> float:
-        probs = self.probabilities(features)
-        return float(-(probs * np.log(np.clip(probs, 1e-12, 1.0))).sum(axis=-1).mean())
 
     # ------------------------------------------------------------------ gradients
     def surrogate_gradient(

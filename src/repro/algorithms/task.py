@@ -19,8 +19,7 @@ system's simulated iteration time — exactly the coupling Fig 13 studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,12 +59,6 @@ class SyntheticReasoningTask:
         prob = self.solve_probability(problem_ids, strategies)
         solved = rng.random(prob.shape) < prob
         return np.where(solved, 1.0, -1.0)
-
-    def optimal_mean_reward(self) -> float:
-        """Mean reward of the per-problem best strategy (convergence ceiling)."""
-        best = self.solve_logits.max(axis=1)
-        prob = 1.0 / (1.0 + np.exp(-best))
-        return float((2.0 * prob - 1.0).mean())
 
     def random_mean_reward(self) -> float:
         """Mean reward of the uniform-random policy (convergence floor)."""

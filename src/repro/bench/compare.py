@@ -62,18 +62,6 @@ class UnitVerdict:
     def passed(self) -> bool:
         return self.verdict not in FAILING_VERDICTS
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario_id": self.scenario_id,
-            "unit": self.unit_label,
-            "metric": self.metric,
-            "verdict": self.verdict,
-            "baseline": self.baseline,
-            "candidate": self.candidate,
-            "delta": None if math.isnan(self.delta) else self.delta,
-            "note": self.note,
-        }
-
 
 @dataclass
 class ComparisonReport:
@@ -90,23 +78,11 @@ class ComparisonReport:
     def regressions(self) -> List[UnitVerdict]:
         return [v for v in self.verdicts if not v.passed]
 
-    @property
-    def improvements(self) -> List[UnitVerdict]:
-        return [v for v in self.verdicts if v.verdict == VERDICT_IMPROVEMENT]
-
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for verdict in self.verdicts:
             out[verdict.verdict] = out.get(verdict.verdict, 0) + 1
         return out
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "counts": self.counts(),
-            "verdicts": [v.as_dict() for v in self.verdicts],
-        }
 
 
 def _units_by_key(results: Sequence[ScenarioResult]) -> Dict[Tuple, Tuple[str, UnitResult]]:

@@ -13,8 +13,8 @@ substring or tag via :func:`select_scenarios`.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from ..experiments.placements import SYSTEMS, placement_for
 from ..systems.base import SystemRegistryError, get_system_class
@@ -25,7 +25,6 @@ KINDS = (
     "convergence",
     "fault_injection",
     "repack_ablation",
-    "staleness_bound",
     "kvcache_lifecycle",
     "weight_sync",
     "broadcast_latency",
@@ -469,7 +468,7 @@ SCENARIOS: Tuple[ScenarioConfig, ...] = (
         id="staleness_bound_7b",
         description="Staleness-bound sweep: one-step pipelined baseline with "
                     "k ∈ {1, 2, 4, 8}.",
-        kind="staleness_bound",
+        kind="throughput",
         systems=("one_step",),
         model_size="7B",
         gpu_scales=(32,),

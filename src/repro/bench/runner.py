@@ -27,7 +27,6 @@ from .registry import ScenarioConfig, ScenarioUnit, overrides_dict
 #: Per-kind primary metric used for summaries and regression comparison.
 PRIMARY_METRICS: Dict[str, Tuple[str, bool]] = {
     "throughput": ("throughput_tok_s", True),
-    "staleness_bound": ("throughput_tok_s", True),
     "convergence": ("final_reward", True),
     "repack_ablation": ("throughput_gain", True),
     "fault_injection": ("throughput_tok_s", True),
@@ -414,7 +413,6 @@ def system_for_unit(unit: ScenarioUnit):
 
 _EXECUTORS: Dict[str, Callable[[ScenarioUnit], Dict[str, float]]] = {
     "throughput": _run_throughput,
-    "staleness_bound": _run_throughput,
     "convergence": _run_convergence,
     "fault_injection": _run_fault_injection,
     "chaos": _run_adversarial,
@@ -488,7 +486,7 @@ def summarise(kind: str, units: Sequence[UnitResult]) -> Dict[str, object]:
         "units_ok": sum(1 for u in units if u.status == "ok"),
         "primary_by_unit": {u.label: u.metrics[metric] for u in ok},
     }
-    if kind in ("throughput", "staleness_bound"):
+    if kind == "throughput":
         by_scale: Dict[int, Dict[str, float]] = {}
         for u in ok:
             by_scale.setdefault(u.total_gpus, {})[u.system] = u.metrics[metric]

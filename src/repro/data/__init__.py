@@ -1,33 +1,9 @@
-"""Data module: prompt pool, partial-response pool, experience buffer (§3.1)."""
+"""Data module: partial-response pool and experience buffer (§3.1)."""
 
 from .experience_buffer import ExperienceBuffer
 from .partial_response_pool import PartialResponsePool
-from .prompt_pool import PromptPool
-from .sampling import (
-    EvictOldest,
-    EvictStalest,
-    EvictionStrategy,
-    FIFOSampling,
-    FreshnessSampling,
-    PrioritySampling,
-    SAMPLING_REGISTRY,
-    SamplingStrategy,
-    UniformSampling,
-    make_sampler,
-)
 
 __all__ = [
     "ExperienceBuffer",
     "PartialResponsePool",
-    "PromptPool",
-    "EvictOldest",
-    "EvictStalest",
-    "EvictionStrategy",
-    "FIFOSampling",
-    "FreshnessSampling",
-    "PrioritySampling",
-    "SAMPLING_REGISTRY",
-    "SamplingStrategy",
-    "UniformSampling",
-    "make_sampler",
 ]

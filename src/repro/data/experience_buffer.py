@@ -3,35 +3,24 @@
 The buffer is the decoupling point between data production (rollouts) and
 consumption (trainer): rollouts write completed, scored trajectories; the
 trainer samples batches whenever enough are available (§3.2, step 3-4).
-Writer and sampler expose pluggable strategies (§3.1).
+Sampling is FIFO, the paper's evaluation setting (Table 3), and a full
+buffer evicts its oldest experiences.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from ..types import Experience, Trajectory
-from .sampling import EvictOldest, EvictionStrategy, FIFOSampling, SamplingStrategy
 
 
 class ExperienceBuffer:
-    """Bounded buffer of :class:`Experience` with pluggable sampling/eviction."""
+    """Bounded FIFO buffer of :class:`Experience` with oldest-first eviction."""
 
-    def __init__(
-        self,
-        capacity: int = 1_000_000,
-        sampler: Optional[SamplingStrategy] = None,
-        evictor: Optional[EvictionStrategy] = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, capacity: int = 1_000_000) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.sampler = sampler or FIFOSampling()
-        self.evictor = evictor or EvictOldest()
-        self.rng = np.random.default_rng(seed)
         self._items: List[Experience] = []
         self.total_written = 0
         self.total_sampled = 0
@@ -41,40 +30,27 @@ class ExperienceBuffer:
         return len(self._items)
 
     # -- writer -----------------------------------------------------------------
-    def write(self, trajectory: Trajectory, reward: float, actor_version: int,
-              priority: float = 0.0) -> Experience:
+    def write(self, trajectory: Trajectory, reward: float, actor_version: int) -> Experience:
         """Score ``trajectory`` and append it to the buffer."""
         experience = Experience(
             trajectory=trajectory,
             reward=reward,
             actor_version_at_completion=actor_version,
-            priority=priority,
         )
         self._items.append(experience)
         self.total_written += 1
-        self._maybe_evict()
-        return experience
-
-    def write_experience(self, experience: Experience) -> None:
-        self._items.append(experience)
-        self.total_written += 1
-        self._maybe_evict()
-
-    def _maybe_evict(self) -> None:
         overflow = len(self._items) - self.capacity
-        if overflow <= 0:
-            return
-        victims = sorted(self.evictor.select_victims(self._items, overflow), reverse=True)
-        for index in victims:
-            del self._items[index]
-            self.total_evicted += 1
+        if overflow > 0:
+            del self._items[:overflow]
+            self.total_evicted += overflow
+        return experience
 
     # -- sampler -----------------------------------------------------------------
     def can_sample(self, batch_size: int) -> bool:
         return len(self._items) >= batch_size
 
     def sample(self, batch_size: int) -> List[Experience]:
-        """Remove and return a batch chosen by the sampling strategy.
+        """Remove and return the ``batch_size`` oldest experiences.
 
         Raises ``ValueError`` if fewer than ``batch_size`` experiences are
         buffered — callers are expected to check :meth:`can_sample` first
@@ -86,30 +62,11 @@ class ExperienceBuffer:
             raise ValueError(
                 f"buffer holds {len(self._items)} experiences, need {batch_size}"
             )
-        indices = self.sampler.select(self._items, batch_size, self.rng)
-        if len(set(indices)) != batch_size:
-            raise RuntimeError(
-                f"sampler {self.sampler.name!r} returned {len(set(indices))} unique "
-                f"indices for a batch of {batch_size}"
-            )
-        chosen = set(indices)
-        batch = [self._items[i] for i in sorted(chosen)]
-        self._items = [item for i, item in enumerate(self._items) if i not in chosen]
-        self.total_sampled += len(batch)
+        batch = self._items[:batch_size]
+        del self._items[:batch_size]
+        self.total_sampled += batch_size
         return batch
 
     # -- inspection ---------------------------------------------------------------
-    def occupancy(self) -> int:
-        return len(self._items)
-
-    def staleness_distribution(self) -> List[int]:
-        """Inherent staleness of every buffered experience (Fig 10 input)."""
-        return [exp.staleness for exp in self._items]
-
-    def mean_reward(self) -> float:
-        if not self._items:
-            return 0.0
-        return float(np.mean([exp.reward for exp in self._items]))
-
     def peek_all(self) -> List[Experience]:
         return list(self._items)

@@ -11,7 +11,7 @@ a KVCache re-prefill of the already-streamed tokens on the destination.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..types import Trajectory
 
@@ -41,15 +41,6 @@ class PartialResponsePool:
         self._entries[trajectory.traj_id] = trajectory
         self._owner[trajectory.traj_id] = replica_id
         self.total_registered += 1
-
-    def stream_progress(self, traj_id: int, generated_tokens: int) -> None:
-        """Record streamed progress (tokens generated so far) for a trajectory."""
-        trajectory = self._entries.get(traj_id)
-        if trajectory is None:
-            raise KeyError(f"trajectory {traj_id} is not registered")
-        if generated_tokens < trajectory.generated_tokens:
-            raise ValueError("generated_tokens cannot decrease")
-        trajectory.generated_tokens = min(trajectory.target_tokens, generated_tokens)
 
     def complete(self, traj_id: int) -> Trajectory:
         """Remove a finished trajectory from the pool and return it."""
@@ -81,19 +72,3 @@ class PartialResponsePool:
         trajectory.repack_count += 1
         self.total_migrated += 1
         return trajectory
-
-    def owned_by(self, replica_id: int) -> List[Trajectory]:
-        """All in-progress trajectories currently owned by ``replica_id``."""
-        return [self._entries[tid] for tid, owner in self._owner.items() if owner == replica_id]
-
-    def orphans_of(self, replica_ids: List[int]) -> List[Trajectory]:
-        """Trajectories owned by any of the (failed) ``replica_ids``."""
-        wanted = set(replica_ids)
-        return [self._entries[tid] for tid, owner in self._owner.items() if owner in wanted]
-
-    def in_progress_tokens(self) -> int:
-        """Total generated-but-unconsumed tokens currently protected by the pool."""
-        return sum(t.generated_tokens for t in self._entries.values())
-
-    def snapshot(self) -> List[Trajectory]:
-        return list(self._entries.values())

@@ -7,18 +7,14 @@ Figure 11/12 live in :mod:`repro.experiments.throughput`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..algorithms.convergence import (
-    ConvergenceCurve,
-    SystemConvergenceProfile,
-    compare_systems,
-)
-from ..config import SystemConfig
+from ..algorithms.convergence import SystemConvergenceProfile
 from ..systems import (
     FailureEvent,
     FailureInjector,
@@ -187,13 +183,6 @@ def _figure13_profiles_cached(
     return tuple(profiles)
 
 
-def figure13_convergence(model_size: str = "7B", total_gpus: int = 32,
-                         num_iterations: int = 40, seed: int = 0) -> Dict[str, ConvergenceCurve]:
-    """Reward-vs-wall-clock curves for every system (Fig 13)."""
-    profiles = figure13_profiles(model_size, total_gpus, seed=seed)
-    return compare_systems(profiles, num_iterations=num_iterations, seed=seed)
-
-
 # --------------------------------------------------------------------------- Fig 14
 def figure14_weight_sync(model_size: str = "32B",
                          rollout_gpu_counts: Optional[List[int]] = None) -> Dict[int, Dict[str, float]]:
@@ -219,15 +208,16 @@ def figure15_fault_tolerance(batch_scale: float = 1.0 / 8.0, failure_time: float
     result = system.run()
     records = system.manager.recovery_records
     rate = system.generation_rate_series(bucket=60.0)
-    before = rate.window_mean(0.0, failure_time) if failure_time > 60 else 0.0
     recovered_at = records[0].recovered_at if records else failure_time
     window_end = min(result.wall_clock, recovered_at + 600.0)
-    after = (
-        rate.window_mean(recovered_at, window_end)
-        if window_end > recovered_at + 60.0
-        else before
-    )
-    during = rate.window_mean(failure_time, recovered_at) if recovered_at > failure_time else 0.0
+
+    def mean_rate(start: float, end: float) -> float:
+        """Mean of the 60 s buckets starting in ``[start, end)``; NaN if none."""
+        return rate.window_mean(start, end) if end > start else math.nan
+
+    before = mean_rate(0.0, failure_time)
+    during = mean_rate(failure_time, recovered_at)
+    after = mean_rate(recovered_at, window_end)
     return {
         "failure_time": failure_time,
         "recovery_seconds": records[0].downtime if records else 0.0,
@@ -269,11 +259,6 @@ def table1_repack_stats(batch_scale: float = 1.0 / 8.0, num_iterations: int = 6,
         config = replace(config, num_iterations=num_iterations, warmup_iterations=1,
                          repack_enabled=enabled)
         system = LaminarSystem(config)
-        if not enabled:
-            # Disable both the periodic check and the post-update trigger.
-            system.manager.repack_interval = float("inf")
-            system.manager.batch_bound = 0 or 1
-            system.manager.executor.plan_overhead = 0.0
         result = system.run()
         latencies = [s.generation_latency for s in system.staleness.samples]
         rows["w/ repack" if enabled else "w/o repack"] = {

@@ -15,7 +15,6 @@ concurrency, repack) off the registered class instead of hard-coded tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..config import SystemConfig, default_trainer_parallel
@@ -28,14 +27,6 @@ from ..systems.base import (
 #: Canonical system identifiers evaluated in the paper (Fig 11 series).
 #: Registered variants resolve onto these via ``placement_like``.
 SYSTEMS = ("verl", "one_step", "stream_gen", "areal", "laminar")
-
-SYSTEM_LABELS = {
-    "verl": "verl (synchronous, colocated)",
-    "one_step": "One-step Staleness",
-    "stream_gen": "Stream Generation",
-    "areal": "AReaL (partial rollout)",
-    "laminar": "Laminar",
-}
 
 #: Table 2 — (train GPUs, rollout GPUs) per (system, model, total GPUs).
 #: verl entries are colocated: (total, 0).

@@ -9,20 +9,17 @@ chaos.
 """
 
 from ..systems.fault_tolerance import (
-    CRASH_KINDS,
     FailureEvent,
     FailureInjector,
     FailureKind,
     RecoveryModel,
     RecoveryRecord,
-    failure_kind_description,
     known_failure_kinds,
     register_failure_kind,
 )
 from .plan import DEFAULT_RACK_SIZE, FailurePlan, rack_machines
 
 __all__ = [
-    "CRASH_KINDS",
     "DEFAULT_RACK_SIZE",
     "FailureEvent",
     "FailureInjector",
@@ -30,7 +27,6 @@ __all__ = [
     "FailurePlan",
     "RecoveryModel",
     "RecoveryRecord",
-    "failure_kind_description",
     "known_failure_kinds",
     "rack_machines",
     "register_failure_kind",

@@ -1,8 +1,9 @@
 """Generative, seeded fault schedules (adversarial infrastructure).
 
-The paper's fault model (Fig 15) is independent per-machine failure at fixed
-rates.  :class:`FailurePlan` keeps that model and adds the fleet-level
-dynamics a production datacenter actually exhibits:
+The Fig 15 experiment injects one rollout-machine failure, which a single
+:class:`~repro.systems.fault_tolerance.FailureEvent` expresses.
+:class:`FailurePlan` adds the fleet-level dynamics a production datacenter
+actually exhibits:
 
 * **correlated failure waves** — a rack/zone power or switch event takes a
   group of machines down simultaneously;
@@ -41,7 +42,7 @@ DEFAULT_RACK_SIZE = 4
 
 
 def rack_machines(rack: int, rack_size: int = DEFAULT_RACK_SIZE) -> List[int]:
-    """Machine ids belonging to ``rack`` under the fixed rack layout."""
+    """Ids of the machines in ``rack`` under the fixed rack layout."""
     if rack < 0:
         raise ValueError("rack must be non-negative")
     if rack_size <= 0:
@@ -59,10 +60,6 @@ class FailurePlan:
     # ------------------------------------------------------------------ composition
     def add(self, event: FailureEvent) -> "FailurePlan":
         self.events.append(event)
-        return self
-
-    def extend(self, events: Sequence[FailureEvent]) -> "FailurePlan":
-        self.events.extend(events)
         return self
 
     def merge(self, *others: "FailurePlan") -> "FailurePlan":
@@ -86,37 +83,6 @@ class FailurePlan:
         return max((e.time for e in self.events), default=0.0)
 
     # ------------------------------------------------------------------ builders
-    @classmethod
-    def independent(
-        cls,
-        seed: int,
-        num_machines: int,
-        horizon: float,
-        rate_per_machine_hour: float = 0.05,
-        kind: str = FailureKind.ROLLOUT_MACHINE,
-        reinit_success_rate: float = 0.5,
-    ) -> "FailurePlan":
-        """The paper's model: independent Poisson failures per machine."""
-        if num_machines <= 0:
-            raise ValueError("num_machines must be positive")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if rate_per_machine_hour < 0:
-            raise ValueError("rate must be non-negative")
-        rng = np.random.default_rng(seed)
-        plan = cls()
-        rate_per_second = rate_per_machine_hour / 3600.0
-        for machine in range(num_machines):
-            if rate_per_second == 0:
-                continue
-            t = float(rng.exponential(1.0 / rate_per_second))
-            while t < horizon:
-                reinit = bool(rng.random() < reinit_success_rate)
-                plan.add(FailureEvent(time=t, kind=kind, target=machine,
-                                      reinit_succeeds=reinit))
-                t += float(rng.exponential(1.0 / rate_per_second))
-        return plan
-
     @classmethod
     def correlated_wave(
         cls,

@@ -2,7 +2,6 @@
 
 from .model_spec import (
     BF16_BYTES,
-    FP32_BYTES,
     MODEL_REGISTRY,
     ModelSpec,
     QWEN_7B,
@@ -12,18 +11,15 @@ from .model_spec import (
 )
 from .parallelism import (
     ParallelConfig,
-    TrainingMemoryModel,
     fsdp_trainer_config,
     megatron_trainer_config,
     rollout_free_memory_for_kvcache,
-    rollout_parallel_config,
 )
 from .decode_model import DECODE_STEP_OVERHEAD, DecodeModel
 from .training_model import EXPERIENCE_PREP_FRACTION, TrainingModel
 
 __all__ = [
     "BF16_BYTES",
-    "FP32_BYTES",
     "MODEL_REGISTRY",
     "ModelSpec",
     "QWEN_7B",
@@ -31,11 +27,9 @@ __all__ = [
     "QWEN_72B",
     "get_model",
     "ParallelConfig",
-    "TrainingMemoryModel",
     "fsdp_trainer_config",
     "megatron_trainer_config",
     "rollout_free_memory_for_kvcache",
-    "rollout_parallel_config",
     "DECODE_STEP_OVERHEAD",
     "DecodeModel",
     "EXPERIENCE_PREP_FRACTION",

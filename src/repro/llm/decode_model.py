@@ -103,30 +103,6 @@ class DecodeModel:
             step_overhead=self.step_overhead,
         )
 
-    def decode_throughput(self, batch_size: int, context_length: int) -> float:
-        """Tokens generated per second at the given batch/context."""
-        step = self.decode_step_time(batch_size, context_length)
-        return batch_size / step if step > 0 else 0.0
-
-    def roofline_batch_bound(self, context_length: int) -> int:
-        """Batch size at which decode transitions from memory- to compute-bound.
-
-        This is the upper bound ``B`` used by the repack algorithm (§5.2):
-        packing beyond it would start increasing per-step latency materially.
-        """
-        context_length = max(1, int(context_length))
-        per_seq_kv = context_length * self.model.kv_bytes_per_token
-        per_seq_flops = self.model.flops_per_token(context_length)
-        # Solve max(memory, compute) crossover:
-        #   (W + B*kv) / BW == B * F / FLOPS   =>   B = W / (F*BW/FLOPS - kv)
-        denom = per_seq_flops * self.effective_bandwidth / self.effective_flops - per_seq_kv
-        if denom <= 0:
-            # KV traffic alone keeps decode memory-bound at any batch size; the
-            # effective bound is then set by KVCache capacity, not the roofline.
-            return 2**30
-        bound = self.model.weight_bytes / denom
-        return max(1, int(bound))
-
     def batch_bound_for_latency_slack(
         self, context_length: int, slack: float = 2.0, max_batch: int = 4096
     ) -> int:
@@ -161,15 +137,6 @@ class DecodeModel:
             return 0.0
         flops = batch_size * prompt_tokens * self.model.flops_per_token(prompt_tokens // 2)
         return flops / self.effective_flops + PREFILL_OVERHEAD
-
-    def reprefill_time(self, cached_tokens: int) -> float:
-        """Cost of rebuilding the KVCache for one interrupted trajectory.
-
-        Partial-rollout systems pay this on every weight update for every
-        in-flight trajectory (§2.3): the previously generated ``cached_tokens``
-        must be re-prefetched through the prefill path.
-        """
-        return self.prefill_time(cached_tokens, batch_size=1)
 
 
 def decode_step_time_arrays(

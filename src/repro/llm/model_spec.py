@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 #: Bytes per parameter / activation element in BF16.
 BF16_BYTES = 2
-#: Bytes per parameter in FP32 (optimizer master weights).
-FP32_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,6 @@ class ModelSpec:
         return float(
             2 * self.num_layers * self.num_kv_heads * self.head_dim * self.dtype_bytes
         )
-
-    def kv_bytes_per_token_sharded(self, tensor_parallel: int) -> float:
-        """Per-GPU KVCache bytes per token under tensor parallelism."""
-        if tensor_parallel <= 0:
-            raise ValueError("tensor_parallel must be positive")
-        return self.kv_bytes_per_token / tensor_parallel
 
     # -- FLOPs -------------------------------------------------------------------
     def flops_per_token(self, context_length: int = 0) -> float:

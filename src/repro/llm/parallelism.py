@@ -1,16 +1,16 @@
-"""Parallelism layouts and per-GPU shard sizes.
+"""Parallelism layouts and the KVCache memory left on a rollout GPU.
 
 The baselines and Laminar place the actor with FSDP (+ Ulysses sequence
 parallelism) or Megatron TP/PP, and rollouts with vLLM tensor parallelism
-(Table 2 / Appendix A.2).  This module computes shard sizes, memory footprints
-and the communication volumes that the weight-synchronization models need.
+(Table 2 / Appendix A.2).  This module describes those layouts and the GPU
+memory a rollout replica has left for its KVCache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model_spec import FP32_BYTES, ModelSpec
+from .model_spec import ModelSpec
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,6 @@ class ParallelConfig:
     @property
     def world_size(self) -> int:
         return self.model_shards * self.data_parallel
-
-    def shard_bytes(self, model: ModelSpec) -> float:
-        """Weight bytes held by a single GPU."""
-        return model.weight_bytes / self.model_shards
-
-
-def rollout_parallel_config(model: ModelSpec, tensor_parallel: int) -> ParallelConfig:
-    """vLLM-style rollout layout: pure TP within one machine."""
-    return ParallelConfig(tensor_parallel=tensor_parallel)
 
 
 def fsdp_trainer_config(num_gpus: int, fsdp_size: int, sequence_parallel: int = 1) -> ParallelConfig:
@@ -71,50 +62,6 @@ def megatron_trainer_config(
         pipeline_parallel=pipeline_parallel,
         data_parallel=num_gpus // shards,
     )
-
-
-@dataclass(frozen=True)
-class TrainingMemoryModel:
-    """Per-GPU memory footprint of the actor under mixed-precision training.
-
-    Weights (bf16) + gradients (bf16) + Adam moments (2 x fp32) + fp32 master
-    weights, all sharded across the FSDP/TP group, plus activation memory that
-    scales with the per-GPU token count.
-    """
-
-    model: ModelSpec
-    config: ParallelConfig
-    activation_bytes_per_token: float = 0.0
-
-    def parameter_state_bytes(self) -> float:
-        per_param = (
-            self.model.dtype_bytes  # weights
-            + self.model.dtype_bytes  # gradients
-            + 2 * FP32_BYTES  # Adam m, v
-            + FP32_BYTES  # master weights
-        )
-        return self.model.num_parameters * per_param / self.config.model_shards
-
-    def activation_bytes(self, tokens_per_gpu: int) -> float:
-        per_token = self.activation_bytes_per_token
-        if per_token <= 0:
-            # Rough transformer activation estimate with checkpointing:
-            # ~ 2 * hidden * layers bytes/token in bf16, reduced by SP.
-            per_token = (
-                2.0
-                * self.model.hidden_size
-                * self.model.num_layers
-                * self.model.dtype_bytes
-                / self.config.sequence_parallel
-            )
-        return per_token * tokens_per_gpu
-
-    def total_bytes(self, tokens_per_gpu: int) -> float:
-        return self.parameter_state_bytes() + self.activation_bytes(tokens_per_gpu)
-
-    def fits(self, gpu_memory_bytes: float, tokens_per_gpu: int, reserve: float = 0.1) -> bool:
-        """True if the footprint fits in GPU memory with a ``reserve`` fraction spare."""
-        return self.total_bytes(tokens_per_gpu) <= gpu_memory_bytes * (1.0 - reserve)
 
 
 def rollout_free_memory_for_kvcache(

@@ -80,18 +80,3 @@ class TrainingModel:
         if include_experience_prep:
             total *= 1.0 + EXPERIENCE_PREP_FRACTION
         return total
-
-    # -- memory-driven feasibility ---------------------------------------------------
-    def max_tokens_per_gpu(self, gpu_memory_bytes: float | None = None) -> float:
-        """Rough bound on trainable tokens per GPU given activation memory."""
-        gpu_memory_bytes = gpu_memory_bytes or self.gpu.memory_bytes
-        per_param_state = (2 + 2 + 8 + 4)  # bf16 w/g + fp32 m/v + master
-        state = self.model.num_parameters * per_param_state / self.config.model_shards
-        free = gpu_memory_bytes * 0.9 - state
-        act_per_token = (
-            2.0 * self.model.hidden_size * self.model.num_layers * self.model.dtype_bytes
-            / max(1, self.config.sequence_parallel)
-        )
-        if free <= 0 or act_per_token <= 0:
-            return 0.0
-        return free / act_per_token

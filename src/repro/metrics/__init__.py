@@ -1,14 +1,11 @@
-"""Metrics: throughput/speedup/scaling results and time-series helpers."""
+"""Metrics: throughput results and time-series helpers."""
 
-from .results import StageBreakdown, SystemRunResult, scaling_efficiency, speedup
-from .timeline import EventCounterSeries, TimeSeries, moving_average
+from .results import StageBreakdown, SystemRunResult
+from .timeline import EventCounterSeries, TimeSeries
 
 __all__ = [
     "StageBreakdown",
     "SystemRunResult",
-    "scaling_efficiency",
-    "speedup",
     "EventCounterSeries",
     "TimeSeries",
-    "moving_average",
 ]

@@ -9,7 +9,7 @@ several iterations after a warm-up (§8 "Metrics").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..trainer.trainer import IterationRecord
 
@@ -120,29 +120,3 @@ class SystemRunResult:
             experience_prep_time=sum(b.experience_prep_time for b in self.breakdowns) / n,
             bubble_time=sum(b.bubble_time for b in self.breakdowns) / n,
         )
-
-
-def speedup(result: SystemRunResult, baseline: SystemRunResult, warmup: int = 0) -> float:
-    """Throughput speedup of ``result`` over ``baseline``."""
-    base = baseline.throughput(warmup)
-    if base <= 0:
-        raise ValueError("baseline throughput is zero")
-    return result.throughput(warmup) / base
-
-
-def scaling_efficiency(results: List[SystemRunResult], warmup: int = 0) -> float:
-    """Strong-scaling efficiency as defined in §8.1.
-
-    (throughput at largest scale / throughput at smallest scale) divided by
-    (largest GPU count / smallest GPU count).
-    """
-    if len(results) < 2:
-        raise ValueError("need at least two scales to compute scaling efficiency")
-    ordered = sorted(results, key=lambda r: r.total_gpus)
-    smallest, largest = ordered[0], ordered[-1]
-    gpu_ratio = largest.total_gpus / smallest.total_gpus
-    throughput_small = smallest.throughput(warmup)
-    if throughput_small <= 0 or gpu_ratio <= 0:
-        return 0.0
-    throughput_ratio = largest.throughput(warmup) / throughput_small
-    return throughput_ratio / gpu_ratio

@@ -7,9 +7,9 @@ throughput).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 
 @dataclass
@@ -29,23 +29,14 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def value_at(self, time: float) -> float:
-        """Last recorded value at or before ``time`` (0.0 before the first point)."""
-        index = bisect_right(self.times, time) - 1
-        if index < 0:
-            return 0.0
-        return self.values[index]
-
     def window_mean(self, start: float, end: float) -> float:
+        """Mean of the values recorded in ``[start, end)``; NaN if there are none."""
         if end <= start:
             raise ValueError("end must exceed start")
         selected = [v for t, v in zip(self.times, self.values) if start <= t < end]
         if not selected:
-            return self.value_at(start)
+            return math.nan
         return sum(selected) / len(selected)
-
-    def as_tuples(self) -> List[Tuple[float, float]]:
-        return list(zip(self.times, self.values))
 
 
 @dataclass
@@ -81,17 +72,3 @@ class EventCounterSeries:
 
     def total(self) -> float:
         return sum(self.counts)
-
-
-def moving_average(values: Sequence[float], window: int) -> List[float]:
-    """Simple trailing moving average used when plotting noisy rate series."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    out: List[float] = []
-    acc = 0.0
-    for index, value in enumerate(values):
-        acc += value
-        if index >= window:
-            acc -= values[index - window]
-        out.append(acc / min(index + 1, window))
-    return out

@@ -321,12 +321,6 @@ class TraceAnalysis:
 
     groups: List[GroupAnalysis] = field(default_factory=list)
 
-    def group(self, name: str) -> Optional[GroupAnalysis]:
-        for analysis in self.groups:
-            if analysis.group == name:
-                return analysis
-        return None
-
     def as_dict(self) -> Dict[str, object]:
         return {"groups": {g.group: g.as_dict() for g in self.groups}}
 

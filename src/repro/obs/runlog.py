@@ -82,26 +82,13 @@ class RunLogger:
     def __init__(self, name: str) -> None:
         self.logger = logging.getLogger(name)
 
-    def debug(self, event: str, message: Optional[str] = None, **fields) -> None:
-        self._log(logging.DEBUG, event, message, fields)
-
     def info(self, event: str, message: Optional[str] = None, **fields) -> None:
-        self._log(logging.INFO, event, message, fields)
-
-    def warning(self, event: str, message: Optional[str] = None, **fields) -> None:
-        self._log(logging.WARNING, event, message, fields)
-
-    def error(self, event: str, message: Optional[str] = None, **fields) -> None:
-        self._log(logging.ERROR, event, message, fields)
-
-    def _log(self, level: int, event: str, message: Optional[str],
-             fields: Dict[str, object]) -> None:
-        if not self.logger.isEnabledFor(level):
+        if not self.logger.isEnabledFor(logging.INFO):
             return
         if message is None:
             rendered = " ".join(f"{k}={v}" for k, v in fields.items())
             message = f"{event} {rendered}".strip()
-        self.logger.log(level, message, extra={"event": event, "fields": fields})
+        self.logger.info(message, extra={"event": event, "fields": fields})
 
 
 def get_run_logger(name: str) -> RunLogger:

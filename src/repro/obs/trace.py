@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "CounterSample",
@@ -133,10 +133,6 @@ class TraceRecorder(NullTracer):
         self._group = str(group)
 
     # -- recording ----------------------------------------------------------
-    @property
-    def group(self) -> str:
-        return self._group
-
     def set_group(self, label: str) -> None:
         self._group = str(label)
 
@@ -198,11 +194,6 @@ class TraceRecorder(NullTracer):
             if group is None or span.group == group:
                 seen.setdefault(span.name, None)
         return list(seen)
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.instants.clear()
-        self.counters.clear()
 
 
 # --------------------------------------------------------------------------- active tracer

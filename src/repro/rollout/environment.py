@@ -14,7 +14,7 @@ Two responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -33,11 +33,6 @@ class SimulatedEnvironment:
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
-
-    # -- latency ------------------------------------------------------------
-    def sample_interaction_latency(self, size: int = 1) -> np.ndarray:
-        """Latency of ``size`` environment calls (seconds)."""
-        return self.task.env_latency.sample(self._rng, size)
 
     # -- reward -------------------------------------------------------------
     def score(self, trajectory: Trajectory) -> float:

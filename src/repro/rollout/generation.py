@@ -156,19 +156,8 @@ class SequenceState:
         return self.schedule.segments[self.turn_index] - self.tokens_done_in_turn
 
     @property
-    def total_remaining(self) -> int:
-        remaining = self.segment_remaining
-        remaining += sum(self.schedule.segments[self.turn_index + 1:])
-        return remaining
-
-    @property
     def context_tokens(self) -> int:
         return self.trajectory.prompt.prompt_tokens + self.trajectory.generated_tokens
-
-    @property
-    def reserved_tokens(self) -> int:
-        """KVCache reservation: prompt plus the full eventual response."""
-        return self.trajectory.prompt.prompt_tokens + self.schedule.total_tokens
 
 
 @dataclass
@@ -201,9 +190,6 @@ class _SeqVector:
         self.slots = np.empty(_INITIAL_SLOTS, dtype=np.int64)
         self.rows = np.empty(_INITIAL_SLOTS, dtype=np.int64)
         self.n = 0
-
-    def __len__(self) -> int:
-        return self.n
 
     def append(self, seq_id: int, slot: int, row: int) -> None:
         if self.n == len(self.ids):
@@ -327,10 +313,6 @@ class _IdQueue:
     def remove(self, seq_id: int) -> None:
         index = self._items.index(seq_id, self._head)
         del self._items[index]
-
-    def as_array(self) -> np.ndarray:
-        """The queued ids in FIFO order as an int64 array (a copy)."""
-        return np.array(self._items[self._head:], dtype=np.int64)
 
     def head_array(self, count: int) -> np.ndarray:
         """The first ``count`` queued ids in FIFO order (a copy)."""
@@ -649,12 +631,6 @@ class ReplicaGenerationState:
             value = float(self._a_env[self._env.slots_view()].min())
             self._env_min_cache = (self._mutation, value)
         return value
-
-    def in_ramp_down(self, c_max: Optional[float] = None) -> bool:
-        """§5.2 idleness signal: utilisation below C_max and not increasing."""
-        c_max = c_max if c_max is not None else self.kvcache.config.c_max
-        util = self.kvcache_utilization
-        return self.num_queued == 0 and util < min(c_max, self.prev_utilization + 1e-12)
 
     def observe_utilization(self) -> float:
         """Record the current utilisation for ramp-down detection and return it."""
@@ -1115,18 +1091,6 @@ class ReplicaGenerationState:
         if version < self.weight_version:
             raise ValueError("weight version cannot go backwards")
         self.weight_version = version
-
-    @property
-    def decode_slowdown(self) -> float:
-        return self._decode_slowdown
-
-    @property
-    def env_slowdown(self) -> float:
-        return self._env_slowdown
-
-    @property
-    def is_straggling(self) -> bool:
-        return self._decode_slowdown != 1.0 or self._env_slowdown != 1.0
 
     def set_slowdown(self, decode: Optional[float] = None,
                      env: Optional[float] = None) -> None:

@@ -50,7 +50,3 @@ class RolloutReplicaConfig:
                 f"{self.gpu.name}: no memory left for KVCache"
             )
         return KVCacheConfig(total_blocks=blocks, block_size=DEFAULT_BLOCK_SIZE)
-
-    @property
-    def num_gpus(self) -> int:
-        return self.tensor_parallel

@@ -39,8 +39,11 @@ class WorkloadBundle:
     trajectory factory      ``seed + 1``
     environment / rewards   ``seed + 2``
     system-level sampling   ``seed + 3``
-    experience buffer       ``seed + 4``
+    (unused)                ``seed + 4``
     ======================  =================
+
+    ``seed + 4`` is reserved: nothing draws from it (the experience buffer
+    is FIFO), and leaving the slot empty keeps every other component's seed.
     """
 
     config: SystemConfig
@@ -78,7 +81,7 @@ class WorkloadBundle:
                 parallel=config.trainer_parallel,
                 config=config.trainer_config(),
             ),
-            buffer=ExperienceBuffer(seed=config.seed + 4),
+            buffer=ExperienceBuffer(),
             replica_config=replica_config,
             decode_model=replica_config.decode_model(),
         )

@@ -11,31 +11,16 @@ from .engine import (
     Timeout,
     TimeoutUntil,
 )
-from .resources import Container, Resource, Store
-from .cluster import (
-    A100,
-    H800,
-    Cluster,
-    ClusterSpec,
-    GPU,
-    GPUSpec,
-    Machine,
-    Placement,
-)
+from .cluster import H800, GPUSpec
 from .kvcache import KVCache, KVCacheConfig, KVCacheError, kvcache_blocks_for_memory
 from .network import (
-    Link,
     LinkSpec,
-    NetworkFabric,
-    NVLINK_LINK,
     PCIE_LINK,
     RDMA_LINK,
-    TCP_LINK,
     chain_pipelined_broadcast_time,
     gpu_direct_global_sync_time,
     optimal_chain_broadcast_time,
     optimal_chunk_count,
-    storage_system_sync_time,
 )
 
 __all__ = [
@@ -48,31 +33,17 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "TimeoutUntil",
-    "Container",
-    "Resource",
-    "Store",
-    "A100",
     "H800",
-    "Cluster",
-    "ClusterSpec",
-    "GPU",
     "GPUSpec",
-    "Machine",
-    "Placement",
     "KVCache",
     "KVCacheConfig",
     "KVCacheError",
     "kvcache_blocks_for_memory",
-    "Link",
     "LinkSpec",
-    "NetworkFabric",
-    "NVLINK_LINK",
     "PCIE_LINK",
     "RDMA_LINK",
-    "TCP_LINK",
     "chain_pipelined_broadcast_time",
     "gpu_direct_global_sync_time",
     "optimal_chain_broadcast_time",
     "optimal_chunk_count",
-    "storage_system_sync_time",
 ]

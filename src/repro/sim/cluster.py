@@ -1,22 +1,15 @@
-"""Cluster topology model: machines, GPUs and the links between them.
+"""GPU hardware constants of the paper's testbed.
 
-The paper's testbed (§8) is 128 machines x 8 NVIDIA H800-80GB GPUs, NVLink
-within a machine and 8 x 400 Gbps RDMA between machines.  This module builds a
-static description of such a cluster that the scheduling layers (Laminar and
-the baselines) carve up into trainer GPUs and rollout replicas.
+The testbed (§8) is 128 machines x 8 NVIDIA H800-80GB GPUs, NVLink within a
+machine and 8 x 400 Gbps RDMA between machines.  Systems address machines by
+integer id and price transfers with the analytic link costs in
+:mod:`repro.sim.network`; this module only holds the per-GPU specification
+and the machine width.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
-
-from .network import (
-    LinkSpec,
-    NVLINK_LINK,
-    PCIE_LINK,
-    RDMA_LINK,
-)
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -43,178 +36,7 @@ H800 = GPUSpec(
     membw_efficiency=0.75,
 )
 
-#: NVIDIA A100 80GB (kept for what-if studies / ablations).
-A100 = GPUSpec(
-    name="A100-80GB",
-    memory_bytes=80e9,
-    hbm_bandwidth=2.0e12,
-    peak_flops_bf16=312e12,
-    mfu=0.5,
-    membw_efficiency=0.8,
-)
-
-
-@dataclass
-class GPU:
-    """One GPU slot in the cluster."""
-
-    machine_id: int
-    local_rank: int
-    spec: GPUSpec = H800
-
-    @property
-    def global_id(self) -> Tuple[int, int]:
-        return (self.machine_id, self.local_rank)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GPU(machine={self.machine_id}, rank={self.local_rank}, {self.spec.name})"
-
-
-@dataclass
-class Machine:
-    """One server: GPUs plus host memory and its NIC/PCIe links."""
-
-    machine_id: int
-    gpus: List[GPU]
-    host_memory_bytes: float = 2e12  # 2 TB host DRAM
-    intra_link: LinkSpec = NVLINK_LINK
-    pcie_link: LinkSpec = PCIE_LINK
-    inter_link: LinkSpec = RDMA_LINK
-    healthy: bool = True
-
-    @property
-    def num_gpus(self) -> int:
-        return len(self.gpus)
-
-    def fail(self) -> None:
-        self.healthy = False
-
-    def recover(self) -> None:
-        self.healthy = True
-
-
-#: GPUs per machine in the paper's H800 deployment (Table 2).  Placement,
-#: weight-sync machine counts and the bench executors must all agree on this.
+#: GPUs per machine in the paper's H800 deployment (Table 2).  Table 2
+#: placements, weight-sync machine counts and the bench executors must all
+#: agree on this.
 GPUS_PER_MACHINE = 8
-
-
-@dataclass
-class ClusterSpec:
-    """Parameters describing a homogeneous cluster."""
-
-    num_machines: int
-    gpus_per_machine: int = GPUS_PER_MACHINE
-    gpu: GPUSpec = H800
-    host_memory_bytes: float = 2e12
-
-    def __post_init__(self) -> None:
-        if self.num_machines <= 0:
-            raise ValueError("num_machines must be positive")
-        if self.gpus_per_machine <= 0:
-            raise ValueError("gpus_per_machine must be positive")
-
-    @property
-    def total_gpus(self) -> int:
-        return self.num_machines * self.gpus_per_machine
-
-
-class Cluster:
-    """A collection of machines with helpers for carving out GPU groups."""
-
-    def __init__(self, spec: ClusterSpec) -> None:
-        self.spec = spec
-        self.machines: List[Machine] = []
-        for machine_id in range(spec.num_machines):
-            gpus = [
-                GPU(machine_id=machine_id, local_rank=rank, spec=spec.gpu)
-                for rank in range(spec.gpus_per_machine)
-            ]
-            self.machines.append(
-                Machine(
-                    machine_id=machine_id,
-                    gpus=gpus,
-                    host_memory_bytes=spec.host_memory_bytes,
-                )
-            )
-
-    # -- inspection -----------------------------------------------------------
-    @property
-    def total_gpus(self) -> int:
-        return self.spec.total_gpus
-
-    @property
-    def healthy_machines(self) -> List[Machine]:
-        return [m for m in self.machines if m.healthy]
-
-    def machine(self, machine_id: int) -> Machine:
-        return self.machines[machine_id]
-
-    def iter_gpus(self) -> Iterator[GPU]:
-        for machine in self.machines:
-            yield from machine.gpus
-
-    # -- partitioning ----------------------------------------------------------
-    def partition(self, trainer_gpus: int, rollout_gpus: int) -> "Placement":
-        """Split the cluster into a trainer group and a rollout group.
-
-        Machines are assigned whole to one side whenever possible (matching
-        the paper's disaggregated placement); a machine may be split only when
-        a group needs fewer GPUs than a full machine provides.
-        """
-        if trainer_gpus + rollout_gpus > self.total_gpus:
-            raise ValueError(
-                f"requested {trainer_gpus + rollout_gpus} GPUs but cluster has "
-                f"{self.total_gpus}"
-            )
-        if trainer_gpus < 0 or rollout_gpus < 0:
-            raise ValueError("GPU counts must be non-negative")
-        all_gpus = list(self.iter_gpus())
-        trainer = all_gpus[:trainer_gpus]
-        rollout = all_gpus[trainer_gpus : trainer_gpus + rollout_gpus]
-        return Placement(cluster=self, trainer_gpus=trainer, rollout_gpus=rollout)
-
-
-@dataclass
-class Placement:
-    """A concrete assignment of cluster GPUs to trainer and rollout roles."""
-
-    cluster: Cluster
-    trainer_gpus: List[GPU]
-    rollout_gpus: List[GPU]
-
-    @property
-    def num_trainer_gpus(self) -> int:
-        return len(self.trainer_gpus)
-
-    @property
-    def num_rollout_gpus(self) -> int:
-        return len(self.rollout_gpus)
-
-    @property
-    def colocated(self) -> bool:
-        """True when trainer and rollout share the same GPUs (verl-style)."""
-        return not self.rollout_gpus or not self.trainer_gpus
-
-    def rollout_machines(self) -> List[int]:
-        """Machine ids hosting at least one rollout GPU."""
-        return sorted({gpu.machine_id for gpu in self.rollout_gpus})
-
-    def trainer_machines(self) -> List[int]:
-        return sorted({gpu.machine_id for gpu in self.trainer_gpus})
-
-    def rollout_replicas(self, tensor_parallel: int) -> List[List[GPU]]:
-        """Group rollout GPUs into replicas of ``tensor_parallel`` GPUs each.
-
-        Replicas never span machines (vLLM TP groups are intra-node).
-        """
-        if tensor_parallel <= 0:
-            raise ValueError("tensor_parallel must be positive")
-        replicas: List[List[GPU]] = []
-        by_machine: Dict[int, List[GPU]] = {}
-        for gpu in self.rollout_gpus:
-            by_machine.setdefault(gpu.machine_id, []).append(gpu)
-        for machine_id in sorted(by_machine):
-            gpus = by_machine[machine_id]
-            for start in range(0, len(gpus) - tensor_parallel + 1, tensor_parallel):
-                replicas.append(gpus[start : start + tensor_parallel])
-        return replicas

@@ -80,7 +80,6 @@ class KVCache:
         self.config = config
         self.peak_blocks = 0
         self._used_blocks = 0
-        self._usage_history: List[float] = []
         # SoA ledger: row r holds (_tokens[r], _blocks[r]) for one live
         # sequence; _row_of maps seq_id -> row.  Freed rows are recycled via
         # _free_rows, never compacted, so live rows are stable handles.
@@ -266,12 +265,6 @@ class KVCache:
         if peak_blocks > self.peak_blocks:
             self.peak_blocks = peak_blocks
 
-    def evict_all(self) -> None:
-        """Drop every allocation (used when a replica is repacked away or fails)."""
-        self._row_of.clear()
-        self._free_rows = list(range(len(self._tokens) - 1, -1, -1))
-        self._used_blocks = 0
-
     # -- batched inspection ---------------------------------------------------
     def row_of(self, seq_id: int) -> int:
         """Stable row handle of a live sequence (valid until it is freed)."""
@@ -317,21 +310,6 @@ class KVCache:
         if row is None:
             raise KVCacheError(f"sequence {seq_id} is not allocated")
         return int(self._tokens[row])
-
-    def sequence_ids(self) -> List[int]:
-        return list(self._row_of)
-
-    def is_full(self) -> bool:
-        """True if utilisation has reached the C_max threshold."""
-        return self.utilization >= self.config.c_max
-
-    def record_usage(self) -> None:
-        """Append the current utilisation to the usage history (Fig 9 traces)."""
-        self._usage_history.append(self.utilization)
-
-    @property
-    def usage_history(self) -> List[float]:
-        return list(self._usage_history)
 
 
 def kvcache_blocks_for_memory(

@@ -11,24 +11,17 @@ links we provide the collective patterns the paper relies on:
 * :func:`gpu_direct_global_sync_time` — the NCCL-style broadcast used by the
   baselines, where every actor shard is broadcast to every rollout shard and
   both sides stall.
-* :class:`Link` / :class:`NetworkFabric` — event-level transfer processes used
-  inside the discrete-event simulation (so concurrent transfers on the same
-  link share bandwidth and serialize correctly).
+* :class:`RetryPolicy` — the bounded backoff that rides out a flapping link.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional, Sequence, Tuple
-
-from .engine import Environment
-from .resources import Resource
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 # -- Hardware constants (H800-class testbed from §8) --------------------------
 
-#: Intra-machine NVLink bandwidth (bytes/s).  8x H800 with 400 GB/s NVLink.
-NVLINK_BANDWIDTH = 400e9
 #: PCIe Gen5 x16 effective bandwidth used for relay -> GPU weight loads.
 PCIE_BANDWIDTH = 55e9
 #: Per-NIC RDMA bandwidth: 400 Gbps.
@@ -37,12 +30,6 @@ RDMA_NIC_BANDWIDTH = 400e9 / 8
 NICS_PER_MACHINE = 8
 #: RDMA startup latency (seconds) — microseconds per Appendix D.
 RDMA_STARTUP_LATENCY = 5e-6
-#: TCP startup latency (seconds) — used for the storage-system comparison (§4.1).
-TCP_STARTUP_LATENCY = 100e-6
-#: Effective TCP bandwidth for the NFS/Redis style baseline (bytes/s).
-TCP_BANDWIDTH = 1.25e9  # ~10 Gbps
-#: Serialization throughput observed in §4.1 profiling (4 GB shard ~ 8 s).
-SERIALIZATION_BANDWIDTH = 0.5e9
 
 
 @dataclass(frozen=True)
@@ -78,8 +65,6 @@ class LinkSpec:
 RDMA_LINK = LinkSpec("rdma", RDMA_NIC_BANDWIDTH * NICS_PER_MACHINE, RDMA_STARTUP_LATENCY)
 RDMA_SINGLE_NIC_LINK = LinkSpec("rdma-1nic", RDMA_NIC_BANDWIDTH, RDMA_STARTUP_LATENCY)
 PCIE_LINK = LinkSpec("pcie", PCIE_BANDWIDTH, 10e-6)
-NVLINK_LINK = LinkSpec("nvlink", NVLINK_BANDWIDTH, 3e-6)
-TCP_LINK = LinkSpec("tcp", TCP_BANDWIDTH, TCP_STARTUP_LATENCY)
 
 
 # -- Appendix D: chain-based pipelined broadcast ------------------------------
@@ -167,19 +152,6 @@ def gpu_direct_global_sync_time(
     return transfer * (1.0 + resharding_overhead)
 
 
-def storage_system_sync_time(nbytes: float, num_readers: int = 1) -> float:
-    """Weight sync through an NFS/Redis style storage system (§4.1).
-
-    Serialization + TCP write + ``num_readers`` contended TCP reads.
-    """
-    serialize = nbytes / SERIALIZATION_BANDWIDTH
-    write = TCP_LINK.transfer_time(nbytes)
-    # Readers contend on the storage node's NIC: effective per-reader bandwidth
-    # shrinks linearly with concurrency.
-    read = TCP_LINK.transfer_time(nbytes) * max(1, num_readers)
-    return serialize + write + read
-
-
 # -- Degraded networks (repro.faults) -----------------------------------------
 
 
@@ -225,87 +197,3 @@ class RetryPolicy:
             if elapsed >= outage:
                 return elapsed, attempt + 1
         return outage + self.delay(self.max_retries - 1), self.max_retries
-
-
-@dataclass(frozen=True)
-class DegradationWindow:
-    """One bandwidth-dip interval: ``factor`` of nominal inside [start, end)."""
-
-    start: float
-    end: float
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError("degradation window must have positive length")
-        if self.factor <= 0:
-            raise ValueError("bandwidth factor must be positive")
-
-    def active(self, time: float) -> bool:
-        return self.start <= time < self.end
-
-
-def bandwidth_factor_at(windows: Sequence[DegradationWindow], time: float) -> float:
-    """Effective bandwidth multiplier at ``time`` (overlaps compound)."""
-    factor = 1.0
-    for window in windows:
-        if window.active(time):
-            factor *= window.factor
-    return factor
-
-
-# -- Event-level links used inside the DES ------------------------------------
-
-
-class Link:
-    """A simulated link that serializes transfers and tracks utilisation."""
-
-    def __init__(self, env: Environment, spec: LinkSpec, name: str = "") -> None:
-        self.env = env
-        self.spec = spec
-        self.name = name or spec.name
-        self._channel = Resource(env, capacity=1)
-        self.bytes_transferred = 0.0
-        self.busy_time = 0.0
-
-    def transfer(self, nbytes: float) -> Generator:
-        """Process generator: acquire the link, hold it for the transfer time."""
-        request = self._channel.request()
-        yield request
-        duration = self.spec.transfer_time(nbytes)
-        start = self.env.now
-        try:
-            yield self.env.timeout(duration)
-            self.bytes_transferred += nbytes
-        finally:
-            self.busy_time += self.env.now - start
-            self._channel.release(request)
-
-    def utilization(self, horizon: Optional[float] = None) -> float:
-        """Fraction of time the link was busy up to ``horizon`` (default: now)."""
-        horizon = self.env.now if horizon is None else horizon
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
-
-
-@dataclass
-class NetworkFabric:
-    """Collection of named links between simulation entities."""
-
-    env: Environment
-    links: Dict[Tuple[str, str], Link] = field(default_factory=dict)
-
-    def add_link(self, src: str, dst: str, spec: LinkSpec) -> Link:
-        link = Link(self.env, spec, name=f"{src}->{dst}")
-        self.links[(src, dst)] = link
-        return link
-
-    def link(self, src: str, dst: str) -> Link:
-        try:
-            return self.links[(src, dst)]
-        except KeyError:
-            raise KeyError(f"no link registered between {src!r} and {dst!r}") from None
-
-    def transfer(self, src: str, dst: str, nbytes: float) -> Generator:
-        return self.link(src, dst).transfer(nbytes)

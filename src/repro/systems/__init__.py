@@ -34,29 +34,22 @@ from .base import (
     placement_system,
     register,
     register_system,
-    system_capabilities,
     unregister_system,
 )
 from .broadcast_model import (
     BroadcastBreakdown,
     broadcast_breakdown,
     broadcast_latency,
-    broadcast_with_flap,
-    degraded_broadcast_series,
     figure18_series,
-    optimal_broadcast_latency,
     optimal_chunks,
     rollout_wait_comparison,
-    storage_vs_relay,
 )
 from .fault_tolerance import (
-    CRASH_KINDS,
     FailureEvent,
     FailureInjector,
     FailureKind,
     RecoveryModel,
     RecoveryRecord,
-    failure_kind_description,
     known_failure_kinds,
     register_failure_kind,
 )
@@ -93,7 +86,6 @@ __all__ = [
     "placement_system",
     "register",
     "register_system",
-    "system_capabilities",
     "unregister_system",
     # orchestrations
     "VerlSynchronous",
@@ -108,20 +100,14 @@ __all__ = [
     "BroadcastBreakdown",
     "broadcast_breakdown",
     "broadcast_latency",
-    "broadcast_with_flap",
-    "degraded_broadcast_series",
     "figure18_series",
-    "optimal_broadcast_latency",
     "optimal_chunks",
     "rollout_wait_comparison",
-    "storage_vs_relay",
-    "CRASH_KINDS",
     "FailureEvent",
     "FailureInjector",
     "FailureKind",
     "RecoveryModel",
     "RecoveryRecord",
-    "failure_kind_description",
     "known_failure_kinds",
     "register_failure_kind",
     "PullRecord",

@@ -79,24 +79,6 @@ class SystemCapabilities:
     #: (capped exponential backoff, counted in the run's extras).
     sync_retry: str = "none"
 
-    def summary(self) -> str:
-        """Compact capability string for tables."""
-        parts = [
-            "continuous" if self.continuous else "batch-barrier",
-            "colocated" if self.colocated else "disaggregated",
-            f"sync={self.weight_sync}",
-            f"staleness={self.staleness}",
-        ]
-        if self.repack:
-            parts.append("repack")
-        if self.fault_tolerant:
-            parts.append("fault-tolerant")
-        if self.straggler_policy != "wait":
-            parts.append(f"stragglers={self.straggler_policy}")
-        if self.sync_retry != "none":
-            parts.append(f"sync-retry={self.sync_retry}")
-        return ", ".join(parts)
-
 
 class System(ABC):
     """Base class every registered orchestration implements.
@@ -233,9 +215,6 @@ class System(ABC):
                            args={"mean": sum(values) / len(values),
                                  "max": max(values), "batch": len(values)})
 
-    def batch_tokens(self, trajectories: Sequence[Trajectory]) -> int:
-        return sum(t.total_tokens for t in trajectories)
-
     def new_result(self) -> SystemRunResult:
         return SystemRunResult(
             system=self.name,
@@ -321,10 +300,6 @@ def get_system_class(name: str) -> Type[System]:
 def make_system(config: SystemConfig, **kwargs) -> System:
     """Instantiate the registered system matching ``config.system``."""
     return get_system_class(config.system)(config, **kwargs)
-
-
-def system_capabilities(name: str) -> SystemCapabilities:
-    return get_system_class(name).capabilities
 
 
 def placement_system(name: str) -> str:

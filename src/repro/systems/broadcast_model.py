@@ -14,14 +14,10 @@ from ..llm.model_spec import ModelSpec
 from ..sim.network import (
     LinkSpec,
     PCIE_LINK,
-    RDMA_LINK,
     RDMA_SINGLE_NIC_LINK,
-    RetryPolicy,
     chain_pipelined_broadcast_time,
     gpu_direct_global_sync_time,
-    optimal_chain_broadcast_time,
     optimal_chunk_count,
-    storage_system_sync_time,
 )
 
 
@@ -32,10 +28,6 @@ class BroadcastBreakdown:
     bandwidth_term: float
     latency_term: float
     pipeline_term: float
-
-    @property
-    def total(self) -> float:
-        return self.bandwidth_term + self.latency_term + self.pipeline_term
 
 
 def broadcast_latency(model: ModelSpec, num_machines: int,
@@ -100,61 +92,5 @@ def rollout_wait_comparison(
     }
 
 
-def storage_vs_relay(model: ModelSpec, num_readers: int) -> Dict[str, float]:
-    """§4.1 motivation: NFS/Redis-style weight sync vs the relay design."""
-    return {
-        "storage_system": storage_system_sync_time(model.weight_bytes, num_readers),
-        "relay_chain": broadcast_latency(model, max(2, num_readers)),
-    }
-
-
-def degraded_broadcast_series(
-    model: ModelSpec,
-    num_machines: int,
-    bandwidth_factors: List[float],
-    link: LinkSpec = RDMA_SINGLE_NIC_LINK,
-) -> Dict[float, float]:
-    """Broadcast latency under each bandwidth-dip factor (repro.faults).
-
-    Each factor scales the inter-machine link's bandwidth; the chunked-chain
-    expression re-optimises its chunk count for the degraded link, so the
-    series shows how gracefully the pipeline absorbs a dip (the latency term
-    is unchanged — only the bandwidth and pipeline terms grow).
-    """
-    series: Dict[float, float] = {}
-    for factor in bandwidth_factors:
-        series[factor] = broadcast_latency(model, num_machines, link.scaled(factor))
-    return series
-
-
-def broadcast_with_flap(
-    model: ModelSpec,
-    num_machines: int,
-    flap_seconds: float,
-    policy: RetryPolicy | None = None,
-    link: LinkSpec = RDMA_SINGLE_NIC_LINK,
-) -> Dict[str, float]:
-    """Chain broadcast latency when one chain link flaps for ``flap_seconds``.
-
-    The broadcast pays the nominal chain time plus the bounded-backoff wait
-    needed to get the flapped segment through (the relay's §4.3 rebuild is
-    the crash path; a flap is ridden out with retries instead).
-    """
-    policy = policy or RetryPolicy()
-    nominal = broadcast_latency(model, num_machines, link)
-    backoff, retries = policy.wait_through(flap_seconds)
-    return {
-        "nominal": nominal,
-        "retry_backoff": backoff,
-        "retries": float(retries),
-        "total": nominal + backoff,
-    }
-
-
 def optimal_chunks(model: ModelSpec, num_machines: int, link: LinkSpec = RDMA_SINGLE_NIC_LINK) -> int:
     return optimal_chunk_count(model.weight_bytes, num_machines, link)
-
-
-def optimal_broadcast_latency(model: ModelSpec, num_machines: int,
-                              link: LinkSpec = RDMA_SINGLE_NIC_LINK) -> float:
-    return optimal_chain_broadcast_time(model.weight_bytes, num_machines, link)

@@ -9,9 +9,8 @@ applies.
 
 Failure kinds are registered in a module-level registry
 (:func:`register_failure_kind`), mirroring the systems registry: constructing
-a :class:`FailureEvent` with an unknown kind raises with the registered list,
-and :meth:`RecoveryModel.recovery_time` dispatches over the same names.  The
-adversarial schedules in :mod:`repro.faults` extend the original crash kinds
+a :class:`FailureEvent` with an unknown kind raises with the registered list.
+The adversarial schedules in :mod:`repro.faults` extend the original crash kinds
 with degradation kinds — spot preemption (with a warning lead), stragglers
 and network degradation — that the Laminar runtime handles without treating
 them as machine losses.
@@ -45,16 +44,6 @@ def known_failure_kinds() -> List[str]:
     return list(_KINDS)
 
 
-def failure_kind_description(name: str) -> str:
-    try:
-        return _KINDS[name]
-    except KeyError:
-        known = ", ".join(known_failure_kinds()) or "(none)"
-        raise ValueError(
-            f"unknown failure kind {name!r}; registered kinds: {known}"
-        ) from None
-
-
 class FailureKind:
     """Registered failure kinds.
 
@@ -84,20 +73,14 @@ class FailureKind:
         "link_flap", "machine link flaps for `duration`; syncs retry with backoff")
 
 
-#: Kinds that remove a machine from service (crash-class, not degradation).
-CRASH_KINDS = frozenset(
-    {FailureKind.ROLLOUT_MACHINE, FailureKind.RELAY, FailureKind.TRAINER,
-     FailureKind.SPOT_PREEMPTION}
-)
-
-
 @dataclass(frozen=True)
 class FailureEvent:
     """One injected failure or degradation event."""
 
     time: float
     kind: str
-    #: Machine (rollout/relay failures) or trainer-worker index; -1 = global.
+    #: Target machine id (rollout/relay failures) or trainer-worker index;
+    #: -1 = global.
     target: int
     #: Whether a same-GPU re-initialisation succeeds (§3.3 first attempt).
     reinit_succeeds: bool = False
@@ -155,28 +138,6 @@ class RecoveryModel:
 
     def spot_recovery_time(self) -> float:
         return self.spot_replacement_time
-
-    def recovery_time(self, event: FailureEvent) -> float:
-        """Recovery latency for any registered kind.
-
-        Degradation kinds recover instantly once their window ends (the
-        schedule carries the clearing event), so they cost zero here; unknown
-        kinds raise with the registered list, matching the registry idiom.
-        """
-        if event.kind not in _KINDS:
-            known = ", ".join(known_failure_kinds()) or "(none)"
-            raise ValueError(
-                f"unknown failure kind {event.kind!r}; registered kinds: {known}"
-            )
-        if event.kind == FailureKind.ROLLOUT_MACHINE:
-            return self.rollout_recovery_time(event)
-        if event.kind == FailureKind.RELAY:
-            return self.relay_recovery_time()
-        if event.kind == FailureKind.TRAINER:
-            return self.trainer_recovery_time()
-        if event.kind == FailureKind.SPOT_PREEMPTION:
-            return self.spot_recovery_time()
-        return 0.0
 
 
 @dataclass

@@ -427,10 +427,6 @@ class LaminarSystem(System):
             )
 
     # -- convenience accessors ---------------------------------------------------
-    @property
-    def result(self) -> SystemRunResult:
-        return self._result
-
     def generation_rate_series(self, bucket: float = 60.0) -> TimeSeries:
         return self.generation_tokens.rate_series(bucket)
 

@@ -22,7 +22,6 @@ from ..llm.model_spec import ModelSpec
 from ..sim.network import (
     LinkSpec,
     PCIE_LINK,
-    RDMA_LINK,
     RDMA_SINGLE_NIC_LINK,
     RetryPolicy,
     chain_pipelined_broadcast_time,
@@ -261,38 +260,6 @@ class RelayService:
             request_time=time,
             wait_time=load,
             local_hit=True,
-        )
-        self.pulls.append(record)
-        return record
-
-    def pull_specific_version(
-        self, machine_id: int, version: int, time: float, replica_id: int = -1
-    ) -> PullRecord:
-        """Pull a specific version, waiting for its broadcast if necessary.
-
-        Used during failover when a replacement replica must join an existing
-        weight-version group (§3.3).
-        """
-        publication = self.publications.get(version)
-        if publication is None:
-            raise KeyError(f"version {version} was never published")
-        available = publication.available_at.get(machine_id)
-        if available is None:
-            available = publication.broadcast_complete_at
-        wait_for_broadcast = max(0.0, available - time)
-        if wait_for_broadcast > 0:
-            # The joining replica must fetch through the inter-machine link;
-            # if its link is flapping, bounded-backoff retries ride it out.
-            wait_for_broadcast += self._ride_out_flap(machine_id, time)
-        shard_bytes = self.model.weight_bytes / self.rollout_tensor_parallel
-        load = self.pcie_link.transfer_time(shard_bytes)
-        record = PullRecord(
-            replica_id=replica_id,
-            machine_id=machine_id,
-            version=version,
-            request_time=time,
-            wait_time=wait_for_broadcast + load,
-            local_hit=wait_for_broadcast <= 0.0,
         )
         self.pulls.append(record)
         return record

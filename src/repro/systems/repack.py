@@ -20,7 +20,7 @@ This module implements:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..rollout.generation import ReplicaGenerationState
 
@@ -70,9 +70,6 @@ class RepackPlan:
 
     def __bool__(self) -> bool:
         return bool(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def best_fit_consolidation(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..types import Trajectory
 
@@ -43,9 +43,6 @@ class StalenessTracker:
         )
         self.samples.append(sample)
         return sample
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
     # -- aggregation -----------------------------------------------------------
     def distribution(self) -> Dict[int, float]:

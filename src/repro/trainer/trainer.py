@@ -10,7 +10,7 @@ training costs are identical across systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..data.experience_buffer import ExperienceBuffer
@@ -94,10 +94,6 @@ class Trainer:
             total_tokens, self.config.num_minibatches
         )
 
-    @property
-    def minibatch_size(self) -> int:
-        return self.config.global_batch_size // self.config.num_minibatches
-
     # -- state transitions -----------------------------------------------------------
     def record_iteration(
         self,
@@ -135,13 +131,3 @@ class Trainer:
         tokens = sum(exp.tokens for exp in batch)
         end_time = start_time + self.iteration_compute_time(tokens)
         return self.record_iteration(batch, start_time, end_time)
-
-    # -- summaries ---------------------------------------------------------------------
-    def mean_iteration_duration(self, warmup: int = 0) -> float:
-        records = self.iterations[warmup:]
-        if not records:
-            return 0.0
-        return sum(r.duration for r in records) / len(records)
-
-    def total_tokens_trained(self) -> int:
-        return sum(r.tokens_trained for r in self.iterations)

@@ -68,17 +68,8 @@ class Trajectory:
         return self.generated_tokens >= self.target_tokens
 
     @property
-    def remaining_tokens(self) -> int:
-        return max(0, self.target_tokens - self.generated_tokens)
-
-    @property
     def total_tokens(self) -> int:
         """Prompt + response tokens (the throughput metric counts both)."""
-        return self.prompt.prompt_tokens + self.generated_tokens
-
-    @property
-    def context_tokens(self) -> int:
-        """Tokens currently resident in the KVCache for this trajectory."""
         return self.prompt.prompt_tokens + self.generated_tokens
 
     def advance(self, tokens: int, weight_version: int) -> None:
@@ -108,8 +99,6 @@ class Experience:
     reward: float = 0.0
     #: Actor version when the experience entered the buffer.
     actor_version_at_completion: int = 0
-    #: Optional priority for priority-based sampling strategies.
-    priority: float = 0.0
 
     @property
     def staleness(self) -> int:
@@ -118,12 +107,3 @@ class Experience:
     @property
     def tokens(self) -> int:
         return self.trajectory.total_tokens
-
-
-@dataclass
-class WeightVersion:
-    """A published set of actor weights."""
-
-    version: int
-    published_at: float
-    size_bytes: float

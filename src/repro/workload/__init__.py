@@ -5,7 +5,6 @@ from .length_dist import (
     AIME_MATH_32B,
     AIME_MATH_72B,
     TOOL_7B,
-    EvolvingLengthDistribution,
     LENGTH_PRESETS,
     LengthDistribution,
     get_length_distribution,
@@ -24,7 +23,6 @@ __all__ = [
     "AIME_MATH_32B",
     "AIME_MATH_72B",
     "TOOL_7B",
-    "EvolvingLengthDistribution",
     "LENGTH_PRESETS",
     "LengthDistribution",
     "get_length_distribution",

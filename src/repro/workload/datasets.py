@@ -11,7 +11,7 @@ and a multi-turn flag with a turn budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -93,12 +93,6 @@ class PromptDataset:
         lengths = rng.lognormal(np.log(450.0), 0.6, self.num_questions)
         self._prompt_lengths = np.clip(lengths, 64, self.task.max_prompt_tokens).astype(np.int64)
 
-    def __len__(self) -> int:
-        return self.num_questions
-
-    def difficulty(self, question_index: int) -> float:
-        return float(self._difficulties[question_index % self.num_questions])
-
     def sample_batch(self, num_prompts: int, rng: np.random.Generator) -> List[Prompt]:
         """Sample ``num_prompts`` questions, each replicated ``group_size`` times."""
         if num_prompts <= 0:
@@ -121,13 +115,3 @@ class PromptDataset:
                 )
                 self._next_prompt_id += 1
         return prompts
-
-    def iter_batches(self, num_prompts: int, rng: np.random.Generator) -> Iterator[List[Prompt]]:
-        """Endless stream of prompt batches (the prompt pool never runs dry)."""
-        while True:
-            yield self.sample_batch(num_prompts, rng)
-
-    def sample_response_lengths(self, prompts: List[Prompt], rng: np.random.Generator) -> np.ndarray:
-        """Draw the eventual response length for each prompt in ``prompts``."""
-        difficulties = [p.difficulty for p in prompts]
-        return self.task.length_dist.sample(rng, len(prompts), difficulty=difficulties)

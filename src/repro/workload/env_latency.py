@@ -9,7 +9,6 @@ lognormal body with a Pareto tail (queuing spikes), matching that shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,15 +46,6 @@ class EnvLatencyDistribution:
         is_spike = rng.random(size) < self.spike_prob
         latency = np.where(is_spike, body + spikes, body)
         return np.clip(latency, self.min_latency, self.max_latency)
-
-    def percentile(self, q: float, rng: Optional[np.random.Generator] = None,
-                   num_samples: int = 100_000) -> float:
-        rng = rng or np.random.default_rng(0)
-        return float(np.percentile(self.sample(rng, num_samples), q))
-
-    def mean(self, rng: Optional[np.random.Generator] = None) -> float:
-        rng = rng or np.random.default_rng(0)
-        return float(self.sample(rng, 100_000).mean())
 
 
 #: Shared code-sandbox service (Fig 2 right): median ~10 s, tail to hundreds.

@@ -71,18 +71,6 @@ class LengthDistribution:
         lengths = np.clip(lengths, self.min_tokens, self.max_tokens)
         return lengths.astype(np.int64)
 
-    def percentile(self, q: float, rng: Optional[np.random.Generator] = None,
-                   num_samples: int = 200_000) -> float:
-        """Monte-Carlo estimate of the ``q``-th percentile of the distribution."""
-        rng = rng or np.random.default_rng(0)
-        return float(np.percentile(self.sample(rng, num_samples), q))
-
-    def skew_ratio(self, rng: Optional[np.random.Generator] = None) -> float:
-        """p99 / p50 ratio — the long-tail skew the paper highlights."""
-        rng = rng or np.random.default_rng(0)
-        samples = self.sample(rng, 200_000)
-        return float(np.percentile(samples, 99) / np.percentile(samples, 50))
-
     def mean(self, rng: Optional[np.random.Generator] = None) -> float:
         rng = rng or np.random.default_rng(0)
         return float(self.sample(rng, 200_000).mean())
@@ -150,36 +138,3 @@ def get_length_distribution(task: str, model_size: str) -> LengthDistribution:
         raise KeyError(
             f"no length distribution preset for {key!r}; known: {sorted(LENGTH_PRESETS)}"
         ) from None
-
-
-@dataclass(frozen=True)
-class EvolvingLengthDistribution:
-    """Length distribution whose scale drifts over RL training iterations.
-
-    §2.3 argues that trajectory lengths change as the model learns (growing
-    for reasoning models, shrinking once the policy becomes concise), which is
-    why a static staleness bound cannot stay optimal.  This wrapper scales a
-    base distribution's medians by a per-iteration growth factor so the drift
-    can be injected into long-horizon simulations and ablations.
-    """
-
-    base: LengthDistribution
-    #: Multiplicative median growth per iteration (e.g. 1.01 = +1% / iter).
-    growth_per_iteration: float = 1.0
-    #: Cap on the cumulative growth factor.
-    max_growth: float = 4.0
-
-    def at_iteration(self, iteration: int) -> LengthDistribution:
-        if iteration < 0:
-            raise ValueError("iteration must be non-negative")
-        factor = min(self.max_growth, self.growth_per_iteration ** iteration)
-        return LengthDistribution(
-            name=f"{self.base.name}@{iteration}",
-            tail_weight=self.base.tail_weight,
-            body_median=self.base.body_median * factor,
-            body_sigma=self.base.body_sigma,
-            tail_median=min(self.base.tail_median * factor, self.base.max_tokens * 0.9),
-            tail_sigma=self.base.tail_sigma,
-            max_tokens=self.base.max_tokens,
-            min_tokens=self.base.min_tokens,
-        )

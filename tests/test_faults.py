@@ -2,36 +2,24 @@
 
 Covers the seeded plan builders (determinism, validation, composition), the
 failure-kind registry (unknown kinds raise with the registered list), the
-recovery-model dispatch, the network-degradation primitives (RetryPolicy,
-LinkSpec.scaled, DegradationWindow) and the engines' straggler slowdown
-(vector vs scalar must agree exactly — the bit-identity contract extends to
-adversarial runs).
+network-degradation primitives (RetryPolicy, LinkSpec.scaled) and the
+engines' straggler slowdown (vector vs scalar must agree exactly — the
+bit-identity contract extends to adversarial runs).
 """
-
-from types import SimpleNamespace
 
 import pytest
 
 from repro.faults import (
-    CRASH_KINDS,
     DEFAULT_RACK_SIZE,
     FailureEvent,
     FailureInjector,
     FailureKind,
     FailurePlan,
-    RecoveryModel,
-    failure_kind_description,
     known_failure_kinds,
     rack_machines,
     register_failure_kind,
 )
-from repro.sim.network import (
-    DegradationWindow,
-    LinkSpec,
-    RDMA_LINK,
-    RetryPolicy,
-    bandwidth_factor_at,
-)
+from repro.sim.network import LinkSpec, RDMA_LINK, RetryPolicy
 
 from test_engine_equivalence import (
     assert_completions_identical,
@@ -45,8 +33,6 @@ from test_engine_equivalence import (
 def test_unknown_failure_kind_lists_registered():
     with pytest.raises(ValueError, match="rollout_machine"):
         FailureEvent(time=1.0, kind="cosmic_ray", target=0)
-    with pytest.raises(ValueError, match="unknown failure kind"):
-        failure_kind_description("cosmic_ray")
 
 
 def test_reregistering_kind_raises():
@@ -61,9 +47,6 @@ def test_registry_contains_adversarial_kinds():
                  FailureKind.NETWORK_DEGRADED, FailureKind.NETWORK_RESTORED,
                  FailureKind.LINK_FLAP):
         assert kind in kinds
-        assert failure_kind_description(kind)
-    assert FailureKind.SPOT_PREEMPTION in CRASH_KINDS
-    assert FailureKind.STRAGGLER not in CRASH_KINDS
 
 
 def test_event_validation():
@@ -73,29 +56,6 @@ def test_event_validation():
         FailureEvent(time=0.0, kind=FailureKind.STRAGGLER, target=0, factor=0.0)
     with pytest.raises(ValueError, match="duration"):
         FailureEvent(time=0.0, kind=FailureKind.STRAGGLER, target=0, duration=-1.0)
-
-
-# --------------------------------------------------------------------------- recovery model
-def test_recovery_time_dispatch():
-    model = RecoveryModel()
-    ok = FailureEvent(time=0.0, kind=FailureKind.ROLLOUT_MACHINE, target=0,
-                      reinit_succeeds=True)
-    bad = FailureEvent(time=0.0, kind=FailureKind.ROLLOUT_MACHINE, target=0)
-    assert model.recovery_time(ok) == model.heartbeat_interval + model.reinit_time
-    assert model.recovery_time(bad) == (model.heartbeat_interval + model.reinit_time
-                                        + model.machine_replacement_time)
-    relay = FailureEvent(time=0.0, kind=FailureKind.RELAY, target=0)
-    assert model.recovery_time(relay) == model.chain_rebuild_time
-    trainer = FailureEvent(time=0.0, kind=FailureKind.TRAINER, target=0)
-    assert model.recovery_time(trainer) == model.trainer_restore_time
-    spot = FailureEvent(time=0.0, kind=FailureKind.SPOT_PREEMPTION, target=0)
-    assert model.recovery_time(spot) == model.spot_replacement_time
-    # Degradation kinds clear via their paired event; zero recovery latency.
-    straggler = FailureEvent(time=0.0, kind=FailureKind.STRAGGLER, target=0,
-                             factor=2.0)
-    assert model.recovery_time(straggler) == 0.0
-    with pytest.raises(ValueError, match="registered kinds"):
-        model.recovery_time(SimpleNamespace(kind="cosmic_ray"))
 
 
 # --------------------------------------------------------------------------- plan builders
@@ -109,7 +69,6 @@ def test_rack_machines_layout():
 
 
 @pytest.mark.parametrize("build", [
-    lambda seed: FailurePlan.independent(seed, 8, 3600.0, rate_per_machine_hour=2.0),
     lambda seed: FailurePlan.stragglers(seed, 8, (10.0, 50.0), count=3),
     lambda seed: FailurePlan.stragglers(seed, 8, (10.0, 50.0), count=2,
                                         persistent=True),
@@ -192,10 +151,6 @@ def test_chaos_includes_every_adversity():
 
 def test_builder_validation():
     with pytest.raises(ValueError):
-        FailurePlan.independent(0, 0, 100.0)
-    with pytest.raises(ValueError):
-        FailurePlan.independent(0, 4, -1.0)
-    with pytest.raises(ValueError):
         FailurePlan.stragglers(0, 4, (50.0, 10.0))
     with pytest.raises(ValueError):
         FailurePlan.stragglers(0, 4, (10.0, 50.0), count=5)
@@ -250,19 +205,6 @@ def test_link_spec_scaled():
     assert RDMA_LINK.scaled(1.0) is RDMA_LINK
     with pytest.raises(ValueError):
         RDMA_LINK.scaled(0.0)
-
-
-def test_degradation_windows_compound():
-    windows = [DegradationWindow(10.0, 20.0, 0.5),
-               DegradationWindow(15.0, 30.0, 0.4)]
-    assert bandwidth_factor_at(windows, 5.0) == 1.0
-    assert bandwidth_factor_at(windows, 12.0) == 0.5
-    assert bandwidth_factor_at(windows, 17.0) == 0.5 * 0.4
-    assert bandwidth_factor_at(windows, 20.0) == 0.4  # half-open: end excluded
-    with pytest.raises(ValueError):
-        DegradationWindow(20.0, 10.0, 0.5)
-    with pytest.raises(ValueError):
-        DegradationWindow(0.0, 10.0, 0.0)
 
 
 # --------------------------------------------------------------------------- engine slowdown

@@ -43,7 +43,7 @@ def test_trajectory_progress_and_staleness():
     prompt = Prompt(prompt_id=0, group_id=0, prompt_tokens=100)
     trajectory = Trajectory(traj_id=0, prompt=prompt, target_tokens=50, weight_version=2)
     trajectory.advance(30, weight_version=2)
-    assert not trajectory.done and trajectory.remaining_tokens == 20
+    assert not trajectory.done and trajectory.generated_tokens == 30
     trajectory.advance(40, weight_version=3)
     assert trajectory.done and trajectory.generated_tokens == 50
     assert trajectory.mixed_versions

@@ -23,7 +23,6 @@ from repro.systems import (
     figure18_series,
     plan_repack,
     rollout_wait_comparison,
-    storage_vs_relay,
 )
 from repro.experiments import make_system_config
 from repro.llm import QWEN_7B, QWEN_32B, QWEN_72B
@@ -135,13 +134,24 @@ def test_relay_failover_and_master_reelection():
     assert relay.available_version(0, catch_up + 1e-6) == 1
 
 
-def test_relay_pull_specific_version_waits_for_broadcast():
-    relay = RelayService(QWEN_72B, [0, 1, 2, 3, 4, 5, 6, 7], 8)
-    publication = relay.publish(1, time=0.0)
-    record = relay.pull_specific_version(7, 1, time=publication.master_available_at)
-    assert record.wait_time > 0.0
-    with pytest.raises(KeyError):
-        relay.pull_specific_version(0, 9, time=0.0)
+def test_relay_publish_rides_out_a_link_flap_with_bounded_backoff():
+    """A flapping non-master link delays only that machine's arrival, by
+    exactly the retry policy's backoff through the remaining outage."""
+    machines, flapping = [0, 1, 2, 3], 2
+    nominal = RelayService(QWEN_32B, machines, 4).publish(1, time=100.0).available_at
+    relay = RelayService(QWEN_32B, machines, 4)
+    relay.start_flap(flapping, until=nominal[flapping] + 3.0)
+    outage = relay.flap_remaining(flapping, nominal[flapping])
+    wait, retries = relay.retry_policy.wait_through(outage)
+    assert outage > 0.0 and retries > 0
+    before_retries, before_wait = relay.sync_retries, relay.retry_backoff_total
+    arrival = relay.publish(1, time=100.0).available_at
+    assert arrival[flapping] == nominal[flapping] + wait
+    assert relay.sync_retries == before_retries + retries
+    assert relay.retry_backoff_total == before_wait + wait
+    for machine in machines:
+        if machine != flapping:
+            assert arrival[machine] == nominal[machine]
 
 
 # --------------------------------------------------------------------------- broadcast model
@@ -162,11 +172,6 @@ def test_broadcast_breakdown_dominated_by_bandwidth_term():
 def test_rollout_wait_comparison_laminar_beats_gpu_direct():
     comparison = rollout_wait_comparison(QWEN_32B, rollout_gpus=256, rollout_tensor_parallel=4)
     assert comparison["laminar_best"] < comparison["laminar_mean"] < comparison["gpu_direct"]
-
-
-def test_storage_system_is_much_slower_than_relay():
-    numbers = storage_vs_relay(QWEN_32B, num_readers=16)
-    assert numbers["storage_system"] > 20 * numbers["relay_chain"]
 
 
 # --------------------------------------------------------------------------- staleness tracker

@@ -1,23 +1,25 @@
 """Tests for metrics time series, run configuration and ablation-style sweeps."""
 
+import math
+
 import pytest
 
 from repro.config import SystemConfig, default_trainer_parallel
 from repro.systems import optimal_chunks, broadcast_latency
 from repro.llm import QWEN_32B
-from repro.metrics import EventCounterSeries, TimeSeries, moving_average
+from repro.metrics import EventCounterSeries, TimeSeries
 from repro.sim.network import RDMA_SINGLE_NIC_LINK, chain_pipelined_broadcast_time
 
 
 # --------------------------------------------------------------------------- time series
-def test_timeseries_value_at_and_window_mean():
+def test_timeseries_window_mean():
     series = TimeSeries(name="util")
     for t, v in [(0.0, 0.1), (10.0, 0.5), (20.0, 0.9)]:
         series.record(t, v)
-    assert series.value_at(-1.0) == 0.0
-    assert series.value_at(5.0) == 0.1
-    assert series.value_at(25.0) == 0.9
     assert series.window_mean(0.0, 30.0) == pytest.approx(0.5)
+    assert series.window_mean(10.0, 20.0) == 0.5  # half-open: 20.0 excluded
+    # An empty window has no rate: NaN, never a neighbouring window's value.
+    assert math.isnan(series.window_mean(21.0, 40.0))
     with pytest.raises(ValueError):
         series.window_mean(5.0, 5.0)
     with pytest.raises(ValueError):
@@ -32,14 +34,6 @@ def test_event_counter_rate_series():
     assert counter.total() == 1000.0
     assert len(rate) >= 2
     assert rate.values[0] == pytest.approx(100.0)  # 500 tokens / 5 s
-
-
-def test_moving_average_window():
-    values = [0.0, 10.0, 20.0, 30.0]
-    smoothed = moving_average(values, window=2)
-    assert smoothed == [0.0, 5.0, 15.0, 25.0]
-    with pytest.raises(ValueError):
-        moving_average(values, window=0)
 
 
 # --------------------------------------------------------------------------- config validation

@@ -1,15 +1,8 @@
-"""Tests for the discrete-event simulation engine and resources."""
+"""Tests for the discrete-event simulation engine."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    Environment,
-    Interrupt,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.sim import Environment, Interrupt, SimulationError
 
 
 def test_timeout_ordering_and_clock():
@@ -307,84 +300,3 @@ def test_event_and_or_composition():
     assert results["any_values"] == ["fast"]
     assert results["all_time"] == 5.0
     assert results["n_done"] == 2
-
-
-def test_store_put_get_and_filter():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer():
-        for item in ("x", "y", "z"):
-            yield store.put(item)
-            yield env.timeout(1.0)
-
-    def consumer():
-        item = yield store.get(lambda v: v == "y")
-        got.append((item, env.now))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == [("y", 1.0)]
-    assert store.items == ["x", "z"]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put(1)
-        start = env.now
-        yield store.put(2)  # blocks until the consumer removes item 1
-        times.append((start, env.now))
-
-    def consumer():
-        yield env.timeout(4.0)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert times == [(0.0, 4.0)]
-
-
-def test_resource_serializes_holders():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    spans = []
-
-    def worker(tag):
-        request = resource.request()
-        yield request
-        start = env.now
-        yield env.timeout(2.0)
-        resource.release(request)
-        spans.append((tag, start, env.now))
-
-    env.process(worker("a"))
-    env.process(worker("b"))
-    env.run()
-    assert spans == [("a", 0.0, 2.0), ("b", 2.0, 4.0)]
-
-
-def test_container_get_blocks_until_level():
-    env = Environment()
-    container = Container(env, capacity=10, init=0)
-    events = []
-
-    def filler():
-        yield env.timeout(3.0)
-        yield container.put(5)
-
-    def drainer():
-        yield container.get(4)
-        events.append(env.now)
-
-    env.process(filler())
-    env.process(drainer())
-    env.run()
-    assert events == [3.0]
-    assert container.level == 1

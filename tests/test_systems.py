@@ -23,7 +23,6 @@ from repro.systems import (
     get_system_class,
     make_system,
     register_system,
-    system_capabilities,
     unregister_system,
 )
 
@@ -87,7 +86,7 @@ def test_register_and_unregister_round_trip():
     try:
         register_system(Scratch)
         assert get_system_class("scratch_test_system") is Scratch
-        assert system_capabilities("scratch_test_system").placement_like == "verl"
+        assert get_system_class("scratch_test_system").capabilities.placement_like == "verl"
         # Variants inherit their base system's Table 2 placements.
         assert placement_for("scratch_test_system", "7B", 64) == \
             placement_for("verl", "7B", 64)

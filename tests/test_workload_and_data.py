@@ -3,21 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    EvictOldest,
-    EvictStalest,
-    ExperienceBuffer,
-    FIFOSampling,
-    FreshnessSampling,
-    PartialResponsePool,
-    PrioritySampling,
-    PromptPool,
-    UniformSampling,
-    make_sampler,
-)
+from repro.data import ExperienceBuffer, PartialResponsePool
 from repro.types import Prompt, Trajectory
 from repro.workload import (
-    EvolvingLengthDistribution,
     PromptDataset,
     get_env_latency,
     get_length_distribution,
@@ -36,9 +24,9 @@ def _make_trajectory(traj_id=0, tokens=100, version=0, prompt_tokens=32):
 def test_length_distribution_long_tail_skew():
     """Fig 2: the p99/p50 ratio is close to an order of magnitude."""
     dist = get_length_distribution("math", "7B")
-    assert 5.0 <= dist.skew_ratio() <= 25.0
     rng = np.random.default_rng(0)
-    samples = dist.sample(rng, 10_000)
+    samples = dist.sample(rng, 200_000)
+    assert 5.0 <= np.percentile(samples, 99) / np.percentile(samples, 50) <= 25.0
     assert samples.min() >= dist.min_tokens
     assert samples.max() <= dist.max_tokens
 
@@ -49,15 +37,6 @@ def test_length_distribution_difficulty_shifts_tail():
     easy = dist.sample(rng, 20_000, difficulty=[0.05] * 20_000).mean()
     hard = dist.sample(rng, 20_000, difficulty=[0.95] * 20_000).mean()
     assert hard > easy
-
-
-def test_evolving_length_distribution_grows_and_caps():
-    base = get_length_distribution("math", "7B")
-    evolving = EvolvingLengthDistribution(base=base, growth_per_iteration=1.05, max_growth=2.0)
-    later = evolving.at_iteration(50)
-    assert later.body_median == pytest.approx(base.body_median * 2.0)
-    with pytest.raises(ValueError):
-        evolving.at_iteration(-1)
 
 
 def test_env_latency_distribution_shape():
@@ -91,29 +70,12 @@ def test_tool_task_is_multi_turn():
     assert all(p.multi_turn and p.max_turns == 8 for p in prompts)
 
 
-# --------------------------------------------------------------------------- prompt pool
-def test_prompt_pool_take_and_refill():
-    dataset = PromptDataset(math_task("7B"), num_questions=50, seed=0)
-    pool = PromptPool(dataset, refill_prompts=8, low_watermark=32)
-    taken = pool.take(200)
-    assert len(taken) == 200
-    assert pool.total_supplied == 200
-    pool.put_back(taken[:10])
-    assert pool.total_supplied == 190
-    again = pool.take(10)
-    assert [p.prompt_id for p in again] == [p.prompt_id for p in taken[:10]]
-
-
 # --------------------------------------------------------------------------- partial response pool
 def test_partial_response_pool_lifecycle():
     pool = PartialResponsePool()
     trajectory = _make_trajectory(1, tokens=500)
     pool.register(trajectory, replica_id=3)
     assert 1 in pool and pool.owner(1) == 3
-    pool.stream_progress(1, 120)
-    assert trajectory.generated_tokens == 120
-    with pytest.raises(ValueError):
-        pool.stream_progress(1, 50)  # progress cannot go backwards
     pool.migrate(1, new_replica_id=7)
     assert pool.owner(1) == 7
     assert trajectory.repack_count == 1
@@ -122,14 +84,6 @@ def test_partial_response_pool_lifecycle():
     assert len(pool) == 0
     with pytest.raises(KeyError):
         pool.complete(1)
-
-
-def test_partial_response_pool_orphans_of_failed_replicas():
-    pool = PartialResponsePool()
-    for i in range(6):
-        pool.register(_make_trajectory(i), replica_id=i % 2)
-    orphans = pool.orphans_of([0])
-    assert {t.traj_id for t in orphans} == {0, 2, 4}
 
 
 # --------------------------------------------------------------------------- experience buffer
@@ -146,44 +100,9 @@ def test_experience_buffer_fifo_sampling_removes_items():
 
 
 def test_experience_buffer_eviction_policies():
-    buffer = ExperienceBuffer(capacity=5, evictor=EvictOldest())
+    buffer = ExperienceBuffer(capacity=5)
     for i in range(8):
         buffer.write(_make_trajectory(i), reward=0.0, actor_version=0)
     assert len(buffer) == 5
     assert buffer.total_evicted == 3
     assert [e.trajectory.traj_id for e in buffer.peek_all()] == [3, 4, 5, 6, 7]
-
-    stale_buffer = ExperienceBuffer(capacity=2, evictor=EvictStalest())
-    stale_buffer.write(_make_trajectory(1, version=0), 0.0, actor_version=5)
-    stale_buffer.write(_make_trajectory(2, version=5), 0.0, actor_version=5)
-    stale_buffer.write(_make_trajectory(3, version=4), 0.0, actor_version=5)
-    ids = [e.trajectory.traj_id for e in stale_buffer.peek_all()]
-    assert 1 not in ids  # the stalest experience was evicted
-
-
-def test_sampling_strategies_return_distinct_indices():
-    experiences = []
-    buffer = ExperienceBuffer()
-    for i in range(20):
-        buffer.write(_make_trajectory(i, version=i % 3), reward=float(i), actor_version=3,
-                     priority=float(i))
-    rng = np.random.default_rng(0)
-    for strategy in (FIFOSampling(), UniformSampling(), PrioritySampling(), FreshnessSampling()):
-        indices = strategy.select(buffer.peek_all(), 8, rng)
-        assert len(indices) == 8
-        assert len(set(indices)) == 8
-
-
-def test_freshness_sampling_prefers_low_staleness():
-    buffer = ExperienceBuffer(sampler=FreshnessSampling())
-    buffer.write(_make_trajectory(1, version=0), 0.0, actor_version=4)  # staleness 4
-    buffer.write(_make_trajectory(2, version=4), 0.0, actor_version=4)  # staleness 0
-    batch = buffer.sample(1)
-    assert batch[0].trajectory.traj_id == 2
-
-
-def test_make_sampler_registry():
-    assert make_sampler("fifo").name == "fifo"
-    assert make_sampler("priority", alpha=0.5).alpha == 0.5
-    with pytest.raises(KeyError):
-        make_sampler("nope")
