@@ -17,6 +17,7 @@ Prefill is compute-bound and costed from FLOPs directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,25 @@ class DecodeModel:
         return self.gpu.peak_flops_bf16 * self.gpu.mfu * self.tensor_parallel
 
     # -- decode -------------------------------------------------------------------
+    @cached_property
+    def roofline(self) -> tuple:
+        """The decode roofline's operands, derived once (the dataclass is frozen).
+
+        ``(weight bytes, KV bytes per token, bandwidth, FLOP/s, dense FLOPs
+        per token, attention FLOPs per token per context token)``, each
+        associated as :meth:`ModelSpec.flops_per_token` associates it, so
+        every pricing of a step built from them is bit-identical.
+        """
+        model = self.model
+        return (
+            model.weight_bytes,
+            model.kv_bytes_per_token,
+            self.effective_bandwidth,
+            self.effective_flops,
+            2.0 * model.num_parameters,
+            4.0 * model.num_layers * model.hidden_size,
+        )
+
     def decode_step_time(self, batch_size: int, context_length: int) -> float:
         """Latency of generating ONE token for each of ``batch_size`` sequences.
 
@@ -66,13 +86,13 @@ class DecodeModel:
         if batch_size == 0:
             return 0.0
         context_length = max(1, int(context_length))
+        weight_bytes, kv_bytes, bandwidth, flops_rate, dense, attention = self.roofline
 
-        weight_bytes = self.model.weight_bytes
-        kv_read = batch_size * context_length * self.model.kv_bytes_per_token
-        memory_time = (weight_bytes + kv_read) / self.effective_bandwidth
+        kv_read = batch_size * context_length * kv_bytes
+        memory_time = (weight_bytes + kv_read) / bandwidth
 
-        flops = batch_size * self.model.flops_per_token(context_length)
-        compute_time = flops / self.effective_flops
+        flops = batch_size * (dense + attention * context_length)
+        compute_time = flops / flops_rate
 
         return max(memory_time, compute_time) + self.step_overhead
 
@@ -91,15 +111,16 @@ class DecodeModel:
         """
         batch = np.asarray(batch_sizes, dtype=np.int64)
         context = np.maximum(1, np.asarray(context_lengths, dtype=np.int64))
+        weight_bytes, kv_bytes, bandwidth, flops_rate, dense, attention = self.roofline
         return decode_step_time_arrays(
             batch,
             context,
-            weight_bytes=self.model.weight_bytes,
-            kv_bytes_per_token=self.model.kv_bytes_per_token,
-            effective_bandwidth=self.effective_bandwidth,
-            effective_flops=self.effective_flops,
-            dense_flops=2.0 * self.model.num_parameters,
-            attn_coef=4.0 * self.model.num_layers * self.model.hidden_size,
+            weight_bytes=weight_bytes,
+            kv_bytes_per_token=kv_bytes,
+            effective_bandwidth=bandwidth,
+            effective_flops=flops_rate,
+            dense_flops=dense,
+            attn_coef=attention,
             step_overhead=self.step_overhead,
         )
 

@@ -45,7 +45,9 @@ class SimulatedEnvironment:
         """
         difficulty = trajectory.prompt.difficulty
         length_bonus = 0.1 * min(1.0, trajectory.generated_tokens / 8192.0)
-        solve_prob = float(np.clip(0.85 - 0.7 * difficulty + length_bonus, 0.02, 0.98))
+        # A Python-float clamp: the same double as ``np.clip`` for every
+        # non-NaN input, at a tenth of its cost on the scoring hot path.
+        solve_prob = min(max(0.85 - 0.7 * difficulty + length_bonus, 0.02), 0.98)
         solved = self._rng.random() < solve_prob
         return 1.0 if solved else -1.0
 

@@ -22,21 +22,25 @@ matching the paper's "alleviating implementation bias" methodology (§8).
 
 Structure-of-arrays core
 ------------------------
-The inner engine is vectorized: per-sequence decode state (segment remaining,
-generated tokens, context length, environment return time) lives in numpy
-arrays indexed by a dense *slot* id, and the decode / env-wait sets are
-order-preserving parallel vectors of (seq id, slot, KVCache row)
-(:class:`_SeqVector`) maintained incrementally — so the per-event hot path is
-a handful of masked reductions and one clipped vector subtract, with no
-Python loop over the batch and no per-event cache rebuilds.  Per-sequence
-Python runs only on the rare control tail — admission, preemption, segment
-finishes, environment transitions — and the :class:`SequenceState` objects
-that external callers hold (repack, failover, the partial response pool) are
-re-synchronised from the arrays at every boundary where they can be observed
-(``sequences()``, removal, completion).
-``tests/test_engine_equivalence.py`` drives this engine step-for-step against
-the scalar reference engine kept in ``tests/oracles.py`` and asserts
-bit-identical trajectories, stats and KVCache occupancy.
+Per-sequence state (segment remaining, generated tokens, context length,
+environment return time) lives in numpy arrays indexed by a dense *slot* id,
+and the decode / env-wait sets are order-preserving parallel vectors of
+(seq id, slot, KVCache row) (:class:`_SeqVector`).  The decode set is
+*offset-encoded*: ``advance`` clips every decode window to the smallest
+segment remainder, so all decoding sequences gain the same number of tokens,
+and the engine stores their counters relative to one per-replica count of
+tokens decoded.  A decode window is one integer add plus three aggregates
+kept up to date — a heap of segment ends, the context-token sum and a
+histogram of KV residues — so the per-event hot path does no pass over the
+batch (see :class:`ReplicaGenerationState`).  Per-sequence Python runs only
+on the control tail — admission, preemption, segment finishes, environment
+transitions — and the :class:`SequenceState` objects that external callers
+hold (repack, failover, the partial response pool) are re-synchronised from
+the arrays at every boundary where they can be observed (``sequences()``,
+removal, completion).  ``tests/test_engine_equivalence.py`` drives this
+engine step-for-step against the scalar reference engine kept in
+``tests/oracles.py`` and asserts bit-identical trajectories, stats and
+KVCache occupancy.
 
 Decode semantics
 ----------------
@@ -60,7 +64,10 @@ exists, and a ramp-down once it drains.
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,6 +82,18 @@ _EPS = 1e-9
 
 #: Initial slot / vector capacity of the SoA state (grown geometrically).
 _INITIAL_SLOTS = 64
+
+#: Bit layout of one decode-index heap entry, a single int ordered by
+#: (segment end, insertion stamp): ``seg_end << _KEY_SHIFT | stamp <<
+#: _SLOT_BITS | slot``.
+_SLOT_BITS = 24
+_STAMP_BITS = 32
+_KEY_SHIFT = _SLOT_BITS + _STAMP_BITS
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_STAMP_MASK = (1 << _STAMP_BITS) - 1
+
+#: First head window of the vectorized admission scan (widened 4x per pass).
+_ADMIT_WINDOW = 16
 
 
 @dataclass
@@ -240,12 +259,14 @@ class _SeqVector:
 
     def delete_positions(self, positions: Sequence[int]) -> None:
         """Delete the entries at ``positions``, preserving the order of the rest."""
+        if not len(positions):
+            return
         if len(positions) == 1:
             position = int(positions[0])
             stop = self.n
-            for name in ("ids", "slots", "rows"):
-                arr = getattr(self, name)
-                arr[position:stop - 1] = arr[position + 1:stop]
+            self.ids[position:stop - 1] = self.ids[position + 1:stop]
+            self.slots[position:stop - 1] = self.slots[position + 1:stop]
+            self.rows[position:stop - 1] = self.rows[position + 1:stop]
             self.n = stop - 1
             return
         keep = np.ones(self.n, dtype=bool)
@@ -256,13 +277,14 @@ class _SeqVector:
             arr[:kept] = arr[: self.n][keep]
         self.n = kept
 
-    def remove_id(self, seq_id: int) -> bool:
-        """Delete the (first) entry for ``seq_id``; True if it was present."""
-        hits = np.flatnonzero(self.ids[: self.n] == seq_id)
-        if not len(hits):
-            return False
-        self.delete_positions(hits[:1])
-        return True
+    def remove_ids(self, seq_ids: List[int]) -> None:
+        """Delete the entries for ``seq_ids``, preserving the order of the rest."""
+        if seq_ids:
+            gone = set(seq_ids)
+            self.delete_positions([
+                position for position, seq_id in enumerate(self.ids_list())
+                if seq_id in gone
+            ])
 
 
 class _IdQueue:
@@ -325,7 +347,48 @@ class _IdQueue:
 
 
 class ReplicaGenerationState:
-    """Simulated decode engine for one rollout replica (vectorized core)."""
+    """Simulated decode engine for one rollout replica.
+
+    Offset-encoded decode set
+    -------------------------
+    ``advance`` clips every decode window to the smallest segment remainder,
+    so every decoding sequence gains the same ``t`` tokens per window.  The
+    engine therefore keeps one per-replica count ``D`` of tokens decoded
+    (``_decoded``) and stores each decoding sequence's counters as they stood
+    at the ``D`` it entered the decode set (``_a_dent``): segment remainder,
+    tokens done in the turn, generated and context tokens, and KV tokens
+    (``_a_kv``).  Its live value is the stored one shifted by ``D - entry``,
+    so a decode window is ``D += t``.  The three quantities the event loop
+    needs are kept up to date instead of recomputed per window:
+
+    * ``_heap`` — a min-heap of packed ints ``(seg_end, stamp, slot)``, where
+      ``seg_end`` is the ``D`` at which the member's segment ends; its top is
+      the smallest segment remainder, and a window's finishers are the
+      entries whose ``seg_end`` equals the new ``D``;
+    * ``_ctx_base`` — Σ(context − entry ``D``), so the context-token sum is
+      ``_ctx_base + n·D``;
+    * ``_hist`` — members per class of ``(KV tokens − 1 − D) mod block_size``;
+      growing every member by ``t`` adds ``t // block_size`` blocks each plus
+      one for every member whose last block fill is in a range set by
+      ``t % block_size``, so :meth:`_block_growth` is a slice sum and the
+      ledger is charged by count (:meth:`KVCache.charge_blocks`).
+
+    Every float (step time, ``_time_carry``, window, clock) is computed from
+    the same integers as a per-sequence engine would, so the bits match
+    ``tests/oracles.py``.  Decode-set order is behaviour, and the encoding
+    keeps it: stamps increase along ``_dec``, so a window's finishers pop in
+    ``_dec`` order; preemption pops the newest member; env returns re-enter
+    at the tail in env-set order; a zero-latency turn advance keeps its
+    place and its stamp.
+
+    The format stays inside the engine.  :meth:`_write_back` turns every
+    counter and KV ledger row back into plain values before anything reads
+    them (``sequences()``, removal, a :class:`ReplicaBatchView` stacking the
+    replica); it is a no-op while no window has run since the last one.  The
+    index is built lazily on the first per-replica step — so barrier
+    admission does no extra work — and dropped by removal and by a view's
+    ``settle()``.
+    """
 
     def __init__(
         self,
@@ -358,9 +421,6 @@ class ReplicaGenerationState:
         #: multiply entirely, so healthy replicas stay bit-identical.
         self._decode_slowdown = 1.0
         self._env_slowdown = 1.0
-        #: Bumped on every mutation of the decode batch (admission, removal,
-        #: preemption, token growth); keys the incremental event caches below.
-        self._mutation = 0
         #: True while the waiting queue is known to be inadmissible (head does
         #: not fit, or no concurrency headroom).  Kept exact by clearing at
         #: every event that can unblock admission: KV rows freed or queue /
@@ -368,16 +428,43 @@ class ReplicaGenerationState:
         #: growth only shrinks headroom, so decode windows need not clear it
         #: — that is what keeps the steady-state admission check O(1).
         self._admit_blocked = False
-        self._step_cache: Tuple[int, float] = (-1, 0.0)
-        self._min_seg_cache: Tuple[int, int] = (-1, 0)
-        self._env_min_cache: Tuple[int, float] = (-1, math.inf)
+        #: Decode-step latency memo, keyed by (batch, mean context).
+        self._step_key: Optional[Tuple[int, int]] = None
+        self._step_value = 0.0
+        #: Earliest env return time, ``None`` when it must be recomputed.
+        self._env_min: Optional[float] = None
+        # Decode index (see the class docstring).  _build_index creates its
+        # containers on the first per-replica step, so barrier replicas,
+        # which never take one, carry none of them.
+        self._block = kvcache_config.block_size
+        self._indexed = False
+        self._decoded = 0
+        #: ``_decoded`` at the last write-back (nothing is stale while equal).
+        self._plain_at = 0
+        self._next_stamp = 0
+        self._ctx_base = 0
+        self._heap: Optional[List[int]] = None
+        #: Stamps of ``_dec``'s members in ``_dec`` order (ascending), so a
+        #: finisher's position is a bisection.
+        self._dec_stamps: Optional[array] = None
+        #: Heap entries left behind by preempted members (popped lazily).
+        self._stale: Optional[set] = None
+        self._hist: Optional[List[int]] = None
+        #: Slots whose generated-token cap can bind before their segment
+        #: ends (only fabricated states with generated + remaining > target).
+        self._watch: Optional[set] = None
+        #: Ids that entered the decode set since the last window and may need
+        #: the current weight version recorded; ``_retag`` asks for a scan of
+        #: the whole decode set instead (after a version bump or a rebuild).
+        self._untagged: Optional[List[int]] = None
+        self._retag = False
         #: Utilisation at the previous observation, for the ramp-down test
         #: (§5.2: a repack candidate has non-increasing KVCache utilisation).
         self.prev_utilization = 0.0
         #: Observability: when tracing is on, the decode loop appends
         #: ``(local clock, tokens)`` increments here (one list append per
-        #: vectorized decode window — the batched-flush contract keeping the
-        #: SoA hot path fast); the harness drains it at phase boundaries via
+        #: decode window — the batched-flush contract keeping the hot path
+        #: fast); the harness drains it at phase boundaries via
         #: :meth:`take_trace_samples`.  ``None`` (the default) disables the
         #: buffer entirely.
         self.trace_samples: Optional[List[Tuple[float, int]]] = None
@@ -393,6 +480,10 @@ class ReplicaGenerationState:
         self._a_done_turn = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
         self._a_env = np.full(_INITIAL_SLOTS, math.inf, dtype=np.float64)
         self._a_last_ver = np.full(_INITIAL_SLOTS, -1, dtype=np.int64)
+        # Decode-index SoA: entry ``D`` and KV tokens, allocated with the
+        # index and meaningful only while ``_indexed``.
+        self._a_dent: Optional[np.ndarray] = None
+        self._a_kv: Optional[np.ndarray] = None
         # Control-tail SoA: residency status, turn cursor, and per-slot views
         # into the flat turn-schedule pools, so segment finishes / env-wait
         # transitions / admission scans are batch gathers instead of
@@ -417,11 +508,16 @@ class ReplicaGenerationState:
         if not self._free_slots:
             old = len(self._a_seg_rem)
             new = 2 * old
+            if new > 1 << _SLOT_BITS:
+                raise ValueError(f"replica {self.replica_id}: too many sequences")
             for name in ("_a_seg_rem", "_a_gen", "_a_target", "_a_prompt",
                          "_a_ctx", "_a_done_turn", "_a_status", "_a_turn",
                          "_a_nturns", "_a_reprefill", "_a_sched_off",
                          "_a_sched_cap"):
                 setattr(self, name, grow_array(getattr(self, name), new))
+            if self._a_dent is not None:
+                self._a_dent = grow_array(self._a_dent, new)
+                self._a_kv = grow_array(self._a_kv, new)
             self._a_env = grow_array(self._a_env, new, fill=math.inf)
             self._a_last_ver = grow_array(self._a_last_ver, new, fill=-1)
             self._free_slots.extend(range(new - 1, old - 1, -1))
@@ -441,7 +537,7 @@ class ReplicaGenerationState:
         num_turns = schedule.num_turns
         self._a_nturns[slot] = num_turns
         self._a_reprefill[slot] = seq.needs_reprefill
-        if num_turns > self._a_sched_cap[slot]:
+        if num_turns > self._a_sched_cap.item(slot):
             offset = self._sched_len
             need = offset + num_turns
             if need > len(self._sched_seg):
@@ -453,9 +549,13 @@ class ReplicaGenerationState:
             self._a_sched_off[slot] = offset
             self._a_sched_cap[slot] = num_turns
             self._sched_len = need
-        offset = int(self._a_sched_off[slot])
-        self._sched_seg[offset:offset + num_turns] = schedule.segments
-        self._sched_env[offset:offset + num_turns] = schedule.env_latencies
+        offset = self._a_sched_off.item(slot)
+        if num_turns == 1:
+            self._sched_seg[offset] = schedule.segments[0]
+            self._sched_env[offset] = schedule.env_latencies[0]
+        else:
+            self._sched_seg[offset:offset + num_turns] = schedule.segments
+            self._sched_env[offset:offset + num_turns] = schedule.env_latencies
         self._slots[seq.seq_id] = slot
         return slot
 
@@ -463,25 +563,26 @@ class ReplicaGenerationState:
         self._free_slots.append(self._slots.pop(seq_id))
 
     def _sync_sequence(self, seq_id: int) -> None:
-        """Write array-held (lazy) fields back to the sequence/trajectory."""
+        """Write plain array fields back to the sequence/trajectory."""
         slot = self._slots[seq_id]
         seq = self._sequences[seq_id]
-        seq.tokens_done_in_turn = int(self._a_done_turn[slot])
-        turn = int(self._a_turn[slot])
+        seq.tokens_done_in_turn = self._a_done_turn.item(slot)
+        turn = self._a_turn.item(slot)
         seq.turn_index = turn
-        seq.status = _STATUS_NAMES[self._a_status[slot]]
-        seq.env_return_time = float(self._a_env[slot])
-        seq.needs_reprefill = bool(self._a_reprefill[slot])
+        seq.status = _STATUS_NAMES[self._a_status.item(slot)]
+        seq.env_return_time = self._a_env.item(slot)
+        seq.needs_reprefill = self._a_reprefill.item(slot)
         trajectory = seq.trajectory
         trajectory.turns_done = turn
         trajectory.generated_tokens = min(
-            trajectory.target_tokens, int(self._a_gen[slot])
+            trajectory.target_tokens, self._a_gen.item(slot)
         )
 
     def _sync_all(self) -> None:
         sequences = self._sequences
         if not sequences:
             return
+        self._write_back()
         # Batch the array→object write-back: one C-level ``tolist`` per field
         # instead of six numpy scalar extractions per sequence.
         slots = np.fromiter(
@@ -507,6 +608,199 @@ class ReplicaGenerationState:
                 trajectory.target_tokens, generated[index]
             )
 
+    # ------------------------------------------------------------------ decode index
+    def _build_index(self) -> None:
+        """Index the (plain) decode set at ``D = 0``; stamps follow ``_dec`` order."""
+        dec, env, kvcache = self._dec, self._env, self.kvcache
+        if self._a_dent is None:
+            # int32 halves the footprint; token counts and D stay far below 2**31.
+            self._a_dent = np.zeros(len(self._a_seg_rem), dtype=np.int32)
+            self._a_kv = np.zeros(len(self._a_seg_rem), dtype=np.int32)
+        self._indexed = True
+        self._decoded = self._plain_at = 0
+        self._stale = set()
+        self._untagged = []
+        self._retag = True
+        if env.n:
+            self._a_kv[env.slots_view()] = kvcache.tokens_at(env.rows_view())
+        n = dec.n
+        self._next_stamp = n
+        self._dec_stamps = array("q", range(n))
+        slots = dec.slots_view()
+        kv = kvcache.tokens_at(dec.rows_view())
+        self._a_kv[slots] = kv
+        self._a_dent[slots] = 0
+        seg = self._a_seg_rem[slots]
+        heap = [
+            (end << _KEY_SHIFT) | (stamp << _SLOT_BITS) | slot
+            for stamp, (end, slot) in enumerate(zip(seg.tolist(), slots.tolist()))
+        ]
+        heapq.heapify(heap)
+        self._heap = heap
+        self._ctx_base = int(self._a_ctx[slots].sum())
+        self._hist = np.bincount((kv - 1) % self._block, minlength=self._block).tolist()
+        capped = self._a_gen[slots] + seg > self._a_target[slots]
+        self._watch = set(slots[capped].tolist())
+
+    def _enter(self, seq_id: int, slot: int) -> None:
+        """Index a member just appended to the decode set (plain values)."""
+        decoded = self._decoded
+        stamp = self._next_stamp
+        self._next_stamp = stamp + 1
+        self._dec_stamps.append(stamp)
+        self._a_dent[slot] = decoded
+        seg = self._a_seg_rem.item(slot)
+        heapq.heappush(
+            self._heap, ((seg + decoded) << _KEY_SHIFT) | (stamp << _SLOT_BITS) | slot
+        )
+        self._ctx_base += self._a_ctx.item(slot) - decoded
+        self._hist[(self._a_kv.item(slot) - 1 - decoded) % self._block] += 1
+        if self._a_gen.item(slot) + seg > self._a_target.item(slot):
+            self._watch.add(slot)
+        self._untagged.append(seq_id)
+
+    def _materialize(self, slot: int) -> None:
+        """Rewrite a decoding member's counters as plain values at ``D``."""
+        delta = self._decoded - self._a_dent.item(slot)
+        if not delta:
+            return
+        self._a_dent[slot] = self._decoded
+        self._a_seg_rem[slot] -= delta
+        self._a_done_turn[slot] += delta
+        self._a_kv[slot] += delta
+        generated = self._a_gen.item(slot) + delta
+        capped = min(self._a_target.item(slot), generated)
+        self._a_gen[slot] = capped
+        self._a_ctx[slot] = self._a_prompt.item(slot) + capped
+        # Σ(context − entry D) is unchanged unless the target cap bound.
+        self._ctx_base -= generated - capped
+
+    def _leave(self, slot: int) -> None:
+        """Drop a member from the aggregates (its heap entry is popped or stale)."""
+        entry = self._a_dent.item(slot)
+        self._ctx_base -= self._a_ctx.item(slot) - entry
+        self._hist[(self._a_kv.item(slot) - 1 - entry) % self._block] -= 1
+        if self._watch:
+            self._watch.discard(slot)
+
+    def _free_kv(self, seq_id: int, slot: int) -> None:
+        """Free a decoding member's KV row; refund growth its row never saw."""
+        tokens = self._a_kv.item(slot) + self._decoded - self._a_dent.item(slot)
+        freed = self.kvcache.free(seq_id)
+        blocks = -(-tokens // self._block)
+        if freed != blocks:
+            self.kvcache.charge_blocks(freed - blocks)
+
+    def _write_back(self) -> None:
+        """Turn every counter and KV ledger row back into plain values.
+
+        The index stays valid: the heap's segment ends, Σ(context − entry D)
+        and the residue classes are invariant under materialization.
+        """
+        if not self._indexed or self._decoded == self._plain_at:
+            return
+        decoded = self._decoded
+        dec, env, kvcache = self._dec, self._env, self.kvcache
+        if dec.n:
+            slots = dec.slots_view()
+            delta = decoded - self._a_dent[slots]
+            moved = np.flatnonzero(delta)
+            if len(moved):
+                slots, delta = slots[moved], delta[moved]
+                self._a_dent[slots] = decoded
+                self._a_seg_rem[slots] -= delta
+                self._a_done_turn[slots] += delta
+                self._a_kv[slots] += delta
+                generated = self._a_gen[slots] + delta
+                capped = np.minimum(self._a_target[slots], generated)
+                self._a_gen[slots] = capped
+                self._a_ctx[slots] = self._a_prompt[slots] + capped
+                self._ctx_base -= int((generated - capped).sum())
+        rows = np.concatenate((dec.rows_view(), env.rows_view()))
+        tokens = self._a_kv[np.concatenate((dec.slots_view(), env.slots_view()))]
+        ledger = kvcache.tokens_at(rows)
+        stale = np.flatnonzero(tokens != ledger)
+        if len(stale):
+            rows, tokens, ledger = rows[stale], tokens[stale], ledger[stale]
+            ids = np.concatenate((dec.ids_view(), env.ids_view()))[stale]
+            # The growth was charged window by window; refund it so the
+            # row append charges it once.
+            kvcache.charge_blocks(-int(
+                (kvcache.blocks_for_many(tokens) - kvcache.blocks_for_many(ledger)).sum()
+            ))
+            kvcache.append_tokens_many(ids, tokens - ledger, rows=rows)
+        self._plain_at = decoded
+
+    def _drop_index(self) -> None:
+        """Forget the index; the next per-replica step rebuilds it."""
+        self._indexed = False
+        self._env_min = None
+
+    def _segment_end(self) -> int:
+        """``D`` at which the first decoding member ends its segment."""
+        heap = self._heap
+        stale = self._stale
+        while stale and heap[0] in stale:
+            stale.remove(heapq.heappop(heap))
+        return heap[0] >> _KEY_SHIFT
+
+    def _context_sum(self) -> int:
+        """Context tokens summed over the decode set."""
+        decoded = self._decoded
+        total = self._ctx_base + self._dec.n * decoded
+        if not self._watch:
+            return total
+        for slot in self._watch:
+            delta = decoded - self._a_dent.item(slot)
+            if delta:
+                total -= max(0, self._a_gen.item(slot) + delta - self._a_target.item(slot))
+        return total
+
+    def _block_growth(self, tokens: int) -> int:
+        """KV blocks needed to grow every decoding member by ``tokens``.
+
+        A sequence whose last block holds ``f + 1`` tokens (``f = (kv - 1)
+        mod block``) gains ``tokens // block`` blocks plus one when ``f +
+        tokens % block >= block``; members are counted per residue class.
+        """
+        block = self._block
+        whole, part = divmod(tokens, block)
+        growth = whole * self._dec.n
+        if part:
+            hist = self._hist
+            start = (-part - self._decoded) % block
+            end = start + part
+            if end <= block:
+                growth += sum(hist[start:end])
+            else:
+                growth += sum(hist[start:]) + sum(hist[:end - block])
+        return growth
+
+    def _tag_versions(self) -> None:
+        """Record the weight version on members decoding under it first time."""
+        version = self.weight_version
+        last = self._a_last_ver
+        if self._retag:
+            self._retag = False
+            slots = self._dec.slots_view()
+            stale = np.flatnonzero(last[slots] != version)
+            ids = self._dec.ids[stale].tolist()
+            last[slots[stale]] = version
+        else:
+            ids = []
+            slots_of, status = self._slots, self._a_status
+            for seq_id in self._untagged:
+                slot = slots_of.get(seq_id)
+                if (slot is not None and status.item(slot) == _ST_DECODING
+                        and last.item(slot) != version):
+                    last[slot] = version
+                    ids.append(seq_id)
+        self._untagged = []
+        for seq_id in ids:
+            versions = self._sequences[seq_id].trajectory.versions_used
+            if version not in versions:
+                versions.append(version)
+
     # ------------------------------------------------------------------ intake
     def add_sequences(self, sequences: Sequence[SequenceState]) -> None:
         """Add new or migrated sequences to this replica's queue."""
@@ -522,7 +816,11 @@ class ReplicaGenerationState:
 
     def remove_sequences(self, seq_ids: Sequence[int]) -> List[SequenceState]:
         """Detach (in-progress) sequences, e.g. when repacked to another replica."""
+        self._write_back()
+        self._drop_index()
         removed: List[SequenceState] = []
+        decoding: List[int] = []
+        waiting: List[int] = []
         for seq_id in seq_ids:
             seq = self._sequences.get(seq_id)
             if seq is None:
@@ -531,16 +829,14 @@ class ReplicaGenerationState:
             del self._sequences[seq_id]
             if seq.status == SequenceStatus.QUEUED:
                 self._queued.remove(seq_id)
-            elif seq.status == SequenceStatus.DECODING:
-                self._dec.remove_id(seq_id)
-                self.kvcache.free(seq_id)
-            elif seq.status == SequenceStatus.ENV_WAIT:
-                self._env.remove_id(seq_id)
+            else:
+                (decoding if seq.status == SequenceStatus.DECODING else waiting).append(seq_id)
                 self.kvcache.free(seq_id)
             self._release_slot(seq_id)
             removed.append(seq)
         if removed:
-            self._mutation += 1
+            self._dec.remove_ids(decoding)
+            self._env.remove_ids(waiting)
             self._admit_blocked = False
         self._try_admit()
         return removed
@@ -586,50 +882,33 @@ class ReplicaGenerationState:
     def mean_context_tokens(self) -> float:
         if not self._dec.n:
             return 0.0
-        total = int(self._a_ctx[self._dec.slots_view()].sum())
-        return total / self._dec.n
+        if not self._indexed:
+            self._build_index()
+        return self._context_sum() / self._dec.n
 
     def current_step_time(self) -> float:
         """Decode-step latency of the live batch.
 
-        Cached against the mutation counter: callers typically ask for the
-        step time twice per event (once to find the next event, once to apply
-        the elapsed window), and the O(batch) context reduction is the widest
-        scan on the event-driven hot path.
+        Memoised on (batch size, mean context): ``next_event_in`` and the
+        ``advance`` that follows price the same batch.
         """
-        if not self._dec.n:
+        batch = self._dec.n
+        if not batch:
             return 0.0
-        version, value = self._step_cache
-        if version == self._mutation:
-            return value
-        value = self.decode_model.decode_step_time(
-            self._dec.n, int(self.mean_context_tokens())
-        )
-        if self._decode_slowdown != 1.0:
-            value *= self._decode_slowdown
-        self._step_cache = (self._mutation, value)
-        return value
-
-    def _min_segment_remaining(self) -> int:
-        """Smallest segment remainder in the decode batch (incrementally cached).
-
-        Valid only while the decode set is non-empty.  ``next_event_in`` and
-        ``advance`` both need this reduction for the same event; caching it
-        against the mutation counter means the second caller (and every driver
-        re-entry without an intervening mutation) pays O(1).
-        """
-        version, value = self._min_seg_cache
-        if version != self._mutation:
-            value = int(self._a_seg_rem[self._dec.slots_view()].min())
-            self._min_seg_cache = (self._mutation, value)
-        return value
+        key = (batch, int(self.mean_context_tokens()))
+        if key != self._step_key:
+            value = self.decode_model.decode_step_time(*key)
+            if self._decode_slowdown != 1.0:
+                value *= self._decode_slowdown
+            self._step_key, self._step_value = key, value
+        return self._step_value
 
     def _earliest_env_return(self) -> float:
-        """Earliest environment return time (incrementally cached)."""
-        version, value = self._env_min_cache
-        if version != self._mutation:
-            value = float(self._a_env[self._env.slots_view()].min())
-            self._env_min_cache = (self._mutation, value)
+        """Earliest environment return time (recomputed only after a removal)."""
+        value = self._env_min
+        if value is None:
+            value = float(self._a_env[self._env.slots_view()].min()) if self._env.n else math.inf
+            self._env_min = value
         return value
 
     def observe_utilization(self) -> float:
@@ -647,11 +926,13 @@ class ReplicaGenerationState:
         """Admit waiting sequences head-first while cache and concurrency allow.
 
         A scalar head check keeps the steady state (cache full, nothing
-        admissible) O(1); when the head fits, one vectorized prefix scan over
-        the whole waiting queue decides every admission of this call at once
-        — bit-identical to the scalar admit-one-recheck loop because
-        admission is strictly FIFO and each admission consumes exactly the
-        blocks the prefix sum accounts for.
+        admissible) O(1); when the head fits, a vectorized prefix scan over
+        a head window decides every admission of this call at once —
+        bit-identical to the scalar admit-one-recheck loop because admission
+        is strictly FIFO and each admission consumes exactly the blocks the
+        prefix sum accounts for.  The window starts at ``_ADMIT_WINDOW`` ids
+        and widens only while every id in it fits, so a deep queue costs
+        O(admitted), not O(queue).
         """
         queued = self._queued
         if not queued or self._admit_blocked:
@@ -689,25 +970,31 @@ class ReplicaGenerationState:
                     self._a_reprefill[slot] = False
                 else:
                     self.stats.prompt_tokens_prefilled += int(self._a_prompt[slot])
+                if self._indexed:
+                    self._a_kv[slot] = context + 1
+                    self._enter(seq_id, slot)
                 admitted += 1
-            self._mutation += admitted
             # Either concurrency is exhausted or the next head does not fit;
             # a clearing event re-arms the scan.
             self._admit_blocked = True
             return
-        ids = queued.head_array(limit)
-        slots = np.fromiter(
-            (self._slots[int(i)] for i in ids), dtype=np.int64, count=len(ids)
-        )
-        contexts = self._a_ctx[slots]
-        alloc_blocks = kvcache.blocks_for_many(contexts + 1)
-        need_blocks = kvcache.blocks_for_many(contexts + lookahead)
-        used_before = kvcache.used_blocks + np.concatenate(
-            ([0], np.cumsum(alloc_blocks[:-1]))
-        )
-        fits = used_before + need_blocks <= kvcache.config.total_blocks
-        count = len(ids) if fits.all() else int(np.argmin(fits))
-        count = min(count, capacity)
+        width = min(limit, _ADMIT_WINDOW)
+        while True:
+            ids = queued.head_array(width)
+            slots = np.fromiter(
+                (self._slots[int(i)] for i in ids), dtype=np.int64, count=width
+            )
+            contexts = self._a_ctx[slots]
+            alloc_blocks = kvcache.blocks_for_many(contexts + 1)
+            need_blocks = kvcache.blocks_for_many(contexts + lookahead)
+            used_before = kvcache.used_blocks + np.concatenate(
+                ([0], np.cumsum(alloc_blocks[:-1]))
+            )
+            fits = used_before + need_blocks <= kvcache.config.total_blocks
+            count = width if fits.all() else int(np.argmin(fits))
+            if count < width or width == limit:
+                break
+            width = min(limit, 4 * width)
         if count <= 0:
             self._admit_blocked = True
             return
@@ -723,77 +1010,89 @@ class ReplicaGenerationState:
             self._a_prompt[admit_slots[~reprefill]].sum()
         )
         self._a_reprefill[admit_slots] = False
-        self._mutation += count
+        if self._indexed:
+            self._a_kv[admit_slots] = contexts[:count] + 1
+            for seq_id, slot in zip(admit_ids.tolist(), admit_slots.tolist()):
+                self._enter(seq_id, slot)
         self._admit_blocked = True
 
     def _preempt_one(self) -> bool:
         """Preempt the most recently admitted decoding sequence (vLLM recompute).
 
-        Returns True if a sequence was preempted.
+        Returns True if a sequence was preempted.  Runs only inside a decode
+        window, so the index is live; the member's heap entry goes stale.
         """
         if self._dec.n <= 1:
             return False
         seq_id, slot, _row = self._dec.pop()
-        self.kvcache.free(seq_id)
+        stamp = self._dec_stamps.pop()
+        self._materialize(slot)
+        self._leave(slot)
+        stale = self._stale
+        stale.add(
+            ((self._a_seg_rem.item(slot) + self._decoded) << _KEY_SHIFT)
+            | (stamp << _SLOT_BITS) | slot
+        )
+        if len(stale) > 64 and 2 * len(stale) > len(self._heap):
+            self._heap = [key for key in self._heap if key not in stale]
+            heapq.heapify(self._heap)
+            stale.clear()
+        self._free_kv(seq_id, slot)
         self._a_status[slot] = _ST_QUEUED
         self._a_reprefill[slot] = True
         self._queued.appendleft(seq_id)
         self.stats.preemptions += 1
-        self._mutation += 1
         self._admit_blocked = False
         return True
 
     def _ensure_growth_capacity(self, tokens: int) -> None:
         """Preempt sequences until every decoding sequence can grow by ``tokens``."""
         # Fast path: growing by ``tokens`` adds at most ceil(tokens/block) + 1
-        # blocks per sequence, so a roomy cache never needs the exact scan.
-        upper_bound = self._dec.n * (self.kvcache.blocks_for(tokens) + 1)
+        # blocks per sequence, so a roomy cache never needs the exact count.
+        upper_bound = self._dec.n * (-(-tokens // self._block) + 1)
         if upper_bound <= self.kvcache.free_blocks:
             return
-        while True:
-            current = self.kvcache.tokens_at(self._dec.rows_view())
-            needed_blocks = int(
-                (self.kvcache.blocks_for_many(current + tokens)
-                 - self.kvcache.blocks_for_many(current)).sum()
-            )
-            if needed_blocks <= self.kvcache.free_blocks:
-                return
+        while self._block_growth(tokens) > self.kvcache.free_blocks:
             if not self._preempt_one():
                 return
 
     def _release_env_returns(self) -> None:
         env = self._env
-        if not env.n:
+        horizon = self.clock + _EPS
+        if self._earliest_env_return() > horizon:
             return
-        ready = self._a_env[env.slots_view()] <= self.clock + _EPS
-        if not ready.any():
-            return
-        positions = np.flatnonzero(ready)
+        positions = np.flatnonzero(self._a_env[env.slots_view()] <= horizon)
         slots = env.slots[positions]
+        ids = env.ids[positions]
         self._a_env[slots] = math.inf
         self._a_status[slots] = _ST_DECODING
-        self._dec.extend(env.ids[positions], slots, env.rows[positions])
+        self._dec.extend(ids, slots, env.rows[positions])
         env.delete_positions(positions)
-        self._mutation += 1
+        self._env_min = None
+        for seq_id, slot in zip(ids.tolist(), slots.tolist()):
+            self._enter(seq_id, slot)
 
     def next_event_in(self) -> Optional[float]:
         """Time until the next internal event, or ``None`` if the replica is empty.
 
         Internal events are: a decoding sequence finishing its current segment,
         or an environment interaction returning.  Admission happens eagerly and
-        never needs a timer.  The underlying reductions are cached against the
-        mutation counter, so a driver that calls ``next_event_in`` and then
-        ``advance`` for the same event pays for the scan once.
+        never needs a timer.  The smallest segment remainder is the decode
+        heap's top and the step time is memoised, so calling
+        ``next_event_in`` and then ``advance`` for the same event costs O(1).
         """
         if not self._sequences:
             return None
-        self._release_env_returns()
-        if self._queued and not self._admit_blocked:
+        if not self._indexed:
+            self._build_index()
+        if self._env.n:
+            self._release_env_returns()
+        if not self._admit_blocked and self._queued:
             self._try_admit()
         candidates: List[float] = []
         if self._dec.n:
             step = self.current_step_time()
-            min_seg = self._min_segment_remaining()
+            min_seg = self._segment_end() - self._decoded
             candidates.append(max(_EPS, min_seg * step - self._time_carry))
         if self._env.n:
             earliest = self._earliest_env_return()
@@ -812,6 +1111,8 @@ class ReplicaGenerationState:
         """
         if dt < 0:
             raise ValueError("dt must be non-negative")
+        if not self._indexed:
+            self._build_index()
         target = self.clock + dt
         completed_now: List[Trajectory] = []
         # Enter the loop at least once for any positive window.  When the
@@ -823,8 +1124,9 @@ class ReplicaGenerationState:
         pending = dt > 0.0
         while pending or self.clock < target - _EPS:
             pending = False
-            self._release_env_returns()
-            if self._queued and not self._admit_blocked:
+            if self._env.n:
+                self._release_env_returns()
+            if not self._admit_blocked and self._queued:
                 self._try_admit()
             if not self._dec.n:
                 # Nothing to decode: jump to the next env return (or the target).
@@ -842,7 +1144,7 @@ class ReplicaGenerationState:
                 continue
 
             step = self.current_step_time()
-            min_seg = self._min_segment_remaining()
+            min_seg = self._segment_end() - self._decoded
             time_to_segment = min_seg * step - self._time_carry
             time_to_env = math.inf
             if self._env.n:
@@ -870,149 +1172,114 @@ class ReplicaGenerationState:
         return completed_now
 
     def _apply_decode(self, tokens: int, completed_now: List[Trajectory]) -> None:
-        """Advance every decoding sequence by up to ``tokens`` tokens (vectorized)."""
-        self._mutation += 1  # contexts grow even when the batch set is unchanged
+        """Advance every decoding sequence by ``tokens`` (``<=`` every remainder)."""
         self._ensure_growth_capacity(tokens)
-        dec = self._dec
-        slots = dec.slots_view()
-        seg = self._a_seg_rem[slots]
-        step_tokens = np.minimum(tokens, seg)
-        new_gen = np.minimum(self._a_target[slots], self._a_gen[slots] + step_tokens)
-        self._a_gen[slots] = new_gen
-        self._a_ctx[slots] = self._a_prompt[slots] + new_gen
-        self._a_done_turn[slots] += step_tokens
-        new_seg = seg - step_tokens
-        self._a_seg_rem[slots] = new_seg
-        # Tag trajectories decoding under this weight version for the first
-        # time (only right after add/version-bump: the vector fast path skips
-        # already-tagged slots).
-        stale = self._a_last_ver[slots] != self.weight_version
-        if stale.any():
-            version = self.weight_version
-            ids = dec.ids_view()
-            for position in np.flatnonzero(stale):
-                trajectory = self._sequences[int(ids[position])].trajectory
-                if version not in trajectory.versions_used:
-                    trajectory.versions_used.append(version)
-            self._a_last_ver[slots[stale]] = version
-        self.kvcache.append_tokens_many(dec.ids_view(), step_tokens, rows=dec.rows_view())
-        generated = int(step_tokens.sum())
+        growth = self._block_growth(tokens)
+        self._decoded += tokens
+        self.kvcache.charge_blocks(growth)
+        if self._retag or self._untagged:
+            self._tag_versions()
+        generated = self._dec.n * tokens
         self.stats.tokens_generated += generated
         if self.trace_samples is not None:
             self.trace_samples.append((self.clock, generated))
-        finished_positions = np.flatnonzero(new_seg == 0)
-        if len(finished_positions) == 1:
-            self._finish_one(finished_positions.item(0), completed_now)
-            self._mutation += 1
-        elif len(finished_positions):
-            self._finish_segments(finished_positions, completed_now)
-            self._mutation += 1
-        if self._queued and not self._admit_blocked:
+        # Finishers are the entries whose segment ends at the new D; popping
+        # them in (seg_end, stamp) order yields them in decode-set order.
+        decoded = self._decoded
+        heap = self._heap
+        stale = self._stale
+        slots: List[int] = []
+        stamps: List[int] = []
+        while heap and heap[0] >> _KEY_SHIFT <= decoded:
+            key = heapq.heappop(heap)
+            if stale and key in stale:
+                stale.remove(key)
+                continue
+            slots.append(key & _SLOT_MASK)
+            stamps.append((key >> _SLOT_BITS) & _STAMP_MASK)
+        if slots:
+            self._finish_segments(slots, stamps, completed_now)
+        if not self._admit_blocked and self._queued:
             self._try_admit()
 
-    def _finish_segments(
-        self, positions: np.ndarray, completed_now: List[Trajectory]
-    ) -> None:
-        """Batched control tail for two or more sequences whose segment just
-        ended (:meth:`_apply_decode` sends a lone finisher to
-        :meth:`_finish_one`).
+    def _finish_segments(self, slots: List[int], stamps: List[int],
+                         completed_now: List[Trajectory]) -> None:
+        """Control tail for the members whose segment just ended.
 
-        Splits the finished positions into the last-turn batch (KV rows are
-        recycled in one :meth:`KVCache.free_many` call, trajectories
-        finalised) and the turn-advance batch (segment counters reset and
-        env-wait transitions applied as vector gathers/scatters); per-object
-        Python survives only on completed trajectories, which each pass here
-        exactly once.
+        ``slots``/``stamps`` arrive in decode-set order.  Last-turn members
+        complete (KV rows freed, slots released and trajectories finalised in
+        that order); the rest advance their turn and either wait on the
+        environment (appended to the env set in the same order) or keep their
+        decode-set place with a fresh heap entry under the same stamp.  The
+        two groups touch disjoint state, so one pass in decode-set order
+        matches finishing every completion first.
         """
         dec = self._dec
-        positions = np.asarray(positions)
-        slots = dec.slots[positions]
-        turns = self._a_turn[slots]
-        offsets = self._a_sched_off[slots]
-        last = turns + 1 == self._a_nturns[slots]
-        env_latencies = self._sched_env[offsets + turns]
-        if self._env_slowdown != 1.0:
-            env_latencies = env_latencies * self._env_slowdown
-
-        done_positions = positions[last]
-        if len(done_positions):
-            done_ids = dec.ids[done_positions]
-            self.kvcache.free_many(done_ids.tolist())
-            self._admit_blocked = False
-            clock = self.clock
-            for seq_id in done_ids.tolist():
-                seq = self._sequences[seq_id]
-                self._sync_sequence(seq_id)
-                del self._sequences[seq_id]
+        dec_stamps = self._dec_stamps
+        decoded = self._decoded
+        sequences = self._sequences
+        leaving: List[int] = []
+        for slot, stamp in zip(slots, stamps):
+            position = bisect_left(dec_stamps, stamp)
+            seq_id = dec.ids.item(position)
+            turn = self._a_turn.item(slot)
+            if turn + 1 == self._a_nturns.item(slot):
+                # Completion: the slot is released, so its live values are
+                # read off the encoding instead of being written back.
+                self._leave(slot)
+                self._free_kv(seq_id, slot)
+                delta = decoded - self._a_dent.item(slot)
+                seq = sequences.pop(seq_id)
                 self._release_slot(seq_id)
+                seq.tokens_done_in_turn = self._a_done_turn.item(slot) + delta
+                seq.turn_index = turn
                 seq.status = SequenceStatus.DONE
+                seq.env_return_time = self._a_env.item(slot)
+                seq.needs_reprefill = self._a_reprefill.item(slot)
                 trajectory = seq.trajectory
-                trajectory.finish_time = clock
-                trajectory.replica_id = self.replica_id
-                trajectory.turns_done = seq.schedule.num_turns
-                completed_now.append(trajectory)
-            self.stats.trajectories_completed += len(done_positions)
-
-        advancing = ~last
-        if advancing.any():
-            adv_slots = slots[advancing]
-            next_turns = turns[advancing] + 1
-            self._a_turn[adv_slots] = next_turns
-            self._a_done_turn[adv_slots] = 0
-            self._a_seg_rem[adv_slots] = self._sched_seg[offsets[advancing] + next_turns]
-            waiting = env_latencies[advancing] > 0
-            if waiting.any():
-                wait_positions = positions[advancing][waiting]
-                wait_slots = dec.slots[wait_positions]
-                self._a_env[wait_slots] = self.clock + env_latencies[advancing][waiting]
-                self._a_status[wait_slots] = _ST_ENV_WAIT
-                self._env.extend(
-                    dec.ids[wait_positions], wait_slots, dec.rows[wait_positions]
+                trajectory.generated_tokens = min(
+                    trajectory.target_tokens, self._a_gen.item(slot) + delta
                 )
-                done_positions = np.concatenate((done_positions, wait_positions))
-
-        if len(done_positions):
-            dec.delete_positions(done_positions)
-
-    def _finish_one(self, position: int, completed_now: List[Trajectory]) -> None:
-        """Scalar fast path of :meth:`_finish_segments` for a lone finisher.
-
-        A decode window usually ends exactly one segment; the batched
-        gather/scatter machinery costs more than it saves there.  Decision
-        logic and side-effect order mirror the batched path one-to-one.
-        """
-        dec = self._dec
-        slot = dec.slots.item(position)
-        turn = self._a_turn.item(slot)
-        offset = self._a_sched_off.item(slot)
-        seq_id = dec.ids.item(position)
-        if turn + 1 == self._a_nturns.item(slot):
-            self.kvcache.free(seq_id)
-            self._admit_blocked = False
-            seq = self._sequences[seq_id]
-            self._sync_sequence(seq_id)
-            del self._sequences[seq_id]
-            self._release_slot(seq_id)
-            seq.status = SequenceStatus.DONE
-            trajectory = seq.trajectory
-            trajectory.finish_time = self.clock
-            trajectory.replica_id = self.replica_id
-            trajectory.turns_done = turn + 1
-            completed_now.append(trajectory)
-            self.stats.trajectories_completed += 1
-            dec.delete_positions((position,))
-            return
-        self._a_turn[slot] = turn + 1
-        self._a_done_turn[slot] = 0
-        self._a_seg_rem[slot] = self._sched_seg.item(offset + turn + 1)
-        env_latency = self._sched_env.item(offset + turn)
-        if self._env_slowdown != 1.0:
-            env_latency *= self._env_slowdown
-        if env_latency > 0:
-            self._a_env[slot] = self.clock + env_latency
-            self._a_status[slot] = _ST_ENV_WAIT
-            self._env.append(seq_id, slot, dec.rows.item(position))
-            dec.delete_positions((position,))
+                trajectory.turns_done = turn + 1
+                trajectory.finish_time = self.clock
+                trajectory.replica_id = self.replica_id
+                completed_now.append(trajectory)
+                self.stats.trajectories_completed += 1
+                self._admit_blocked = False
+                leaving.append(position)
+                continue
+            self._materialize(slot)
+            offset = self._a_sched_off.item(slot)
+            self._a_turn[slot] = turn + 1
+            self._a_done_turn[slot] = 0
+            seg = self._sched_seg.item(offset + turn + 1)
+            self._a_seg_rem[slot] = seg
+            env_latency = self._sched_env.item(offset + turn)
+            if self._env_slowdown != 1.0:
+                env_latency *= self._env_slowdown
+            if env_latency > 0:
+                self._leave(slot)
+                returns_at = self.clock + env_latency
+                self._a_env[slot] = returns_at
+                self._a_status[slot] = _ST_ENV_WAIT
+                self._env.append(seq_id, slot, dec.rows.item(position))
+                if self._env_min is not None and returns_at < self._env_min:
+                    self._env_min = returns_at
+                leaving.append(position)
+            else:
+                # Zero-latency turn advance: same place, same stamp.
+                heapq.heappush(
+                    self._heap,
+                    ((seg + decoded) << _KEY_SHIFT) | (stamp << _SLOT_BITS) | slot,
+                )
+                if self._a_gen.item(slot) + seg > self._a_target.item(slot):
+                    self._watch.add(slot)
+                elif self._watch:
+                    self._watch.discard(slot)
+        if leaving:
+            dec.delete_positions(leaving)
+            for position in reversed(leaving):
+                del dec_stamps[position]
 
     def enable_trace_sampling(self) -> None:
         """Arm the decode loop's trace-sample buffer (idempotent)."""
@@ -1090,19 +1357,19 @@ class ReplicaGenerationState:
         """Switch the replica to a new weight version (subsequent tokens use it)."""
         if version < self.weight_version:
             raise ValueError("weight version cannot go backwards")
-        self.weight_version = version
+        if version != self.weight_version:
+            self.weight_version = version
+            self._retag = True
 
     def set_slowdown(self, decode: Optional[float] = None,
                      env: Optional[float] = None) -> None:
         """Apply straggler multipliers to decode step time / env latency.
 
-        A factor of 1.0 restores the nominal path.  The mutation bump
-        invalidates the step cache so the new factor takes effect at the
-        caller's next event; callers mutate only at the replica's current
-        clock (``catch_up`` first), which keeps fleet stepping bit-identical
-        to one process per replica.
+        A factor of 1.0 restores the nominal path.  The new factor takes
+        effect at the caller's next event; callers mutate only at the
+        replica's current clock (``catch_up`` first), which keeps fleet
+        stepping bit-identical to one process per replica.
         """
-        changed = False
         if decode is not None and decode != self._decode_slowdown:
             if decode <= 0:
                 raise ValueError("decode slowdown must be positive")
@@ -1112,14 +1379,11 @@ class ReplicaGenerationState:
             # collapses into a zero-width livelock.
             self._time_carry *= decode / self._decode_slowdown
             self._decode_slowdown = decode
-            changed = True
+            self._step_key = None
         if env is not None and env != self._env_slowdown:
             if env <= 0:
                 raise ValueError("env slowdown must be positive")
             self._env_slowdown = env
-            changed = True
-        if changed:
-            self._mutation += 1
 
 
 class ReplicaBatchView:
@@ -1175,6 +1439,7 @@ class ReplicaBatchView:
                 and replica._env_slowdown == 1.0
                 and replica.trace_samples is None
             ):
+                replica._write_back()
                 candidates.append(pos)
         self._stack(candidates)
 
@@ -1260,24 +1525,7 @@ class ReplicaBatchView:
             [r.kvcache.config.total_blocks for r in reps], dtype=np.int64
         )
         # Roofline constants per lane (lanes may mix models / TP degrees).
-        consts: Dict[int, Tuple[float, ...]] = {}
-        rows = []
-        for r in reps:
-            dm = r.decode_model
-            tup = consts.get(id(dm))
-            if tup is None:
-                m = dm.model
-                tup = (
-                    m.weight_bytes,
-                    m.kv_bytes_per_token,
-                    dm.effective_bandwidth,
-                    dm.effective_flops,
-                    2.0 * m.num_parameters,
-                    4.0 * m.num_layers * m.hidden_size,
-                    dm.step_overhead,
-                )
-                consts[id(dm)] = tup
-            rows.append(tup)
+        rows = [r.decode_model.roofline + (r.decode_model.step_overhead,) for r in reps]
         (self._c_wb, self._c_kvb, self._c_bw, self._c_fl,
          self._c_dense, self._c_attn, self._c_ovh) = (
             np.array(col, dtype=np.float64) for col in zip(*rows)
@@ -1684,7 +1932,7 @@ class ReplicaBatchView:
                 replica._env.n = 0
             replica.kvcache.note_peak(int(self._kv_peak[k]))
             replica._completed.extend(self._done_traj[k])
-            replica._mutation += 1
+            replica._drop_index()
 
 
 def build_sequence_states(

@@ -8,14 +8,15 @@ freed space, a steady plateau near ``C_max``, and a ramp-down once no waiting
 trajectories remain.
 
 The per-sequence ledger is stored structure-of-arrays (parallel numpy arrays
-of sequence ids / tokens / blocks plus an id→row index), so the vectorized
-replica engine can grow every decoding sequence in one call
-(:meth:`KVCache.append_tokens_many`) instead of one dict update per sequence
-per decode event.  Freed rows go on a free list rather than being compacted,
-so a sequence's row handle (:meth:`KVCache.row_of`, returned by
-:meth:`KVCache.allocate`) stays valid for its whole residency — the engine
-keeps per-sequence row arrays alive across arbitrary interleavings of frees
-and allocations without re-resolving ids.
+of sequence ids / tokens / blocks plus an id→row index), so a batch
+settlement — a fused barrier drain, the replica engine writing its
+offset-encoded decode set back — grows many rows in one call
+(:meth:`KVCache.append_tokens_many`), and a decode window's growth is
+charged by count (:meth:`KVCache.charge_blocks`).  Freed rows go on a free
+list rather than being compacted, so a sequence's row handle
+(:meth:`KVCache.row_of`, returned by :meth:`KVCache.allocate`) stays valid for
+its whole residency — the engine keeps per-sequence row arrays alive across
+arbitrary interleavings of frees and allocations without re-resolving ids.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class KVCache:
         tokens: np.ndarray,
         rows: Optional[np.ndarray] = None,
     ) -> None:
-        """Grow many sequences at once (the vectorized decode hot path).
+        """Grow many sequences at once (batch settlement of decoded tokens).
 
         ``tokens[i]`` decoded tokens are appended to ``seq_ids[i]``.  Callers
         that hold the stable row handles (from :meth:`allocate` or
@@ -252,6 +253,26 @@ class KVCache:
         self._free_rows.extend(rows.tolist())
         self._used_blocks -= freed
         return freed
+
+    def charge_blocks(self, blocks: int) -> None:
+        """Charge (or, negative, refund) growth the ledger rows do not show.
+
+        The replica engine grows its decode set by a count: one decode window
+        adds the same tokens to every decoding sequence, so it derives the
+        block growth from a residue histogram and charges it here instead of
+        rewriting every row.  The rows catch up when the engine writes plain
+        values back (a refund, then :meth:`append_tokens_many`) or frees a
+        sequence (a refund of what the row never saw).  ``used_blocks`` and
+        ``peak_blocks`` stay exact throughout.
+        """
+        used = self._used_blocks + blocks
+        if used > self.config.total_blocks:
+            raise KVCacheError(
+                f"KVCache overflow: {blocks} blocks of growth, {self.free_blocks} free"
+            )
+        self._used_blocks = used
+        if used > self.peak_blocks:
+            self.peak_blocks = used
 
     def note_peak(self, peak_blocks: int) -> None:
         """Raise the high-water mark to ``peak_blocks`` if it exceeds it.

@@ -627,7 +627,10 @@ class LaminarRuntime(ReplicaFleet):
     def _manager(self):
         env, system = self.env, self.system
         while True:
-            yield env.timeout(system.manager.repack_interval)
+            # The configured interval, not the manager's: the repack ablation
+            # sets the latter to inf, and its KV observations must go on.
+            # ``_repack(force=False)`` stays gated by ``due_for_check``.
+            yield env.timeout(system.config.repack_interval)
             self._repack(force=False)
             self._observe_kvcache()
 

@@ -10,6 +10,7 @@ committed ``BENCH_*.json`` baseline rests on this equivalence: the vector
 engine must be *bit-identical*, not approximately equal.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from oracles import ScalarReplicaBatchView, ScalarReplicaGenerationState, run_to_completion
 from repro.llm import QWEN_7B
+from repro.rollout.generation import _EPS
 from repro.rollout import (
     ReplicaBatchView,
     ReplicaGenerationState,
@@ -265,6 +267,39 @@ def test_degenerate_window_engines_agree():
     assert_engines_identical(scalar, vector)
 
 
+def capped_states(seed: int):
+    """States whose generated count reaches the target before the segment ends
+    (a migrated trajectory whose counters disagree with its schedule): the
+    context stops growing mid-segment while the KV cache does not, and one
+    state starts above its target."""
+    states = make_states(seed, 12, 0)
+    for i, state in enumerate(states):
+        trajectory = state.trajectory
+        trajectory.generated_tokens = 7 * i if i % 3 else trajectory.target_tokens + 5
+    return states
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_generation_cap_mid_segment_is_bit_identical(seed):
+    scalar, vector = make_engines(blocks=512, max_concurrency=16)
+    scalar.add_sequences(capped_states(seed))
+    vector.add_sequences(capped_states(seed))
+    version = 0
+    while scalar.num_sequences:
+        delta_s, delta_v = scalar.next_event_in(), vector.next_event_in()
+        assert delta_s == delta_v
+        if delta_s is None:
+            break
+        assert_completions_identical(
+            scalar.advance(delta_s * 0.7), vector.advance(delta_v * 0.7)
+        )
+        assert_engines_identical(scalar, vector)
+        version += 1
+        scalar.set_weight_version(version // 4)
+        vector.set_weight_version(version // 4)
+    assert not vector.num_sequences
+
+
 # --------------------------------------------------------------------------- KVCache batch API
 def test_kvcache_batch_ops_match_scalar_loop():
     from repro.sim import KVCache
@@ -440,3 +475,145 @@ def test_kvcache_rows_stay_valid_across_frees():
     for seq_id in (0, 1, 3, 4, 5):
         assert cache.row_of(seq_id) == rows[seq_id]
         assert int(cache.tokens_at(np.array([rows[seq_id]]))[0]) == 20
+
+
+# --------------------------------------------------------------------------- admission scan
+@pytest.mark.parametrize("blocks", [128, 2048])
+def test_deep_queue_admission_is_bit_identical(blocks):
+    """A 600-deep waiting queue where only a few (128 blocks) or a few hundred
+    (2048 blocks) heads fit: the widening head window admits exactly the
+    FIFO prefix the scalar admit-one-recheck loop does, in the same KV row
+    order, and the drain stays identical."""
+    scalar, vector = make_engines(blocks=blocks, max_concurrency=1024)
+    scalar.add_sequences(make_states(17, 600, 0, multi_turn=False))
+    vector.add_sequences(make_states(17, 600, 0, multi_turn=False))
+    assert 0 < vector.num_decoding < 600
+    assert_engines_identical(scalar, vector)
+    rows_s = [scalar.kvcache.row_of(s.seq_id) for s in scalar.sequences()
+              if s.status == "decoding"]
+    rows_v = [vector.kvcache.row_of(s.seq_id) for s in vector.sequences()
+              if s.status == "decoding"]
+    assert rows_s == rows_v
+    while scalar.num_sequences:
+        delta_s, delta_v = scalar.next_event_in(), vector.next_event_in()
+        assert delta_s == delta_v
+        if delta_s is None:
+            break
+        assert_completions_identical(scalar.advance(delta_s), vector.advance(delta_v))
+        assert_engines_identical(scalar, vector)
+    assert not vector.num_sequences
+
+
+# --------------------------------------------------------------------------- production scale
+def registry_refill():
+    """One real Laminar refill: ``throughput_7b_math`` laminar@256's per-replica
+    prompt batch, decode model and KV pool, built the way ``_refill_replica``
+    builds it."""
+    from repro.bench.registry import get_scenario
+    from repro.bench.runner import system_for_unit
+
+    unit = next(u for u in get_scenario("throughput_7b_math").expand()
+                if u.system == "laminar" and u.total_gpus == 256)
+    system = system_for_unit(unit)
+    count = system._per_replica_batch
+    prompts = system.dataset.sample_batch(
+        -(-count // system.task.group_size), system.rng
+    )[:count]
+    states = system.factory.make(prompts)
+    kwargs = dict(
+        replica_id=0,
+        decode_model=system.workload.decode_model,
+        kvcache_config=system.replica_config.kvcache_config(),
+        max_concurrency=system.config.max_concurrency_per_replica,
+    )
+    return kwargs, states
+
+
+def service(engine, now):
+    """One ``FleetStepper._service`` pass at ``now``: catch the replica up, then
+    return its completions and next wake (``None`` once it is empty)."""
+    done = engine.advance(now - engine.clock) if now - engine.clock > _EPS else []
+    delta = engine.next_event_in()
+    if delta is None:
+        return done, None
+    return done, now + (max(0.0, engine.clock - now) + delta)
+
+
+def drain_in_lockstep(scalar, vector, disturb=lambda event: False):
+    """Service both engines event by event until empty, comparing everything
+    after every event.  ``disturb(event)`` may mutate both engines at their
+    current clock; when it returns True both are re-serviced there, as a
+    fleet ``touch`` would."""
+    now_s = now_v = 0.0
+    events = 0
+    while now_s is not None:
+        done_s, now_s = service(scalar, now_s)
+        done_v, now_v = service(vector, now_v)
+        assert now_s == now_v
+        assert_completions_identical(done_s, done_v)
+        assert_engines_identical(scalar, vector)
+        events += 1
+        if now_s is not None and disturb(events):
+            assert_engines_identical(scalar, vector)
+            _, now_s = service(scalar, scalar.clock)
+            _, now_v = service(vector, vector.clock)
+    assert not vector.num_sequences
+    return events
+
+
+def test_registry_sized_refill_drains_bit_identically():
+    """A 484-sequence refill on a 61,873-block pool, drained the way the fleet
+    stepper drives it: the decode count reaches thousands of tokens per member
+    and windows span many blocks, unlike the small fuzz workloads."""
+    kwargs, states = registry_refill()
+    assert len(states) == 484
+    assert kwargs["kvcache_config"].total_blocks == 61_873
+    scalar = ScalarReplicaGenerationState(**kwargs)
+    vector = ReplicaGenerationState(**kwargs)
+    scalar.add_sequences(copy.deepcopy(states))
+    vector.add_sequences(states)
+    assert drain_in_lockstep(scalar, vector) > 400
+    assert vector.stats.trajectories_completed == 484
+    assert vector.stats.tokens_generated > 1_000_000
+
+
+def test_registry_sized_refill_survives_pulls_and_slowdowns():
+    """The same refill disturbed mid-flight: once thousands of tokens are
+    decoded, a subset is pulled (repack-style), re-added with
+    ``needs_reprefill``, and a straggler slowdown is toggled on and off."""
+    kwargs, states = registry_refill()
+    scalar = ScalarReplicaGenerationState(**kwargs)
+    vector = ReplicaGenerationState(**kwargs)
+    scalar.add_sequences(copy.deepcopy(states))
+    vector.add_sequences(states)
+    parked = []
+
+    def pull():
+        take = [s.seq_id for s in vector.sequences()][::7]
+        pulled = (scalar.remove_sequences(take), vector.remove_sequences(take))
+        for s, v in zip(*pulled):
+            s.needs_reprefill = v.needs_reprefill = True
+        parked.append(pulled)
+
+    def readd():
+        pulled_s, pulled_v = parked[0]
+        scalar.add_sequences(pulled_s)
+        vector.add_sequences(pulled_v)
+
+    def slow(factor):
+        def apply():
+            scalar.set_slowdown(decode=factor, env=factor)
+            vector.set_slowdown(decode=factor, env=factor)
+        return apply
+
+    steps = [pull, slow(1.7), readd, slow(1.0), slow(1.3), slow(1.0)]
+
+    def disturb(event):
+        if steps and vector.stats.tokens_generated > 20_000 and event % 20 == 0:
+            steps.pop(0)()
+            return True
+        return False
+
+    drain_in_lockstep(scalar, vector, disturb)
+    assert not steps and len(parked[0][1]) > 50
+    assert vector.stats.reprefill_tokens > 0

@@ -213,6 +213,43 @@ def test_environment_scoring_rewards_are_binary_and_difficulty_sensitive():
     assert np.mean(easy_rewards) > np.mean(hard_rewards)
 
 
+def test_environment_score_clamp_is_numpy_clip():
+    """The solve probability equals ``np.clip``'s double below, at, between
+    and above both bounds, and scoring still draws one uniform per call."""
+
+    class FixedDraw:
+        def __init__(self, value):
+            self.value = value
+
+        def random(self):
+            return self.value
+
+    task = math_task("7B")
+    env = SimulatedEnvironment(task, seed=5)
+    # Below difficulty -0.19 the probability clips at 0.98, above ~1.2 at
+    # 0.02; the length bonus spreads the crossings over the grid.
+    cases = []
+    for i, difficulty in enumerate(np.linspace(-0.6, 1.6, 1001).tolist()):
+        prompt = Prompt(prompt_id=i, group_id=0, prompt_tokens=64, difficulty=difficulty)
+        trajectory = Trajectory(traj_id=i, prompt=prompt, target_tokens=9000)
+        trajectory.advance(int(i * 9), 0)
+        length_bonus = 0.1 * min(1.0, trajectory.generated_tokens / 8192.0)
+        expected = float(np.clip(0.85 - 0.7 * difficulty + length_bonus, 0.02, 0.98))
+        cases.append((trajectory, expected))
+    assert {expected for _, expected in cases} >= {0.02, 0.98}
+    for trajectory, expected in cases:
+        # reward is +1 iff draw < probability: a draw at the expected value
+        # loses and the next double below wins only if they are equal.
+        env._rng = FixedDraw(expected)
+        assert env.score(trajectory) == -1.0
+        env._rng = FixedDraw(np.nextafter(expected, 0.0))
+        assert env.score(trajectory) == 1.0
+    env = SimulatedEnvironment(task, seed=5)
+    reference = np.random.default_rng(5)
+    for trajectory, expected in cases:
+        assert env.score(trajectory) == (1.0 if reference.random() < expected else -1.0)
+
+
 def test_build_sequence_states_alignment_check():
     states = make_states([10, 20])
     trajectories = [s.trajectory for s in states]
