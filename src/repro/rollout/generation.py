@@ -259,14 +259,12 @@ class _SeqVector:
 
     def delete_positions(self, positions: Sequence[int]) -> None:
         """Delete the entries at ``positions``, preserving the order of the rest."""
-        if not len(positions):
-            return
         if len(positions) == 1:
             position = int(positions[0])
             stop = self.n
-            self.ids[position:stop - 1] = self.ids[position + 1:stop]
-            self.slots[position:stop - 1] = self.slots[position + 1:stop]
-            self.rows[position:stop - 1] = self.rows[position + 1:stop]
+            for name in ("ids", "slots", "rows"):
+                arr = getattr(self, name)
+                arr[position:stop - 1] = arr[position + 1:stop]
             self.n = stop - 1
             return
         keep = np.ones(self.n, dtype=bool)
@@ -358,8 +356,10 @@ class ReplicaGenerationState:
     at the ``D`` it entered the decode set (``_a_dent``): segment remainder,
     tokens done in the turn, generated and context tokens, and KV tokens
     (``_a_kv``).  Its live value is the stored one shifted by ``D - entry``,
-    so a decode window is ``D += t``.  The three quantities the event loop
-    needs are kept up to date instead of recomputed per window:
+    so a decode window is ``D += t``.  ``add_sequences`` rejects a sequence
+    whose schedule would carry it past its target, so no shifted counter
+    needs a cap.  The three quantities the event loop needs are kept up to
+    date instead of recomputed per window:
 
     * ``_heap`` — a min-heap of packed ints ``(seg_end, stamp, slot)``, where
       ``seg_end`` is the ``D`` at which the member's segment ends; its top is
@@ -384,7 +384,9 @@ class ReplicaGenerationState:
     The format stays inside the engine.  :meth:`_write_back` turns every
     counter and KV ledger row back into plain values before anything reads
     them (``sequences()``, removal, a :class:`ReplicaBatchView` stacking the
-    replica); it is a no-op while no window has run since the last one.  The
+    replica); it is a no-op while no window has run since the last one.  A
+    member that leaves the decode set is materialised (:meth:`_materialize`)
+    first, so a completion syncs its sequence like any other reader.  The
     index is built lazily on the first per-replica step — so barrier
     admission does no extra work — and dropped by removal and by a view's
     ``settle()``.
@@ -450,9 +452,6 @@ class ReplicaGenerationState:
         #: Heap entries left behind by preempted members (popped lazily).
         self._stale: Optional[set] = None
         self._hist: Optional[List[int]] = None
-        #: Slots whose generated-token cap can bind before their segment
-        #: ends (only fabricated states with generated + remaining > target).
-        self._watch: Optional[set] = None
         #: Ids that entered the decode set since the last window and may need
         #: the current weight version recorded; ``_retag`` asks for a scan of
         #: the whole decode set instead (after a version bump or a rebuild).
@@ -537,7 +536,7 @@ class ReplicaGenerationState:
         num_turns = schedule.num_turns
         self._a_nturns[slot] = num_turns
         self._a_reprefill[slot] = seq.needs_reprefill
-        if num_turns > self._a_sched_cap.item(slot):
+        if num_turns > self._a_sched_cap[slot]:
             offset = self._sched_len
             need = offset + num_turns
             if need > len(self._sched_seg):
@@ -549,13 +548,9 @@ class ReplicaGenerationState:
             self._a_sched_off[slot] = offset
             self._a_sched_cap[slot] = num_turns
             self._sched_len = need
-        offset = self._a_sched_off.item(slot)
-        if num_turns == 1:
-            self._sched_seg[offset] = schedule.segments[0]
-            self._sched_env[offset] = schedule.env_latencies[0]
-        else:
-            self._sched_seg[offset:offset + num_turns] = schedule.segments
-            self._sched_env[offset:offset + num_turns] = schedule.env_latencies
+        offset = int(self._a_sched_off[slot])
+        self._sched_seg[offset:offset + num_turns] = schedule.segments
+        self._sched_env[offset:offset + num_turns] = schedule.env_latencies
         self._slots[seq.seq_id] = slot
         return slot
 
@@ -566,16 +561,16 @@ class ReplicaGenerationState:
         """Write plain array fields back to the sequence/trajectory."""
         slot = self._slots[seq_id]
         seq = self._sequences[seq_id]
-        seq.tokens_done_in_turn = self._a_done_turn.item(slot)
-        turn = self._a_turn.item(slot)
+        seq.tokens_done_in_turn = int(self._a_done_turn[slot])
+        turn = int(self._a_turn[slot])
         seq.turn_index = turn
-        seq.status = _STATUS_NAMES[self._a_status.item(slot)]
-        seq.env_return_time = self._a_env.item(slot)
-        seq.needs_reprefill = self._a_reprefill.item(slot)
+        seq.status = _STATUS_NAMES[self._a_status[slot]]
+        seq.env_return_time = float(self._a_env[slot])
+        seq.needs_reprefill = bool(self._a_reprefill[slot])
         trajectory = seq.trajectory
         trajectory.turns_done = turn
         trajectory.generated_tokens = min(
-            trajectory.target_tokens, self._a_gen.item(slot)
+            trajectory.target_tokens, int(self._a_gen[slot])
         )
 
     def _sync_all(self) -> None:
@@ -639,8 +634,6 @@ class ReplicaGenerationState:
         self._heap = heap
         self._ctx_base = int(self._a_ctx[slots].sum())
         self._hist = np.bincount((kv - 1) % self._block, minlength=self._block).tolist()
-        capped = self._a_gen[slots] + seg > self._a_target[slots]
-        self._watch = set(slots[capped].tolist())
 
     def _enter(self, seq_id: int, slot: int) -> None:
         """Index a member just appended to the decode set (plain values)."""
@@ -655,8 +648,6 @@ class ReplicaGenerationState:
         )
         self._ctx_base += self._a_ctx.item(slot) - decoded
         self._hist[(self._a_kv.item(slot) - 1 - decoded) % self._block] += 1
-        if self._a_gen.item(slot) + seg > self._a_target.item(slot):
-            self._watch.add(slot)
         self._untagged.append(seq_id)
 
     def _materialize(self, slot: int) -> None:
@@ -667,21 +658,15 @@ class ReplicaGenerationState:
         self._a_dent[slot] = self._decoded
         self._a_seg_rem[slot] -= delta
         self._a_done_turn[slot] += delta
+        self._a_gen[slot] += delta
+        self._a_ctx[slot] += delta
         self._a_kv[slot] += delta
-        generated = self._a_gen.item(slot) + delta
-        capped = min(self._a_target.item(slot), generated)
-        self._a_gen[slot] = capped
-        self._a_ctx[slot] = self._a_prompt.item(slot) + capped
-        # Σ(context − entry D) is unchanged unless the target cap bound.
-        self._ctx_base -= generated - capped
 
     def _leave(self, slot: int) -> None:
         """Drop a member from the aggregates (its heap entry is popped or stale)."""
         entry = self._a_dent.item(slot)
         self._ctx_base -= self._a_ctx.item(slot) - entry
         self._hist[(self._a_kv.item(slot) - 1 - entry) % self._block] -= 1
-        if self._watch:
-            self._watch.discard(slot)
 
     def _free_kv(self, seq_id: int, slot: int) -> None:
         """Free a decoding member's KV row; refund growth its row never saw."""
@@ -710,12 +695,9 @@ class ReplicaGenerationState:
                 self._a_dent[slots] = decoded
                 self._a_seg_rem[slots] -= delta
                 self._a_done_turn[slots] += delta
+                self._a_gen[slots] += delta
+                self._a_ctx[slots] += delta
                 self._a_kv[slots] += delta
-                generated = self._a_gen[slots] + delta
-                capped = np.minimum(self._a_target[slots], generated)
-                self._a_gen[slots] = capped
-                self._a_ctx[slots] = self._a_prompt[slots] + capped
-                self._ctx_base -= int((generated - capped).sum())
         rows = np.concatenate((dec.rows_view(), env.rows_view()))
         tokens = self._a_kv[np.concatenate((dec.slots_view(), env.slots_view()))]
         ledger = kvcache.tokens_at(rows)
@@ -743,18 +725,6 @@ class ReplicaGenerationState:
         while stale and heap[0] in stale:
             stale.remove(heapq.heappop(heap))
         return heap[0] >> _KEY_SHIFT
-
-    def _context_sum(self) -> int:
-        """Context tokens summed over the decode set."""
-        decoded = self._decoded
-        total = self._ctx_base + self._dec.n * decoded
-        if not self._watch:
-            return total
-        for slot in self._watch:
-            delta = decoded - self._a_dent.item(slot)
-            if delta:
-                total -= max(0, self._a_gen.item(slot) + delta - self._a_target.item(slot))
-        return total
 
     def _block_growth(self, tokens: int) -> int:
         """KV blocks needed to grow every decoding member by ``tokens``.
@@ -803,10 +773,22 @@ class ReplicaGenerationState:
 
     # ------------------------------------------------------------------ intake
     def add_sequences(self, sequences: Sequence[SequenceState]) -> None:
-        """Add new or migrated sequences to this replica's queue."""
+        """Add new or migrated sequences to this replica's queue.
+
+        A sequence whose generated tokens plus the tokens left in its schedule
+        exceed its target is rejected: the decode set assumes the target is
+        never reached before the last segment ends.
+        """
         for seq in sequences:
             if seq.seq_id in self._sequences:
                 raise ValueError(f"sequence {seq.seq_id} already on replica {self.replica_id}")
+            trajectory = seq.trajectory
+            scheduled = seq.segment_remaining + sum(seq.schedule.segments[seq.turn_index + 1:])
+            if trajectory.generated_tokens + scheduled > trajectory.target_tokens:
+                raise ValueError(
+                    f"sequence {seq.seq_id}: {trajectory.generated_tokens} generated + "
+                    f"{scheduled} scheduled tokens exceed its target {trajectory.target_tokens}"
+                )
             seq.status = SequenceStatus.QUEUED
             self._sequences[seq.seq_id] = seq
             self._alloc_slot(seq)
@@ -884,7 +866,7 @@ class ReplicaGenerationState:
             return 0.0
         if not self._indexed:
             self._build_index()
-        return self._context_sum() / self._dec.n
+        return (self._ctx_base + self._dec.n * self._decoded) / self._dec.n
 
     def current_step_time(self) -> float:
         """Decode-step latency of the live batch.
@@ -1085,9 +1067,8 @@ class ReplicaGenerationState:
             return None
         if not self._indexed:
             self._build_index()
-        if self._env.n:
-            self._release_env_returns()
-        if not self._admit_blocked and self._queued:
+        self._release_env_returns()
+        if self._queued and not self._admit_blocked:
             self._try_admit()
         candidates: List[float] = []
         if self._dec.n:
@@ -1124,9 +1105,8 @@ class ReplicaGenerationState:
         pending = dt > 0.0
         while pending or self.clock < target - _EPS:
             pending = False
-            if self._env.n:
-                self._release_env_returns()
-            if not self._admit_blocked and self._queued:
+            self._release_env_returns()
+            if self._queued and not self._admit_blocked:
                 self._try_admit()
             if not self._dec.n:
                 # Nothing to decode: jump to the next env return (or the target).
@@ -1199,7 +1179,7 @@ class ReplicaGenerationState:
             stamps.append((key >> _SLOT_BITS) & _STAMP_MASK)
         if slots:
             self._finish_segments(slots, stamps, completed_now)
-        if not self._admit_blocked and self._queued:
+        if self._queued and not self._admit_blocked:
             self._try_admit()
 
     def _finish_segments(self, slots: List[int], stamps: List[int],
@@ -1223,23 +1203,15 @@ class ReplicaGenerationState:
             position = bisect_left(dec_stamps, stamp)
             seq_id = dec.ids.item(position)
             turn = self._a_turn.item(slot)
+            self._materialize(slot)
             if turn + 1 == self._a_nturns.item(slot):
-                # Completion: the slot is released, so its live values are
-                # read off the encoding instead of being written back.
                 self._leave(slot)
                 self._free_kv(seq_id, slot)
-                delta = decoded - self._a_dent.item(slot)
+                self._sync_sequence(seq_id)
                 seq = sequences.pop(seq_id)
                 self._release_slot(seq_id)
-                seq.tokens_done_in_turn = self._a_done_turn.item(slot) + delta
-                seq.turn_index = turn
                 seq.status = SequenceStatus.DONE
-                seq.env_return_time = self._a_env.item(slot)
-                seq.needs_reprefill = self._a_reprefill.item(slot)
                 trajectory = seq.trajectory
-                trajectory.generated_tokens = min(
-                    trajectory.target_tokens, self._a_gen.item(slot) + delta
-                )
                 trajectory.turns_done = turn + 1
                 trajectory.finish_time = self.clock
                 trajectory.replica_id = self.replica_id
@@ -1248,7 +1220,6 @@ class ReplicaGenerationState:
                 self._admit_blocked = False
                 leaving.append(position)
                 continue
-            self._materialize(slot)
             offset = self._a_sched_off.item(slot)
             self._a_turn[slot] = turn + 1
             self._a_done_turn[slot] = 0
@@ -1272,10 +1243,6 @@ class ReplicaGenerationState:
                     self._heap,
                     ((seg + decoded) << _KEY_SHIFT) | (stamp << _SLOT_BITS) | slot,
                 )
-                if self._a_gen.item(slot) + seg > self._a_target.item(slot):
-                    self._watch.add(slot)
-                elif self._watch:
-                    self._watch.discard(slot)
         if leaving:
             dec.delete_positions(leaving)
             for position in reversed(leaving):
