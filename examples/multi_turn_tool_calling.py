@@ -28,11 +28,10 @@ def main() -> None:
     rng = np.random.default_rng(0)
 
     # ------------------------------------------------------------------ workload shape
-    prompts = dataset.sample_batch(64, rng)
-    states = factory.make(prompts)
-    turns = np.array([s.schedule.num_turns for s in states])
-    env_waits = np.array([sum(s.schedule.env_latencies) for s in states])
-    lengths = np.array([s.trajectory.target_tokens for s in states])
+    batch = factory.make(dataset.sample_batch(64, rng))
+    turns = batch.num_turns
+    env_waits = np.add.reduceat(batch.env_latencies, batch.offsets[:-1])
+    lengths = batch.target
     print("=== Tool-calling workload (1024 trajectories) ===")
     print(f"  tool calls per trajectory: mean {turns.mean():.1f}, max {turns.max()}")
     print(f"  env wait per trajectory:   p50 {np.percentile(env_waits, 50):6.1f} s, "

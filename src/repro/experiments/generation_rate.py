@@ -26,7 +26,7 @@ import numpy as np
 from ..config import SystemConfig
 from ..llm.decode_model import DecodeModel
 from ..rollout.environment import TrajectoryFactory
-from ..rollout.generation import ReplicaGenerationState
+from ..rollout.generation import QUEUED, ReplicaGenerationState
 from ..rollout.replica_config import RolloutReplicaConfig
 from ..workload.datasets import PromptDataset, TaskSpec
 
@@ -117,9 +117,9 @@ def replica_batch_cycle(
     factory = TrajectoryFactory(task, seed=seed + 1)
     rng = np.random.default_rng(seed + 2)
     prompts = dataset.sample_batch(max(1, -(-batch_size // task.group_size)), rng)[:batch_size]
-    states = factory.make(prompts)
+    batch = factory.make(prompts)
     replica = _make_replica(config, replica_config)
-    replica.add_sequences(states)
+    replica.add_sequences(batch)
 
     batch_bound = max(
         8, decode_model.batch_bound_for_latency_slack(int(task.length_dist.mean()) + 512, slack=2.0)
@@ -272,9 +272,9 @@ def continuous_replica_rate(
                 tokens_at_warmup = replica.stats.tokens_generated
             inflight_samples.append(replica.num_decoding + replica.num_env_waiting)
             batch_samples.append(replica.num_decoding)
-            contexts = [s.context_tokens for s in replica.sequences()
-                        if s.status in ("decoding", "env_wait")]
-            if contexts:
+            live = replica.sequences()
+            contexts = live.context_tokens[live.status != QUEUED]
+            if len(contexts):
                 context_samples.append(float(np.mean(contexts)))
 
     elapsed = max(1e-9, replica.clock - warmup)

@@ -156,8 +156,11 @@ class DecodeModel:
             raise ValueError("prompt_tokens and batch_size must be non-negative")
         if prompt_tokens == 0 or batch_size == 0:
             return 0.0
-        flops = batch_size * prompt_tokens * self.model.flops_per_token(prompt_tokens // 2)
-        return flops / self.effective_flops + PREFILL_OVERHEAD
+        # ModelSpec.flops_per_token(prompt_tokens // 2), from the cached
+        # roofline operands in the same association.
+        _, _, _, flops_rate, dense, attention = self.roofline
+        flops = batch_size * prompt_tokens * (dense + attention * (prompt_tokens // 2))
+        return flops / flops_rate + PREFILL_OVERHEAD
 
 
 def decode_step_time_arrays(

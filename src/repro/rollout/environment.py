@@ -6,7 +6,8 @@ Two responsibilities:
   rule-based verifier: it samples per-turn interaction latencies and scores
   completed trajectories with a rule-based reward (§8: "rule-based reward
   function ... on both tasks").
-* :class:`TrajectoryFactory` turns prompts into in-flight trajectories with
+* :class:`TrajectoryFactory` turns prompt columns into a
+  :class:`~repro.rollout.generation.SequenceBatch` of fresh trajectories with
   pre-sampled response lengths and turn schedules, so that every system
   replays exactly the same workload when given the same seed.
 """
@@ -14,13 +15,13 @@ Two responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Tuple
 
 import numpy as np
 
 from ..types import Prompt, Trajectory
-from ..workload.datasets import TaskSpec
-from .generation import SequenceState, TurnSchedule
+from ..workload.datasets import PromptBatch, TaskSpec
+from .generation import SequenceBatch
 
 
 @dataclass
@@ -64,44 +65,68 @@ class TrajectoryFactory:
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
 
-    def make(self, prompts: Sequence[Prompt], weight_version: int = 0,
-             start_time: float = 0.0) -> List[SequenceState]:
-        """Create one sequence state (trajectory + schedule) per prompt."""
-        if not prompts:
-            return []
-        difficulties = [p.difficulty for p in prompts]
-        lengths = self.task.length_dist.sample(self._rng, len(prompts), difficulty=difficulties)
-        states: List[SequenceState] = []
-        for prompt, total_tokens in zip(prompts, lengths):
-            schedule = self._make_schedule(prompt, int(total_tokens))
-            trajectory = Trajectory(
-                traj_id=self._next_traj_id,
-                prompt=prompt,
-                target_tokens=schedule.total_tokens,
-                weight_version=weight_version,
-                start_time=start_time,
-            )
-            self._next_traj_id += 1
-            states.append(SequenceState(trajectory=trajectory, schedule=schedule))
-        return states
+    def make(self, prompts: PromptBatch, weight_version: int = 0,
+             start_time: float = 0.0) -> SequenceBatch:
+        """One fresh sequence (trajectory + turn schedule) per prompt row.
 
-    def _make_schedule(self, prompt: Prompt, total_tokens: int) -> TurnSchedule:
-        total_tokens = max(total_tokens, 1)
-        if not prompt.multi_turn or prompt.max_turns <= 1:
-            return TurnSchedule.single_turn(total_tokens)
-        # Number of tool calls grows with difficulty (harder bugs need more
-        # debugging steps), capped at the task's turn budget.
-        max_turns = prompt.max_turns
-        mean_turns = 1.0 + difficulty_to_turns(prompt.difficulty, max_turns)
-        num_turns = int(np.clip(self._rng.poisson(mean_turns) + 1, 1, max_turns))
-        # Split the response tokens across turns with a Dirichlet draw so turn
-        # lengths are uneven (early exploration short, final answer longer).
-        shares = self._rng.dirichlet(np.full(num_turns, 1.5))
-        segments = np.maximum(1, np.round(shares * total_tokens)).astype(int)
-        # Environment latency after every turn except the last one.
-        latencies = self.task.env_latency.sample(self._rng, num_turns)
-        latencies[-1] = 0.0
-        return TurnSchedule(segments=list(segments), env_latencies=list(latencies))
+        Draw order: one length draw for the whole batch, then — for a
+        multi-turn task — each row's turn count, token split and env
+        latencies in row order.
+        """
+        n = len(prompts)
+        lengths = np.maximum(
+            self.task.length_dist.sample(self._rng, n, difficulty=prompts.difficulty), 1
+        )
+        if prompts.multi_turn and prompts.max_turns > 1:
+            offsets, segments, env_latencies = self._multi_turn_schedules(prompts, lengths)
+            target = np.add.reduceat(segments, offsets[:-1])
+        else:
+            offsets = np.arange(n + 1)
+            segments = target = lengths
+            env_latencies = np.zeros(n)
+        ids = np.arange(self._next_traj_id, self._next_traj_id + n)
+        self._next_traj_id += n
+        multi_turn, max_turns = prompts.multi_turn, prompts.max_turns
+        # Positional fields: (id, prompt, target, generated, weight version,
+        # versions used, turns done, start time).
+        trajectories = [
+            Trajectory(
+                traj_id,
+                Prompt(prompt_id, group_id, prompt_tokens, difficulty, multi_turn, max_turns),
+                target_tokens, 0, weight_version, [weight_version], 0, start_time,
+            )
+            for traj_id, prompt_id, group_id, prompt_tokens, difficulty, target_tokens in zip(
+                ids.tolist(), prompts.prompt_ids.tolist(), prompts.group_ids.tolist(),
+                prompts.prompt_tokens.tolist(), prompts.difficulty.tolist(), target.tolist(),
+            )
+        ]
+        return SequenceBatch.fresh(ids, prompts.prompt_tokens, target, offsets, segments,
+                                   env_latencies, trajectories)
+
+    def _multi_turn_schedules(self, prompts: PromptBatch, lengths: np.ndarray
+                              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(offsets, segments, env latencies)`` of multi-turn rows."""
+        rng = self._rng
+        max_turns = prompts.max_turns
+        segments: List[np.ndarray] = []
+        latencies: List[np.ndarray] = []
+        for difficulty, total_tokens in zip(prompts.difficulty.tolist(), lengths.tolist()):
+            # Number of tool calls grows with difficulty (harder bugs need more
+            # debugging steps), capped at the task's turn budget.
+            mean_turns = 1.0 + difficulty_to_turns(difficulty, max_turns)
+            num_turns = int(np.clip(rng.poisson(mean_turns) + 1, 1, max_turns))
+            # Split the response tokens across turns with a Dirichlet draw so
+            # turn lengths are uneven (early exploration short, final answer
+            # longer).
+            shares = rng.dirichlet(np.full(num_turns, 1.5))
+            segments.append(np.maximum(1, np.round(shares * total_tokens)).astype(np.int64))
+            # Environment latency after every turn except the last one.
+            turn_latencies = self.task.env_latency.sample(rng, num_turns)
+            turn_latencies[-1] = 0.0
+            latencies.append(turn_latencies)
+        offsets = np.zeros(len(segments) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in segments], out=offsets[1:])
+        return offsets, np.concatenate(segments), np.concatenate(latencies)
 
 
 def difficulty_to_turns(difficulty: float, max_turns: int) -> float:

@@ -22,23 +22,29 @@ matching the paper's "alleviating implementation bias" methodology (§8).
 
 Structure-of-arrays core
 ------------------------
-Per-sequence state (segment remaining, generated tokens, context length,
-environment return time) lives in numpy arrays indexed by a dense *slot* id,
-and the decode / env-wait sets are order-preserving parallel vectors of
-(seq id, slot, KVCache row) (:class:`_SeqVector`).  The decode set is
-*offset-encoded*: ``advance`` clips every decode window to the smallest
-segment remainder, so all decoding sequences gain the same number of tokens,
-and the engine stores their counters relative to one per-replica count of
-tokens decoded.  A decode window is one integer add plus three aggregates
-kept up to date — a heap of segment ends, the context-token sum and a
-histogram of KV residues — so the per-event hot path does no pass over the
-batch (see :class:`ReplicaGenerationState`).  Per-sequence Python runs only
-on the control tail — admission, preemption, segment finishes, environment
-transitions — and the :class:`SequenceState` objects that external callers
-hold (repack, failover, the partial response pool) are re-synchronised from
-the arrays at every boundary where they can be observed (``sequences()``,
-removal, completion).  ``tests/test_engine_equivalence.py`` drives this
-engine step-for-step against the scalar reference engine kept in
+Sequences cross the engine boundary as a :class:`SequenceBatch`: numpy
+columns (ids, prompt tokens, target, progress counters, reprefill flag), the
+turn schedule in CSR form and one :class:`~repro.types.Trajectory` per row.
+``add_sequences`` checks a whole batch at once and writes it into per-slot
+arrays indexed by a dense *slot* id and a flat schedule pool;
+``remove_sequences``, ``remove_all`` and ``sequences()`` gather a batch back
+out of them.  The engine keeps each row's trajectory object in a slot
+column and writes its fields only when the sequence completes (and its
+``versions_used`` whenever it first decodes under a weight version); while a
+sequence is in flight its progress lives in the arrays alone.
+
+The decode / env-wait sets are order-preserving parallel vectors of (seq id,
+slot, KVCache row) (:class:`_SeqVector`) and the waiting queue holds slots.
+The decode set is *offset-encoded*: ``advance`` clips every decode window to
+the smallest segment remainder, so all decoding sequences gain the same
+number of tokens, and the engine stores their counters relative to one
+per-replica count of tokens decoded.  A decode window is one integer add
+plus three aggregates kept up to date — a heap of segment ends, the
+context-token sum and a histogram of KV residues — so the per-event hot path
+does no pass over the batch (see :class:`ReplicaGenerationState`).
+Per-sequence Python runs only on the control tail — preemption, segment
+finishes, environment transitions.  ``tests/test_engine_equivalence.py``
+drives this engine step-for-step against the scalar reference engine kept in
 ``tests/oracles.py`` and asserts bit-identical trajectories, stats and
 KVCache occupancy.
 
@@ -74,14 +80,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..llm.decode_model import DecodeModel, decode_step_time_arrays
-from ..sim.kvcache import KVCache, KVCacheConfig, grow_array
+from ..sim.kvcache import KVCache, KVCacheConfig, resize_array
 from ..types import Trajectory
 
 #: Numerical slack used when comparing simulated times.
 _EPS = 1e-9
-
-#: Initial slot / vector capacity of the SoA state (grown geometrically).
-_INITIAL_SLOTS = 64
 
 #: Bit layout of one decode-index heap entry, a single int ordered by
 #: (segment end, insertion stamp): ``seg_end << _KEY_SHIFT | stamp <<
@@ -96,87 +99,135 @@ _STAMP_MASK = (1 << _STAMP_BITS) - 1
 _ADMIT_WINDOW = 16
 
 
-@dataclass
-class TurnSchedule:
-    """Pre-sampled decode/environment schedule for one trajectory.
+#: Residency codes of the engine's status array and ``SequenceBatch.status``.
+QUEUED = 0
+DECODING = 1
+ENV_WAIT = 2
 
-    ``segments[i]`` is the number of response tokens decoded in turn ``i``;
-    ``env_latencies[i]`` is the environment latency paid *after* turn ``i``
-    (zero after the final turn).  Single-turn tasks have one segment and no
-    environment latency.
-    """
+#: Zero-length arrays every per-slot array starts as: a replica sizes its
+#: state from its first batch (:func:`resize_array` replaces an empty array
+#: rather than copying it), so nothing ever writes into these.
+_EMPTY = {dtype: np.zeros(0, dtype=dtype) for dtype in (np.int64, np.float64, np.int8, bool)}
 
-    segments: List[int]
-    env_latencies: List[float]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("a turn schedule needs at least one segment")
-        if len(self.env_latencies) != len(self.segments):
-            raise ValueError("env_latencies must have one entry per segment")
-        if any(s <= 0 for s in self.segments):
-            raise ValueError("segments must be positive")
-        if any(l < 0 for l in self.env_latencies):
-            raise ValueError("env latencies must be non-negative")
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(self.segments)
-
-    @property
-    def num_turns(self) -> int:
-        return len(self.segments)
-
-    @classmethod
-    def single_turn(cls, tokens: int) -> "TurnSchedule":
-        return cls(segments=[int(tokens)], env_latencies=[0.0])
-
-
-class SequenceStatus:
-    QUEUED = "queued"
-    DECODING = "decoding"
-    ENV_WAIT = "env_wait"
-    DONE = "done"
-
-
-#: Integer status codes used by the slot-indexed status array (the
-#: authoritative residency state of the vectorized engine; the string
-#: ``SequenceState.status`` field is re-synchronised from it lazily).
-_ST_QUEUED = 0
-_ST_DECODING = 1
-_ST_ENV_WAIT = 2
-_STATUS_NAMES = (
-    SequenceStatus.QUEUED,
-    SequenceStatus.DECODING,
-    SequenceStatus.ENV_WAIT,
+#: Per-slot arrays of the engine as ``(attribute, dtype)``: sequence id,
+#: decode counters, target and prompt tokens, env return time, last weight
+#: version tagged, residency status, turn cursor and count, reprefill flag,
+#: and where the slot's schedule starts in the schedule pool.  Intake writes
+#: every one of them for the slots it takes, so a free slot's values are
+#: never read.
+_SLOT_ARRAYS = (
+    ("_a_id", np.int64),
+    ("_a_seg_rem", np.int64),
+    ("_a_gen", np.int64),
+    ("_a_target", np.int64),
+    ("_a_prompt", np.int64),
+    ("_a_ctx", np.int64),
+    ("_a_done_turn", np.int64),
+    ("_a_env", np.float64),
+    ("_a_last_ver", np.int64),
+    ("_a_status", np.int8),
+    ("_a_turn", np.int64),
+    ("_a_nturns", np.int64),
+    ("_a_reprefill", bool),
+    ("_a_sched_off", np.int64),
 )
 
 
-@dataclass
-class SequenceState:
-    """Runtime state of one trajectory on a replica."""
+def _csr_gather(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Compact CSR offsets for rows of ``counts`` entries found at ``starts``
+    in some flat array, and the flat positions of those entries in row order."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.add.accumulate(counts, out=offsets[1:])
+    flat = (starts - offsets[:-1]).repeat(counts) + np.arange(offsets[-1])
+    return offsets, flat
 
-    trajectory: Trajectory
-    schedule: TurnSchedule
-    status: str = SequenceStatus.QUEUED
-    turn_index: int = 0
-    tokens_done_in_turn: int = 0
-    env_return_time: float = math.inf
-    #: True if this sequence arrived via repack/failover and its existing
-    #: context must be re-prefilled before decoding resumes on this replica.
-    needs_reprefill: bool = False
+
+@dataclass(slots=True)
+class SequenceBatch:
+    """Columns of sequences entering, leaving or held by a replica.
+
+    Row ``i`` is trajectory ``trajectories[i]`` (``ids[i]`` is its id).
+    Its turn schedule is ``segments[offsets[i]:offsets[i + 1]]`` — response
+    tokens decoded per turn — with the environment latency paid after each
+    turn in the same slice of ``env_latencies`` (zero after the last turn).
+    ``offsets`` starts at 0 and ends at ``len(segments)``; a slice of a
+    batch views its parent's arrays.
+    ``turn`` / ``done_turn`` locate the row in its schedule, ``generated``
+    counts its response tokens so far and ``reprefill`` marks a row whose
+    context must be re-prefilled before it decodes again (repack, failover).
+    ``status`` is the row's residency when a replica gathered it (``QUEUED``
+    for fresh rows); ``add_sequences`` queues every row regardless, and
+    carries ``env_return`` along untouched.
+    """
+
+    ids: np.ndarray
+    prompt_tokens: np.ndarray
+    target: np.ndarray
+    generated: np.ndarray
+    turn: np.ndarray
+    done_turn: np.ndarray
+    env_return: np.ndarray
+    reprefill: np.ndarray
+    status: np.ndarray
+    offsets: np.ndarray
+    segments: np.ndarray
+    env_latencies: np.ndarray
+    trajectories: List[Trajectory]
+
+    @classmethod
+    def fresh(cls, ids: np.ndarray, prompt_tokens: np.ndarray, target: np.ndarray,
+              offsets: np.ndarray, segments: np.ndarray, env_latencies: np.ndarray,
+              trajectories: List[Trajectory]) -> "SequenceBatch":
+        """Rows that have not decoded yet: turn 0, nothing generated."""
+        n = len(ids)
+        return cls(
+            ids=ids, prompt_tokens=prompt_tokens, target=target,
+            generated=np.zeros(n, dtype=np.int64), turn=np.zeros(n, dtype=np.int64),
+            done_turn=np.zeros(n, dtype=np.int64),
+            env_return=np.full(n, math.inf), reprefill=np.zeros(n, dtype=bool),
+            status=np.zeros(n, dtype=np.int8), offsets=offsets, segments=segments,
+            env_latencies=env_latencies, trajectories=trajectories,
+        )
+
+    def __len__(self) -> int:
+        return len(self.trajectories)
+
+    def __getitem__(self, rows: slice) -> "SequenceBatch":
+        """A contiguous run of rows, as views of this batch's arrays."""
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("a batch slice takes consecutive rows; use take()")
+        stop = max(start, stop)
+        lo, hi = self.offsets.item(start), self.offsets.item(stop)
+        return SequenceBatch(
+            self.ids[start:stop], self.prompt_tokens[start:stop], self.target[start:stop],
+            self.generated[start:stop], self.turn[start:stop], self.done_turn[start:stop],
+            self.env_return[start:stop], self.reprefill[start:stop], self.status[start:stop],
+            self.offsets[start:stop + 1] - lo, self.segments[lo:hi],
+            self.env_latencies[lo:hi], self.trajectories[start:stop],
+        )
+
+    def take(self, index: np.ndarray) -> "SequenceBatch":
+        """The rows ``index`` selects, in its order, as a new batch."""
+        starts = self.offsets[index]
+        offsets, flat = _csr_gather(starts, self.offsets[index + 1] - starts)
+        trajectories = self.trajectories
+        return SequenceBatch(
+            self.ids[index], self.prompt_tokens[index], self.target[index],
+            self.generated[index], self.turn[index], self.done_turn[index],
+            self.env_return[index], self.reprefill[index], self.status[index],
+            offsets, self.segments[flat], self.env_latencies[flat],
+            [trajectories[row] for row in index.tolist()],
+        )
 
     @property
-    def seq_id(self) -> int:
-        return self.trajectory.traj_id
+    def num_turns(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
     @property
-    def segment_remaining(self) -> int:
-        return self.schedule.segments[self.turn_index] - self.tokens_done_in_turn
-
-    @property
-    def context_tokens(self) -> int:
-        return self.trajectory.prompt.prompt_tokens + self.trajectory.generated_tokens
+    def context_tokens(self) -> np.ndarray:
+        """Prompt plus generated tokens per row."""
+        return self.prompt_tokens + self.generated
 
 
 @dataclass
@@ -196,26 +247,25 @@ class ReplicaStats:
 class _SeqVector:
     """Order-preserving parallel arrays of (seq id, slot, KVCache row).
 
-    Backs the decode and env-wait sets of the vectorized engine.  Appends and
-    tail-pops are O(1) amortised; arbitrary deletions compact the prefix with
-    one vectorized copy.  Views returned by the accessors alias the backing
-    arrays and are valid until the next mutation.
+    Backs the decode and env-wait sets of the vectorized engine, which sizes
+    them with its slot arrays (:meth:`reserve`): a set never holds more than
+    the replica's live sequences.  Arbitrary deletions compact the prefix
+    with one vectorized copy.  Views returned by the accessors alias the
+    backing arrays and are valid until the next mutation.
     """
 
     __slots__ = ("ids", "slots", "rows", "n")
 
     def __init__(self) -> None:
-        self.ids = np.empty(_INITIAL_SLOTS, dtype=np.int64)
-        self.slots = np.empty(_INITIAL_SLOTS, dtype=np.int64)
-        self.rows = np.empty(_INITIAL_SLOTS, dtype=np.int64)
+        self.ids = self.slots = self.rows = _EMPTY[np.int64]
         self.n = 0
 
+    def reserve(self, capacity: int) -> None:
+        self.ids = resize_array(self.ids, capacity)
+        self.slots = resize_array(self.slots, capacity)
+        self.rows = resize_array(self.rows, capacity)
+
     def append(self, seq_id: int, slot: int, row: int) -> None:
-        if self.n == len(self.ids):
-            capacity = 2 * len(self.ids)
-            self.ids = grow_array(self.ids, capacity)
-            self.slots = grow_array(self.slots, capacity)
-            self.rows = grow_array(self.rows, capacity)
         self.ids[self.n] = seq_id
         self.slots[self.n] = slot
         self.rows[self.n] = row
@@ -223,17 +273,7 @@ class _SeqVector:
 
     def extend(self, ids: np.ndarray, slots: np.ndarray, rows: np.ndarray) -> None:
         """Append many entries at once, preserving input order."""
-        count = len(ids)
-        if not count:
-            return
-        need = self.n + count
-        if need > len(self.ids):
-            capacity = len(self.ids)
-            while capacity < need:
-                capacity *= 2
-            self.ids = grow_array(self.ids, capacity)
-            self.slots = grow_array(self.slots, capacity)
-            self.rows = grow_array(self.rows, capacity)
+        need = self.n + len(ids)
         self.ids[self.n:need] = ids
         self.slots[self.n:need] = slots
         self.rows[self.n:need] = rows
@@ -254,9 +294,6 @@ class _SeqVector:
     def rows_view(self) -> np.ndarray:
         return self.rows[: self.n]
 
-    def ids_list(self) -> List[int]:
-        return [int(x) for x in self.ids[: self.n]]
-
     def delete_positions(self, positions: Sequence[int]) -> None:
         """Delete the entries at ``positions``, preserving the order of the rest."""
         if len(positions) == 1:
@@ -275,18 +312,15 @@ class _SeqVector:
             arr[:kept] = arr[: self.n][keep]
         self.n = kept
 
-    def remove_ids(self, seq_ids: List[int]) -> None:
-        """Delete the entries for ``seq_ids``, preserving the order of the rest."""
-        if seq_ids:
-            gone = set(seq_ids)
-            self.delete_positions([
-                position for position, seq_id in enumerate(self.ids_list())
-                if seq_id in gone
-            ])
+    def remove_slots(self, slots: np.ndarray) -> None:
+        """Delete the entries of ``slots``, preserving the order of the rest."""
+        positions = np.flatnonzero(np.isin(self.slots[: self.n], slots))
+        if len(positions):
+            self.delete_positions(positions)
 
 
-class _IdQueue:
-    """FIFO of waiting sequence ids (the vLLM waiting queue).
+class _SlotQueue:
+    """FIFO of waiting sequences' slots (the vLLM waiting queue).
 
     A head pointer over a plain list makes :meth:`popleft` / :meth:`popleft_n`
     O(1) amortised — the admission scan runs on every ``next_event_in`` /
@@ -310,15 +344,15 @@ class _IdQueue:
     def head(self) -> int:
         return self._items[self._head]
 
-    def append(self, seq_id: int) -> None:
-        self._items.append(seq_id)
+    def extend(self, slots: List[int]) -> None:
+        self._items.extend(slots)
 
-    def appendleft(self, seq_id: int) -> None:
+    def appendleft(self, slot: int) -> None:
         if self._head:
             self._head -= 1
-            self._items[self._head] = seq_id
+            self._items[self._head] = slot
         else:
-            self._items.insert(0, seq_id)
+            self._items.insert(0, slot)
 
     def popleft(self) -> int:
         item = self._items[self._head]
@@ -330,12 +364,13 @@ class _IdQueue:
         self._head += count
         self._compact()
 
-    def remove(self, seq_id: int) -> None:
-        index = self._items.index(seq_id, self._head)
-        del self._items[index]
+    def remove(self, slots: set) -> None:
+        """Drop every queued slot in ``slots``, keeping the others' order."""
+        self._items = [slot for slot in self._items[self._head:] if slot not in slots]
+        self._head = 0
 
     def head_array(self, count: int) -> np.ndarray:
-        """The first ``count`` queued ids in FIFO order (a copy)."""
+        """The first ``count`` queued slots in FIFO order (a copy)."""
         return np.array(self._items[self._head:self._head + count], dtype=np.int64)
 
     def _compact(self) -> None:
@@ -386,10 +421,17 @@ class ReplicaGenerationState:
     them (``sequences()``, removal, a :class:`ReplicaBatchView` stacking the
     replica); it is a no-op while no window has run since the last one.  A
     member that leaves the decode set is materialised (:meth:`_materialize`)
-    first, so a completion syncs its sequence like any other reader.  The
+    first, so a completion writes its trajectory from plain values.  The
     index is built lazily on the first per-replica step — so barrier
     admission does no extra work — and dropped by removal and by a view's
     ``settle()``.
+
+    Per-slot state
+    --------------
+    The per-slot arrays (:data:`_SLOT_ARRAYS`), the decode/env vectors and
+    the KV ledger are sized by the replica's first batch and doubled when a
+    later batch overflows them (:meth:`_reserve`).  Freed slots are reused
+    newest first, and a batch takes its slots in that order.
     """
 
     def __init__(
@@ -409,8 +451,7 @@ class ReplicaGenerationState:
         self.weight_version = weight_version
         self.clock = 0.0
         self.stats = ReplicaStats()
-        self._sequences: Dict[int, SequenceState] = {}
-        self._queued = _IdQueue()
+        self._queued = _SlotQueue()
         #: Decode and env-wait sets: incrementally maintained (id, slot, row)
         #: vectors in the same order the scalar engine kept its id lists.
         self._dec = _SeqVector()
@@ -468,140 +509,94 @@ class ReplicaGenerationState:
         #: buffer entirely.
         self.trace_samples: Optional[List[Tuple[float, int]]] = None
         self._trace_total = 0
-        # SoA state, indexed by slot id (see _alloc_slot).
+        #: Slot of every live sequence, keyed by id, in intake order.
         self._slots: Dict[int, int] = {}
         self._free_slots: List[int] = []
-        self._a_seg_rem = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_gen = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_target = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_prompt = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_ctx = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_done_turn = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_env = np.full(_INITIAL_SLOTS, math.inf, dtype=np.float64)
-        self._a_last_ver = np.full(_INITIAL_SLOTS, -1, dtype=np.int64)
+        for name, dtype in _SLOT_ARRAYS:
+            setattr(self, name, _EMPTY[dtype])
+        #: Trajectory of each slot's sequence (``None`` for a free slot).
+        self._a_traj: List[Optional[Trajectory]] = []
         # Decode-index SoA: entry ``D`` and KV tokens, allocated with the
         # index and meaningful only while ``_indexed``.
         self._a_dent: Optional[np.ndarray] = None
         self._a_kv: Optional[np.ndarray] = None
-        # Control-tail SoA: residency status, turn cursor, and per-slot views
-        # into the flat turn-schedule pools, so segment finishes / env-wait
-        # transitions / admission scans are batch gathers instead of
-        # per-sequence attribute walks.
-        self._a_status = np.zeros(_INITIAL_SLOTS, dtype=np.int8)
-        self._a_turn = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_nturns = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_reprefill = np.zeros(_INITIAL_SLOTS, dtype=bool)
-        self._a_sched_off = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        self._a_sched_cap = np.zeros(_INITIAL_SLOTS, dtype=np.int64)
-        #: Flat schedule pools: slot ``s`` owns ``_sched_seg[off:off+cap]``
-        #: (segment lengths) and ``_sched_env[...]`` (env latencies), where
-        #: ``off = _a_sched_off[s]``.  Regions are reused across the sequences
-        #: a slot hosts; a slot upgrades to a fresh tail region only when a
-        #: new occupant needs more turns than the slot ever held.
-        self._sched_seg = np.zeros(4 * _INITIAL_SLOTS, dtype=np.int64)
-        self._sched_env = np.zeros(4 * _INITIAL_SLOTS, dtype=np.float64)
+        #: Flat schedule pools: a live slot ``s`` owns
+        #: ``_sched_seg[off:off + _a_nturns[s]]`` (segment lengths) and the
+        #: same range of ``_sched_env`` (env latencies), where ``off =
+        #: _a_sched_off[s]``.  Intake appends a batch's schedules at
+        #: ``_sched_len``; :meth:`_schedule_room` compacts the live ones when
+        #: the pool is full.
+        self._sched_seg = _EMPTY[np.int64]
+        self._sched_env = _EMPTY[np.float64]
         self._sched_len = 0
 
     # ------------------------------------------------------------------ slots
-    def _alloc_slot(self, seq: SequenceState) -> int:
-        if not self._free_slots:
-            old = len(self._a_seg_rem)
-            new = 2 * old
-            if new > 1 << _SLOT_BITS:
-                raise ValueError(f"replica {self.replica_id}: too many sequences")
-            for name in ("_a_seg_rem", "_a_gen", "_a_target", "_a_prompt",
-                         "_a_ctx", "_a_done_turn", "_a_status", "_a_turn",
-                         "_a_nturns", "_a_reprefill", "_a_sched_off",
-                         "_a_sched_cap"):
-                setattr(self, name, grow_array(getattr(self, name), new))
-            if self._a_dent is not None:
-                self._a_dent = grow_array(self._a_dent, new)
-                self._a_kv = grow_array(self._a_kv, new)
-            self._a_env = grow_array(self._a_env, new, fill=math.inf)
-            self._a_last_ver = grow_array(self._a_last_ver, new, fill=-1)
-            self._free_slots.extend(range(new - 1, old - 1, -1))
-        slot = self._free_slots.pop()
-        trajectory = seq.trajectory
-        self._a_seg_rem[slot] = seq.segment_remaining
-        self._a_gen[slot] = trajectory.generated_tokens
-        self._a_target[slot] = trajectory.target_tokens
-        self._a_prompt[slot] = trajectory.prompt.prompt_tokens
-        self._a_ctx[slot] = trajectory.prompt.prompt_tokens + trajectory.generated_tokens
-        self._a_done_turn[slot] = seq.tokens_done_in_turn
-        self._a_env[slot] = seq.env_return_time
-        self._a_last_ver[slot] = -1
-        self._a_status[slot] = _ST_QUEUED
-        self._a_turn[slot] = seq.turn_index
-        schedule = seq.schedule
-        num_turns = schedule.num_turns
-        self._a_nturns[slot] = num_turns
-        self._a_reprefill[slot] = seq.needs_reprefill
-        if num_turns > self._a_sched_cap[slot]:
-            offset = self._sched_len
-            need = offset + num_turns
-            if need > len(self._sched_seg):
-                capacity = len(self._sched_seg)
-                while capacity < need:
-                    capacity *= 2
-                self._sched_seg = grow_array(self._sched_seg, capacity)
-                self._sched_env = grow_array(self._sched_env, capacity)
-            self._a_sched_off[slot] = offset
-            self._a_sched_cap[slot] = num_turns
-            self._sched_len = need
-        offset = int(self._a_sched_off[slot])
-        self._sched_seg[offset:offset + num_turns] = schedule.segments
-        self._sched_env[offset:offset + num_turns] = schedule.env_latencies
-        self._slots[seq.seq_id] = slot
-        return slot
+    def _reserve(self, need: int) -> None:
+        """Size the per-slot state for ``need`` (> capacity) live sequences.
+
+        The first batch sizes it exactly; later growth at least doubles.
+        Fresh slots go under the recycled ones on the free list, so slots
+        are still handed out recycled-first, then in ascending order.
+        """
+        old = len(self._a_id)
+        new = max(need, 2 * old)
+        if new > 1 << _SLOT_BITS:
+            raise ValueError(f"replica {self.replica_id}: too many sequences")
+        for name, _dtype in _SLOT_ARRAYS:
+            setattr(self, name, resize_array(getattr(self, name), new))
+        self._a_traj.extend([None] * (new - old))
+        if self._a_dent is not None:
+            self._a_dent = resize_array(self._a_dent, new)
+            self._a_kv = resize_array(self._a_kv, new)
+        self._dec.reserve(new)
+        self._env.reserve(new)
+        self.kvcache.reserve(new)
+        self._free_slots[:0] = range(new - 1, old - 1, -1)
+
+    def _schedule_room(self, entries: int) -> None:
+        """Make room for ``entries`` more schedule entries at the full pool's tail.
+
+        Finished and removed sequences leave dead regions behind.  With
+        nothing live the pool restarts from its beginning (an empty pool, on
+        a fresh replica, is sized by its first batch).  Otherwise the live
+        schedules are copied, in slot-table order, into a fresh pool with at
+        least as much room again as they and the newcomers need, so copying
+        stays amortised O(1) per entry.
+        """
+        size = len(self._sched_seg)
+        if not self._slots:
+            self._sched_len = 0
+            if entries > size:
+                self._sched_seg = np.zeros(max(entries, 2 * size), dtype=np.int64)
+                self._sched_env = np.zeros(max(entries, 2 * size), dtype=np.float64)
+            return
+        live = np.fromiter(self._slots.values(), dtype=np.int64, count=len(self._slots))
+        offsets, flat = _csr_gather(self._a_sched_off[live], self._a_nturns[live])
+        used = offsets.item(-1)
+        size = max(size, 2 * (used + entries))
+        segments = np.zeros(size, dtype=np.int64)
+        env_latencies = np.zeros(size, dtype=np.float64)
+        segments[:used] = self._sched_seg[flat]
+        env_latencies[:used] = self._sched_env[flat]
+        self._a_sched_off[live] = offsets[:-1]
+        self._sched_seg, self._sched_env, self._sched_len = segments, env_latencies, used
 
     def _release_slot(self, seq_id: int) -> None:
-        self._free_slots.append(self._slots.pop(seq_id))
+        slot = self._slots.pop(seq_id)
+        self._free_slots.append(slot)
+        self._a_traj[slot] = None
 
-    def _sync_sequence(self, seq_id: int) -> None:
-        """Write plain array fields back to the sequence/trajectory."""
-        slot = self._slots[seq_id]
-        seq = self._sequences[seq_id]
-        seq.tokens_done_in_turn = int(self._a_done_turn[slot])
-        turn = int(self._a_turn[slot])
-        seq.turn_index = turn
-        seq.status = _STATUS_NAMES[self._a_status[slot]]
-        seq.env_return_time = float(self._a_env[slot])
-        seq.needs_reprefill = bool(self._a_reprefill[slot])
-        trajectory = seq.trajectory
-        trajectory.turns_done = turn
-        trajectory.generated_tokens = min(
-            trajectory.target_tokens, int(self._a_gen[slot])
+    def _gather(self, slots: np.ndarray) -> SequenceBatch:
+        """The plain state of ``slots`` as a batch (call after ``_write_back``)."""
+        offsets, flat = _csr_gather(self._a_sched_off[slots], self._a_nturns[slots])
+        trajectories = self._a_traj
+        return SequenceBatch(
+            self._a_id[slots], self._a_prompt[slots], self._a_target[slots],
+            self._a_gen[slots], self._a_turn[slots], self._a_done_turn[slots],
+            self._a_env[slots], self._a_reprefill[slots], self._a_status[slots],
+            offsets, self._sched_seg[flat], self._sched_env[flat],
+            [trajectories[slot] for slot in slots.tolist()],
         )
-
-    def _sync_all(self) -> None:
-        sequences = self._sequences
-        if not sequences:
-            return
-        self._write_back()
-        # Batch the array→object write-back: one C-level ``tolist`` per field
-        # instead of six numpy scalar extractions per sequence.
-        slots = np.fromiter(
-            (self._slots[seq_id] for seq_id in sequences),
-            dtype=np.int64, count=len(sequences),
-        )
-        done_turn = self._a_done_turn[slots].tolist()
-        turns = self._a_turn[slots].tolist()
-        statuses = self._a_status[slots].tolist()
-        env_times = self._a_env[slots].tolist()
-        reprefill = self._a_reprefill[slots].tolist()
-        generated = self._a_gen[slots].tolist()
-        for index, seq in enumerate(sequences.values()):
-            seq.tokens_done_in_turn = done_turn[index]
-            turn = turns[index]
-            seq.turn_index = turn
-            seq.status = _STATUS_NAMES[statuses[index]]
-            seq.env_return_time = env_times[index]
-            seq.needs_reprefill = reprefill[index]
-            trajectory = seq.trajectory
-            trajectory.turns_done = turn
-            trajectory.generated_tokens = min(
-                trajectory.target_tokens, generated[index]
-            )
 
     # ------------------------------------------------------------------ decode index
     def _build_index(self) -> None:
@@ -753,84 +748,145 @@ class ReplicaGenerationState:
         if self._retag:
             self._retag = False
             slots = self._dec.slots_view()
-            stale = np.flatnonzero(last[slots] != version)
-            ids = self._dec.ids[stale].tolist()
-            last[slots[stale]] = version
+            stale = slots[last[slots] != version]
+            last[stale] = version
+            trajectories = [self._a_traj[slot] for slot in stale.tolist()]
         else:
-            ids = []
+            trajectories = []
             slots_of, status = self._slots, self._a_status
             for seq_id in self._untagged:
                 slot = slots_of.get(seq_id)
-                if (slot is not None and status.item(slot) == _ST_DECODING
+                if (slot is not None and status.item(slot) == DECODING
                         and last.item(slot) != version):
                     last[slot] = version
-                    ids.append(seq_id)
+                    trajectories.append(self._a_traj[slot])
         self._untagged = []
-        for seq_id in ids:
-            versions = self._sequences[seq_id].trajectory.versions_used
+        for trajectory in trajectories:
+            versions = trajectory.versions_used
             if version not in versions:
                 versions.append(version)
 
     # ------------------------------------------------------------------ intake
-    def add_sequences(self, sequences: Sequence[SequenceState]) -> None:
-        """Add new or migrated sequences to this replica's queue.
+    def add_sequences(self, sequences: SequenceBatch) -> None:
+        """Queue a batch of new or migrated sequences on this replica.
 
-        A sequence whose generated tokens plus the tokens left in its schedule
-        exceed its target is rejected: the decode set assumes the target is
-        never reached before the last segment ends.
+        The whole batch is checked before anything is written, so a rejected
+        batch leaves the replica unchanged: every segment is positive, every
+        env latency non-negative with one per segment, each row's turn index
+        is inside its schedule, no id repeats or is already live, and no row's
+        generated tokens plus the tokens left in its schedule exceed its
+        target (the decode set assumes the target is never reached before
+        the last segment ends).
         """
-        for seq in sequences:
-            if seq.seq_id in self._sequences:
-                raise ValueError(f"sequence {seq.seq_id} already on replica {self.replica_id}")
-            trajectory = seq.trajectory
-            scheduled = seq.segment_remaining + sum(seq.schedule.segments[seq.turn_index + 1:])
-            if trajectory.generated_tokens + scheduled > trajectory.target_tokens:
+        batch = sequences
+        n = len(batch)
+        if n:
+            offsets, segments, env_latencies = batch.offsets, batch.segments, batch.env_latencies
+            entries = len(segments)
+            if (offsets.item(0) or offsets.item(n) != entries
+                    or len(env_latencies) != entries):
+                raise ValueError("a schedule needs one env latency per segment")
+            starts, ends = offsets[:-1], offsets[1:]
+            counts = ends - starts
+            turn = batch.turn
+            # Read as unsigned, a negative turn compares above every count.
+            if np.count_nonzero(turn.view(np.uint64) >= counts):
+                raise ValueError("turn index outside the schedule")
+            # Every row has a segment now, so neither minimum is empty.
+            if min(segments.tolist()) <= 0:
+                raise ValueError("segments must be positive")
+            if min(env_latencies.tolist()) < 0:
+                raise ValueError("env latencies must be non-negative")
+            ids = batch.ids.tolist()
+            if len(set(ids)) < n or not self._slots.keys().isdisjoint(ids):
+                raise ValueError(f"a sequence id repeats or is already on replica "
+                                 f"{self.replica_id}")
+            cursor = starts + turn
+            seg_rem = segments[cursor] - batch.done_turn
+            # Tokens in the segments after the current one (inclusive prefix
+            # sums, read at each row's last segment and at its cursor).
+            decoded_by = np.add.accumulate(segments)
+            later = decoded_by[ends - 1] - decoded_by[cursor]
+            over = batch.generated + seg_rem + later > batch.target
+            if np.count_nonzero(over):
+                row = over.nonzero()[0][0]
                 raise ValueError(
-                    f"sequence {seq.seq_id}: {trajectory.generated_tokens} generated + "
-                    f"{scheduled} scheduled tokens exceed its target {trajectory.target_tokens}"
+                    f"sequence {ids[row]}: {batch.generated[row]} generated + "
+                    f"{seg_rem[row] + later[row]} scheduled tokens exceed its target "
+                    f"{batch.target[row]}"
                 )
-            seq.status = SequenceStatus.QUEUED
-            self._sequences[seq.seq_id] = seq
-            self._alloc_slot(seq)
-            self._queued.append(seq.seq_id)
+            if len(self._slots) + n > len(self._a_id):
+                self._reserve(len(self._slots) + n)
+            if self._sched_len + entries > len(self._sched_seg):
+                self._schedule_room(entries)
+            free = self._free_slots
+            taken = free[:-n - 1:-1]
+            del free[-n:]
+            slots = np.array(taken, dtype=np.int64)
+            self._a_id[slots] = batch.ids
+            self._a_seg_rem[slots] = seg_rem
+            self._a_gen[slots] = batch.generated
+            self._a_target[slots] = batch.target
+            self._a_prompt[slots] = batch.prompt_tokens
+            self._a_ctx[slots] = batch.prompt_tokens + batch.generated
+            self._a_done_turn[slots] = batch.done_turn
+            self._a_env[slots] = batch.env_return
+            self._a_last_ver[slots] = -1
+            self._a_status[slots] = QUEUED
+            self._a_turn[slots] = turn
+            self._a_nturns[slots] = counts
+            self._a_reprefill[slots] = batch.reprefill
+            tail = self._sched_len
+            self._a_sched_off[slots] = starts + tail
+            self._sched_seg[tail:tail + entries] = segments
+            self._sched_env[tail:tail + entries] = env_latencies
+            self._sched_len = tail + entries
+            trajectories = self._a_traj
+            for slot, trajectory in zip(taken, batch.trajectories):
+                trajectories[slot] = trajectory
+            self._slots.update(zip(ids, taken))
+            self._queued.extend(taken)
         self._admit_blocked = False
         self._try_admit()
 
-    def remove_sequences(self, seq_ids: Sequence[int]) -> List[SequenceState]:
-        """Detach (in-progress) sequences, e.g. when repacked to another replica."""
+    def remove_sequences(self, seq_ids: Sequence[int]) -> SequenceBatch:
+        """Detach (in-progress) sequences, e.g. when repacked to another replica.
+
+        Returns the batch of those present, in ``seq_ids`` order.
+        """
         self._write_back()
         self._drop_index()
-        removed: List[SequenceState] = []
-        decoding: List[int] = []
-        waiting: List[int] = []
-        for seq_id in seq_ids:
-            seq = self._sequences.get(seq_id)
-            if seq is None:
-                continue
-            self._sync_sequence(seq_id)
-            del self._sequences[seq_id]
-            if seq.status == SequenceStatus.QUEUED:
-                self._queued.remove(seq_id)
-            else:
-                (decoding if seq.status == SequenceStatus.DECODING else waiting).append(seq_id)
-                self.kvcache.free(seq_id)
-            self._release_slot(seq_id)
-            removed.append(seq)
-        if removed:
-            self._dec.remove_ids(decoding)
-            self._env.remove_ids(waiting)
+        slots_of = self._slots
+        slots = np.array(
+            [slots_of.pop(seq_id) for seq_id in dict.fromkeys(seq_ids) if seq_id in slots_of],
+            dtype=np.int64,
+        )
+        removed = self._gather(slots)
+        if len(slots):
+            status = removed.status
+            queued = status == QUEUED
+            if queued.any():
+                self._queued.remove(set(slots[queued].tolist()))
+            if not queued.all():
+                self.kvcache.free_many(removed.ids[~queued].tolist())
+                self._dec.remove_slots(slots[status == DECODING])
+                self._env.remove_slots(slots[status == ENV_WAIT])
+            freed = slots.tolist()
+            self._free_slots.extend(freed)
+            for slot in freed:
+                self._a_traj[slot] = None
             self._admit_blocked = False
         self._try_admit()
         return removed
 
-    def remove_all(self) -> List[SequenceState]:
+    def remove_all(self) -> SequenceBatch:
         """Detach every in-progress sequence (machine failure / full release)."""
-        return self.remove_sequences(list(self._sequences.keys()))
+        return self.remove_sequences(list(self._slots))
 
     # ------------------------------------------------------------------ queries
     @property
     def num_sequences(self) -> int:
-        return len(self._sequences)
+        return len(self._slots)
 
     @property
     def num_decoding(self) -> int:
@@ -850,16 +906,18 @@ class ReplicaGenerationState:
 
     @property
     def is_idle(self) -> bool:
-        return not self._sequences
+        return not self._slots
 
     def drain_completed(self) -> List[Trajectory]:
         """Return (and clear) trajectories completed since the last drain."""
         completed, self._completed = self._completed, []
         return completed
 
-    def sequences(self) -> List[SequenceState]:
-        self._sync_all()
-        return list(self._sequences.values())
+    def sequences(self) -> SequenceBatch:
+        """Every live sequence, in intake order."""
+        self._write_back()
+        return self._gather(np.fromiter(self._slots.values(), dtype=np.int64,
+                                        count=len(self._slots)))
 
     def mean_context_tokens(self) -> float:
         if not self._dec.n:
@@ -912,9 +970,9 @@ class ReplicaGenerationState:
         a head window decides every admission of this call at once —
         bit-identical to the scalar admit-one-recheck loop because admission
         is strictly FIFO and each admission consumes exactly the blocks the
-        prefix sum accounts for.  The window starts at ``_ADMIT_WINDOW`` ids
-        and widens only while every id in it fits, so a deep queue costs
-        O(admitted), not O(queue).
+        prefix sum accounts for.  The window starts at ``_ADMIT_WINDOW``
+        sequences and widens only while every one in it fits, so a deep queue
+        costs O(admitted), not O(queue).
         """
         queued = self._queued
         if not queued or self._admit_blocked:
@@ -925,7 +983,7 @@ class ReplicaGenerationState:
             return
         kvcache = self.kvcache
         lookahead = self.admission_lookahead_tokens
-        head_context = int(self._a_ctx[self._slots[queued.head()]])
+        head_context = self._a_ctx.item(queued.head())
         if not kvcache.can_allocate(head_context + lookahead):
             self._admit_blocked = True
             return
@@ -938,14 +996,14 @@ class ReplicaGenerationState:
             # formulation — same FIFO decision, same allocation order).
             admitted = 0
             while admitted < limit:
-                seq_id = queued.head()
-                slot = self._slots[seq_id]
-                context = int(self._a_ctx[slot])
+                slot = queued.head()
+                context = self._a_ctx.item(slot)
                 if admitted and not kvcache.can_allocate(context + lookahead):
                     break
                 queued.popleft()
+                seq_id = self._a_id.item(slot)
                 row = kvcache.allocate(seq_id, context + 1)
-                self._a_status[slot] = _ST_DECODING
+                self._a_status[slot] = DECODING
                 self._dec.append(seq_id, slot, row)
                 if self._a_reprefill[slot]:
                     self.stats.reprefill_tokens += context
@@ -962,10 +1020,7 @@ class ReplicaGenerationState:
             return
         width = min(limit, _ADMIT_WINDOW)
         while True:
-            ids = queued.head_array(width)
-            slots = np.fromiter(
-                (self._slots[int(i)] for i in ids), dtype=np.int64, count=width
-            )
+            slots = queued.head_array(width)
             contexts = self._a_ctx[slots]
             alloc_blocks = kvcache.blocks_for_many(contexts + 1)
             need_blocks = kvcache.blocks_for_many(contexts + lookahead)
@@ -980,11 +1035,11 @@ class ReplicaGenerationState:
         if count <= 0:
             self._admit_blocked = True
             return
-        admit_ids = ids[:count]
         admit_slots = slots[:count]
+        admit_ids = self._a_id[admit_slots]
         queued.popleft_n(count)
         rows = kvcache.allocate_many(admit_ids, contexts[:count] + 1)
-        self._a_status[admit_slots] = _ST_DECODING
+        self._a_status[admit_slots] = DECODING
         self._dec.extend(admit_ids, admit_slots, rows)
         reprefill = self._a_reprefill[admit_slots]
         self.stats.reprefill_tokens += int(contexts[:count][reprefill].sum())
@@ -1020,9 +1075,9 @@ class ReplicaGenerationState:
             heapq.heapify(self._heap)
             stale.clear()
         self._free_kv(seq_id, slot)
-        self._a_status[slot] = _ST_QUEUED
+        self._a_status[slot] = QUEUED
         self._a_reprefill[slot] = True
-        self._queued.appendleft(seq_id)
+        self._queued.appendleft(slot)
         self.stats.preemptions += 1
         self._admit_blocked = False
         return True
@@ -1047,7 +1102,7 @@ class ReplicaGenerationState:
         slots = env.slots[positions]
         ids = env.ids[positions]
         self._a_env[slots] = math.inf
-        self._a_status[slots] = _ST_DECODING
+        self._a_status[slots] = DECODING
         self._dec.extend(ids, slots, env.rows[positions])
         env.delete_positions(positions)
         self._env_min = None
@@ -1063,7 +1118,7 @@ class ReplicaGenerationState:
         heap's top and the step time is memoised, so calling
         ``next_event_in`` and then ``advance`` for the same event costs O(1).
         """
-        if not self._sequences:
+        if not self._slots:
             return None
         if not self._indexed:
             self._build_index()
@@ -1187,7 +1242,7 @@ class ReplicaGenerationState:
         """Control tail for the members whose segment just ended.
 
         ``slots``/``stamps`` arrive in decode-set order.  Last-turn members
-        complete (KV rows freed, slots released and trajectories finalised in
+        complete (KV rows freed, slots released and trajectories written in
         that order); the rest advance their turn and either wait on the
         environment (appended to the env set in the same order) or keep their
         decode-set place with a fresh heap entry under the same stamp.  The
@@ -1197,7 +1252,6 @@ class ReplicaGenerationState:
         dec = self._dec
         dec_stamps = self._dec_stamps
         decoded = self._decoded
-        sequences = self._sequences
         leaving: List[int] = []
         for slot, stamp in zip(slots, stamps):
             position = bisect_left(dec_stamps, stamp)
@@ -1207,11 +1261,9 @@ class ReplicaGenerationState:
             if turn + 1 == self._a_nturns.item(slot):
                 self._leave(slot)
                 self._free_kv(seq_id, slot)
-                self._sync_sequence(seq_id)
-                seq = sequences.pop(seq_id)
+                trajectory = self._a_traj[slot]
                 self._release_slot(seq_id)
-                seq.status = SequenceStatus.DONE
-                trajectory = seq.trajectory
+                trajectory.generated_tokens = self._a_gen.item(slot)
                 trajectory.turns_done = turn + 1
                 trajectory.finish_time = self.clock
                 trajectory.replica_id = self.replica_id
@@ -1232,7 +1284,7 @@ class ReplicaGenerationState:
                 self._leave(slot)
                 returns_at = self.clock + env_latency
                 self._a_env[slot] = returns_at
-                self._a_status[slot] = _ST_ENV_WAIT
+                self._a_status[slot] = ENV_WAIT
                 self._env.append(seq_id, slot, dec.rows.item(position))
                 if self._env_min is not None and returns_at < self._env_min:
                     self._env_min = returns_at
@@ -1298,25 +1350,22 @@ class ReplicaGenerationState:
         pause-and-sync cycle (§2.3): after a weight update, every interrupted
         trajectory must rebuild its KVCache before decoding can continue.
         """
-        self._sync_all()
-        inflight = [
-            self._sequences[sid]
-            for sid in self._dec.ids_list() + self._env.ids_list()
-        ]
-        total_context = sum(seq.context_tokens for seq in inflight)
+        self._write_back()
+        slots = np.concatenate((self._dec.slots_view(), self._env.slots_view()))
+        contexts = self._a_ctx[slots].tolist()
+        total_context = sum(contexts)
         if total_context == 0:
             return 0.0
         # Each interrupted trajectory re-prefills its own context; the engine
         # batches these prefills, so the cost is the sum of per-sequence
         # prefill compute (attention cost is quadratic per sequence, not over
-        # the concatenation).
-        stall = sum(
-            self.decode_model.prefill_time(seq.context_tokens, batch_size=1)
-            for seq in inflight
-        )
+        # the concatenation), added left to right in decode-then-env order.
+        prefill_time = self.decode_model.prefill_time
+        stall = sum(prefill_time(context, batch_size=1) for context in contexts)
         self.stats.reprefill_tokens += total_context
-        for seq in inflight:
-            seq.trajectory.reprefill_count += 1
+        trajectories = self._a_traj
+        for slot in slots.tolist():
+            trajectories[slot].reprefill_count += 1
         self.inject_stall(stall, busy=True)
         return stall
 
@@ -1742,9 +1791,9 @@ class ReplicaBatchView:
         stale = self._lvr[idx] != wv_e
         if stale.any():
             sidx = idx[stale]
-            for k, sid in zip(rep_e[stale].tolist(), self._sid[sidx].tolist()):
+            for k, slot in zip(rep_e[stale].tolist(), self._slot[sidx].tolist()):
                 version = int(self._wv[k])
-                trajectory = self._k_replica[k]._sequences[sid].trajectory
+                trajectory = self._k_replica[k]._a_traj[slot]
                 if version not in trajectory.versions_used:
                     trajectory.versions_used.append(version)
             self._lvr[sidx] = wv_e[stale]
@@ -1781,8 +1830,6 @@ class ReplicaBatchView:
         sid_l = self._sid[fidx].tolist()
         slot_l = self._slot[fidx].tolist()
         kvt_l = self._kvt[fidx].tolist()
-        dnt_l = self._dnt[fidx].tolist()
-        tgt_l = self._tgt[fidx].tolist()
         gen_l = fgen.tolist()
         pos_l = fpos.tolist()
         remove_pos: List[int] = []
@@ -1796,14 +1843,8 @@ class ReplicaBatchView:
                 self._freed_ids[k].append(sid_l[i])
                 self._freed_slots[k].append(slot_l[i])
                 self._admit_cleared[k] = True
-                seq = replica._sequences[sid_l[i]]
-                seq.tokens_done_in_turn = dnt_l[i]
-                seq.turn_index = turn
-                seq.env_return_time = math.inf
-                seq.needs_reprefill = False
-                seq.status = SequenceStatus.DONE
-                trajectory = seq.trajectory
-                trajectory.generated_tokens = min(tgt_l[i], gen_l[i])
+                trajectory = replica._a_traj[slot_l[i]]
+                trajectory.generated_tokens = gen_l[i]
                 trajectory.turns_done = ntr_l[i]
                 trajectory.finish_time = float(self._clock[k])
                 trajectory.replica_id = replica.replica_id
@@ -1866,10 +1907,11 @@ class ReplicaBatchView:
             freed = self._freed_ids[k]
             if freed:
                 replica.kvcache.free_many(freed)
-                for sid, slot in zip(freed, self._freed_slots[k]):
-                    del replica._sequences[sid]
+                for sid in freed:
                     del replica._slots[sid]
-                    replica._free_slots.append(slot)
+                replica._free_slots.extend(self._freed_slots[k])
+                for slot in self._freed_slots[k]:
+                    replica._a_traj[slot] = None
             nd, ne = int(dcounts[k]), int(ecounts[k])
             dk = di[dstarts[k]:dstarts[k] + nd]
             ek = ei[estarts[k]:estarts[k] + ne]
@@ -1884,8 +1926,8 @@ class ReplicaBatchView:
                 replica._a_turn[slots] = self._trn[live]
                 replica._a_env[slots] = self._envt[live]
                 replica._a_last_ver[slots] = self._lvr[live]
-                replica._a_status[slots[:nd]] = _ST_DECODING
-                replica._a_status[slots[nd:]] = _ST_ENV_WAIT
+                replica._a_status[slots[:nd]] = DECODING
+                replica._a_status[slots[nd:]] = ENV_WAIT
                 replica._dec.n = 0
                 replica._dec.extend(self._sid[dk], slots[:nd], self._row[dk])
                 replica._env.n = 0
@@ -1901,12 +1943,3 @@ class ReplicaBatchView:
             replica._completed.extend(self._done_traj[k])
             replica._drop_index()
 
-
-def build_sequence_states(
-    trajectories: Sequence[Trajectory],
-    schedules: Sequence[TurnSchedule],
-) -> List[SequenceState]:
-    """Pair trajectories with their pre-sampled turn schedules."""
-    if len(trajectories) != len(schedules):
-        raise ValueError("trajectories and schedules must align")
-    return [SequenceState(trajectory=t, schedule=s) for t, s in zip(trajectories, schedules)]

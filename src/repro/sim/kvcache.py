@@ -32,29 +32,38 @@ DEFAULT_BLOCK_SIZE = 16
 #: "Full" utilisation threshold C_max from §5.2 (99% of the cache).
 DEFAULT_C_MAX = 0.99
 
-#: Initial row capacity of the SoA ledger (grown geometrically).
-_INITIAL_CAPACITY = 64
+#: The empty ledger every cache starts with (replaced, never written).
+_EMPTY_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class KVCacheError(RuntimeError):
     """Raised on illegal KVCache operations (double free, over-allocation)."""
 
 
-def grow_array(array: np.ndarray, capacity: int, fill=0) -> np.ndarray:
-    """Return ``array`` re-homed in a ``capacity``-sized buffer of ``fill``.
-
-    Shared by every geometric grow-and-copy site of the SoA state (the
-    KVCache ledger, the replica slot arrays, the decode/env-wait vectors) so
-    the growth policy lives in one place.
-    """
-    grown = np.full(capacity, fill, dtype=array.dtype)
+def grow_array(array: np.ndarray, capacity: int) -> np.ndarray:
+    """Return ``array`` re-homed in a zeroed ``capacity``-sized buffer."""
+    grown = np.zeros(capacity, dtype=array.dtype)
     grown[: len(array)] = array
     return grown
 
 
-@dataclass
+def resize_array(array: np.ndarray, capacity: int) -> np.ndarray:
+    """``array`` in a zeroed ``capacity``-sized buffer.
+
+    Shared by every sizing site of the SoA state (the KVCache ledger, the
+    replica slot arrays, the decode/env-wait vectors).  State starts empty
+    and is sized by its first use, so an empty array is replaced by a fresh
+    buffer; only a non-empty one is grown and copied (:func:`grow_array`).
+    Entries past the live ones hold no meaning, so zero fills them.
+    """
+    if not len(array):
+        return np.zeros(capacity, dtype=array.dtype)
+    return grow_array(array, capacity)
+
+
+@dataclass(frozen=True)
 class KVCacheConfig:
-    """Sizing of one replica's KVCache pool."""
+    """Sizing of one replica's KVCache pool (shared by a workload's replicas)."""
 
     total_blocks: int
     block_size: int = DEFAULT_BLOCK_SIZE
@@ -83,11 +92,12 @@ class KVCache:
         self._used_blocks = 0
         # SoA ledger: row r holds (_tokens[r], _blocks[r]) for one live
         # sequence; _row_of maps seq_id -> row.  Freed rows are recycled via
-        # _free_rows, never compacted, so live rows are stable handles.
-        self._tokens = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._blocks = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
+        # _free_rows, never compacted, so live rows are stable handles.  The
+        # ledger starts empty and is sized by its first use (:meth:`reserve`).
+        self._tokens = _EMPTY_ROWS
+        self._blocks = _EMPTY_ROWS
         self._row_of: Dict[int, int] = {}
-        self._free_rows: List[int] = list(range(_INITIAL_CAPACITY - 1, -1, -1))
+        self._free_rows: List[int] = []
 
     # -- allocation ---------------------------------------------------------
     def blocks_for(self, tokens: int) -> int:
@@ -106,12 +116,20 @@ class KVCache:
         """True if a new sequence of ``tokens`` tokens fits right now."""
         return self._used_blocks + self.blocks_for(tokens) <= self.config.total_blocks
 
-    def _grow_ledger(self) -> None:
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` live sequences without further growth.
+
+        Capacity at least doubles when it grows.  Fresh rows go under the
+        recycled ones on the free list, so rows are handed out recycled
+        first, then in ascending order, as growing on demand would.
+        """
         old = len(self._tokens)
-        new = 2 * old
-        self._tokens = grow_array(self._tokens, new)
-        self._blocks = grow_array(self._blocks, new)
-        self._free_rows.extend(range(new - 1, old - 1, -1))
+        if rows <= old:
+            return
+        new = max(rows, 2 * old)
+        self._tokens = resize_array(self._tokens, new)
+        self._blocks = resize_array(self._blocks, new)
+        self._free_rows[:0] = range(new - 1, old - 1, -1)
 
     def allocate(self, seq_id: int, tokens: int) -> int:
         """Reserve cache space for a new sequence; returns its stable row handle."""
@@ -124,7 +142,7 @@ class KVCache:
                 f"{self.free_blocks} free"
             )
         if not self._free_rows:
-            self._grow_ledger()
+            self.reserve(len(self._tokens) + 1)
         row = self._free_rows.pop()
         self._tokens[row] = tokens
         self._blocks[row] = blocks
@@ -195,26 +213,28 @@ class KVCache:
         is bit-identical to per-sequence allocation.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size == 0:
+        count = tokens.size
+        if count == 0:
             return np.empty(0, dtype=np.int64)
         blocks = self.blocks_for_many(tokens)
         total = int(blocks.sum())
+        ids = np.asarray(seq_ids, dtype=np.int64).tolist()
         if (
             self._used_blocks + total > self.config.total_blocks
-            or any(seq_id in self._row_of for seq_id in seq_ids)
+            or len(set(ids)) < count
+            or not self._row_of.keys().isdisjoint(ids)
         ):
             # Replicate the scalar error semantics exactly: apply sequences in
             # order until the one that fails, then raise.
-            for seq_id, count in zip(seq_ids, tokens):
-                self.allocate(int(seq_id), int(count))
+            for seq_id, tokens_one in zip(ids, tokens.tolist()):
+                self.allocate(seq_id, tokens_one)
             raise AssertionError("unreachable: scalar fallback must fail")
-        rows = np.empty(len(tokens), dtype=np.int64)
-        for index, seq_id in enumerate(seq_ids):
-            if not self._free_rows:
-                self._grow_ledger()
-            row = self._free_rows.pop()
-            rows[index] = row
-            self._row_of[int(seq_id)] = row
+        self.reserve(len(self._row_of) + count)
+        free = self._free_rows
+        taken = free[:-count - 1:-1]
+        del free[-count:]
+        rows = np.array(taken, dtype=np.int64)
+        self._row_of.update(zip(ids, taken))
         self._tokens[rows] = tokens
         self._blocks[rows] = blocks
         self._used_blocks += total

@@ -84,7 +84,7 @@ class PartialRollout(System):
         """
         if self._target_inflight:
             return self._target_inflight
-        kv_tokens = self.replica_config.kvcache_config().total_tokens
+        kv_tokens = self.workload.kvcache_config.total_tokens
         mean_reserved = self.task.length_dist.mean() + 512.0
         capacity = max(1, int(kv_tokens / mean_reserved))
         self._target_inflight = min(
@@ -103,8 +103,7 @@ class PartialRollout(System):
         prompts = self.dataset.sample_batch(
             max(1, -(-deficit // self.task.group_size)), self.rng
         )[:deficit]
-        states = self.factory.make(prompts, weight_version=replica.weight_version)
-        replica.add_sequences(states)
+        replica.add_sequences(self.factory.make(prompts, weight_version=replica.weight_version))
 
     # ------------------------------------------------------------------ main loop
     def build(self, env: Environment, result: SystemRunResult,

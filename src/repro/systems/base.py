@@ -23,9 +23,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Generator, List, Optional, Sequence, Tuple, Type
 
+import numpy as np
+
 from ..config import SystemConfig
 from ..metrics.results import SystemRunResult
-from ..rollout.generation import ReplicaGenerationState, SequenceState
+from ..rollout.generation import ReplicaGenerationState, SequenceBatch
 from ..runtime.components import CompletionPipeline, GlobalWeightSync
 from ..runtime.harness import GenerationOutcome, generation_barrier
 from ..runtime.workload import WorkloadBundle
@@ -152,8 +154,8 @@ class System(ABC):
                   pipeline_floor)
         return max(0, cap - in_flight - len(self.buffer))
 
-    def sample_batch_states(self, weight_version: int) -> List[SequenceState]:
-        """Sample one global batch worth of prompts and build sequence states."""
+    def sample_global_batch(self, weight_version: int) -> SequenceBatch:
+        """Sample one global batch worth of prompts as fresh sequences."""
         prompts = self.dataset.sample_batch(self.config.num_prompts_per_batch, self.rng)
         return self.factory.make(prompts, weight_version=weight_version)
 
@@ -165,7 +167,8 @@ class System(ABC):
     ) -> Generator:
         """Sub-process: synchronous full-batch generation across fresh replicas.
 
-        Sequences are distributed round-robin over the replicas; the join
+        Sequences are distributed round-robin over the replicas (replica
+        ``r`` of ``R`` gets rows ``r, r + R, ...``); the join
         completes when the slowest replica finishes (the global barrier of
         the synchronous and k-step-staleness designs).  With ``origin`` set
         the replicas run as anchored drains whose join lands at
@@ -177,13 +180,17 @@ class System(ABC):
         :func:`~repro.runtime.harness.generation_barrier` it calls is the one
         barrier all of them share.
         """
-        states = self.sample_batch_states(weight_version)
+        batch = self.sample_global_batch(weight_version)
         replicas = self.make_replicas(self.num_generation_replicas(), weight_version)
-        buckets: List[List[SequenceState]] = [[] for _ in replicas]
-        for index, state in enumerate(states):
-            buckets[index % len(replicas)].append(state)
-        for replica, bucket in zip(replicas, buckets):
-            replica.add_sequences(bucket)
+        # Order the rows by replica once, so each replica's share is one
+        # contiguous slice (replica r's rows keep their order r, r + R, ...).
+        owner = np.arange(len(batch)) % len(replicas)
+        batch = batch.take(np.argsort(owner, kind="stable"))
+        bounds = np.zeros(len(replicas) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=len(replicas)), out=bounds[1:])
+        bounds = bounds.tolist()
+        for index, replica in enumerate(replicas):
+            replica.add_sequences(batch[bounds[index]:bounds[index + 1]])
         outcome = yield from generation_barrier(env, replicas, origin)
         return outcome
 

@@ -121,7 +121,7 @@ class LaminarSystem(System):
             context_length=int(self.task.length_dist.mean()) + 512, slack=2.0
         )
         self.manager = RolloutManager(
-            c_max=self.replica_config.kvcache_config().c_max,
+            c_max=self.workload.kvcache_config.c_max,
             batch_bound=max(8, batch_bound),
             repack_interval=config.repack_interval,
             recovery=self.recovery,
@@ -188,7 +188,7 @@ class LaminarSystem(System):
 
     def _compute_per_replica_batch(self) -> int:
         """Per-replica prompt batch: saturate the KVCache with a waiting queue."""
-        kv_tokens = self.replica_config.kvcache_config().total_tokens
+        kv_tokens = self.workload.kvcache_config.total_tokens
         mean_reserved = self.task.length_dist.mean() + 512.0
         capacity = max(1, int(kv_tokens / mean_reserved))
         return int(min(self.config.max_concurrency_per_replica, max(capacity * 1.5, 8)))
@@ -219,11 +219,11 @@ class LaminarSystem(System):
         prompts = self.dataset.sample_batch(
             max(1, -(-count // self.task.group_size)), self.rng
         )[:count]
-        states = self.factory.make(prompts, weight_version=replica.weight_version,
-                                   start_time=now)
-        replica.add_sequences(states)
-        for state in states:
-            self.partial_pool.register(state.trajectory, replica.replica_id)
+        batch = self.factory.make(prompts, weight_version=replica.weight_version,
+                                  start_time=now)
+        replica.add_sequences(batch)
+        for trajectory in batch.trajectories:
+            self.partial_pool.register(trajectory, replica.replica_id)
         return True
 
     # ------------------------------------------------------------------ completions
@@ -281,12 +281,13 @@ class LaminarSystem(System):
             return 0
         moved = 0
         for rid in sorted(drain_ids):
-            for state in self.replicas[rid].remove_all():
-                state.needs_reprefill = True
-                target = RolloutManager._pick_failover_target(healthy, state)
-                target.add_sequences([state])
-                if state.trajectory.traj_id in self.partial_pool:
-                    self.partial_pool.migrate(state.trajectory.traj_id, target.replica_id)
+            batch = self.replicas[rid].remove_all()
+            batch.reprefill[:] = True
+            for row, trajectory in enumerate(batch.trajectories):
+                target = RolloutManager._pick_failover_target(healthy, trajectory)
+                target.add_sequences(batch[row:row + 1])
+                if trajectory.traj_id in self.partial_pool:
+                    self.partial_pool.migrate(trajectory.traj_id, target.replica_id)
                 moved += 1
         return moved
 

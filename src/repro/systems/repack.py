@@ -209,12 +209,12 @@ class RepackExecutor:
             dest = replicas.get(dest_id)
             if source is None or dest is None:
                 continue
-            states = source.remove_all()
-            for state in states:
-                state.needs_reprefill = True
-                state.trajectory.repack_count += 1
-            dest.add_sequences(states)
-            moved += len(states)
+            batch = source.remove_all()
+            batch.reprefill[:] = True
+            for trajectory in batch.trajectories:
+                trajectory.repack_count += 1
+            dest.add_sequences(batch)
+            moved += len(batch)
         overhead = self.plan_overhead + self.per_trajectory_overhead * moved
         self.stats.num_repacks += 1
         self.stats.replicas_released += plan.num_released

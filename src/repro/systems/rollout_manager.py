@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..data.partial_response_pool import PartialResponsePool
-from ..rollout.generation import ReplicaGenerationState, SequenceState
+from ..rollout.generation import ReplicaGenerationState, SequenceBatch
+from ..types import Trajectory
 from .fault_tolerance import FailureEvent, RecoveryModel, RecoveryRecord
 from .repack import (
     RepackExecutor,
@@ -106,30 +107,31 @@ class RolloutManager:
         equivalent to waiting for a replacement machine but simpler to model).
         """
         detected_at = now + self.recovery.heartbeat_interval
-        orphans: List[SequenceState] = []
+        orphans: List[SequenceBatch] = []
         for replica_id in failed_replica_ids:
             replica = replicas.pop(replica_id, None)
             if replica is None:
                 continue
-            states = replica.remove_all()
-            orphans.extend(states)
+            orphans.append(replica.remove_all())
         redirected = 0
         lost = 0
         healthy = list(replicas.values())
-        for state in orphans:
-            state.needs_reprefill = True
-            if partial_pool is not None and state.trajectory.traj_id in partial_pool:
-                partial_pool.migrate(state.trajectory.traj_id, -1)
-            target = self._pick_failover_target(healthy, state)
-            if target is None:
-                lost += 1
-                if partial_pool is not None:
-                    partial_pool.discard(state.trajectory.traj_id)
-                continue
-            target.add_sequences([state])
-            if partial_pool is not None and state.trajectory.traj_id in partial_pool:
-                partial_pool.migrate(state.trajectory.traj_id, target.replica_id)
-            redirected += 1
+        for batch in orphans:
+            batch.reprefill[:] = True
+            for row, trajectory in enumerate(batch.trajectories):
+                traj_id = trajectory.traj_id
+                if partial_pool is not None and traj_id in partial_pool:
+                    partial_pool.migrate(traj_id, -1)
+                target = self._pick_failover_target(healthy, trajectory)
+                if target is None:
+                    lost += 1
+                    if partial_pool is not None:
+                        partial_pool.discard(traj_id)
+                    continue
+                target.add_sequences(batch[row:row + 1])
+                if partial_pool is not None and traj_id in partial_pool:
+                    partial_pool.migrate(traj_id, target.replica_id)
+                redirected += 1
         record = RecoveryRecord(
             event=event,
             detected_at=detected_at,
@@ -142,11 +144,11 @@ class RolloutManager:
 
     @staticmethod
     def _pick_failover_target(
-        healthy: List[ReplicaGenerationState], state: SequenceState
+        healthy: List[ReplicaGenerationState], trajectory: Trajectory
     ) -> Optional[ReplicaGenerationState]:
         if not healthy:
             return None
-        version = min(state.trajectory.versions_used)
+        version = min(trajectory.versions_used)
         same_version = [r for r in healthy if r.weight_version == version]
         pool = same_version or healthy
         return min(pool, key=lambda r: r.num_sequences)

@@ -16,7 +16,7 @@ from .env_latency import (
     RULE_BASED_VERIFIER,
     get_env_latency,
 )
-from .datasets import PromptDataset, TaskSpec, math_task, tool_task
+from .datasets import PromptBatch, PromptDataset, TaskSpec, math_task, tool_task
 
 __all__ = [
     "AIME_MATH_7B",
@@ -31,6 +31,7 @@ __all__ = [
     "EnvLatencyDistribution",
     "RULE_BASED_VERIFIER",
     "get_env_latency",
+    "PromptBatch",
     "PromptDataset",
     "TaskSpec",
     "math_task",

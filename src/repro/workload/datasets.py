@@ -11,11 +11,9 @@ and a multi-turn flag with a turn budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 
-from ..types import Prompt
 from .env_latency import EnvLatencyDistribution, CODE_SANDBOX, RULE_BASED_VERIFIER
 from .length_dist import LengthDistribution, get_length_distribution
 
@@ -69,6 +67,31 @@ def tool_task(model_size: str = "7B", max_turns: int = 8) -> TaskSpec:
 
 
 @dataclass
+class PromptBatch:
+    """Columns of sampled prompts: one row per GRPO response slot.
+
+    ``multi_turn`` and ``max_turns`` come from the task, so they hold for
+    every row.  Slicing keeps rows in order (``batch[:count]``).
+    """
+
+    prompt_ids: np.ndarray
+    group_ids: np.ndarray
+    prompt_tokens: np.ndarray
+    difficulty: np.ndarray
+    multi_turn: bool = False
+    max_turns: int = 1
+
+    def __len__(self) -> int:
+        return len(self.prompt_ids)
+
+    def __getitem__(self, rows: slice) -> "PromptBatch":
+        return PromptBatch(
+            self.prompt_ids[rows], self.group_ids[rows], self.prompt_tokens[rows],
+            self.difficulty[rows], self.multi_turn, self.max_turns,
+        )
+
+
+@dataclass
 class PromptDataset:
     """A bank of prompts with GRPO group replication.
 
@@ -93,25 +116,28 @@ class PromptDataset:
         lengths = rng.lognormal(np.log(450.0), 0.6, self.num_questions)
         self._prompt_lengths = np.clip(lengths, 64, self.task.max_prompt_tokens).astype(np.int64)
 
-    def sample_batch(self, num_prompts: int, rng: np.random.Generator) -> List[Prompt]:
-        """Sample ``num_prompts`` questions, each replicated ``group_size`` times."""
+    def sample_batch(self, num_prompts: int, rng: np.random.Generator) -> PromptBatch:
+        """Sample ``num_prompts`` questions, each replicated ``group_size`` times.
+
+        One ``integers`` draw picks the questions; the ``group_size`` copies
+        of a question are consecutive rows sharing its group id, and prompt
+        ids number the rows.
+        """
         if num_prompts <= 0:
             raise ValueError("num_prompts must be positive")
         indices = rng.integers(0, self.num_questions, num_prompts)
-        prompts: List[Prompt] = []
-        for index in indices:
-            group_id = self._next_group_id
-            self._next_group_id += 1
-            for _ in range(self.task.group_size):
-                prompts.append(
-                    Prompt(
-                        prompt_id=self._next_prompt_id,
-                        group_id=group_id,
-                        prompt_tokens=int(self._prompt_lengths[index]),
-                        difficulty=float(self._difficulties[index]),
-                        multi_turn=self.task.multi_turn,
-                        max_turns=self.task.max_turns,
-                    )
-                )
-                self._next_prompt_id += 1
-        return prompts
+        group_size = self.task.group_size
+        rows = num_prompts * group_size
+        group_ids = np.repeat(np.arange(self._next_group_id, self._next_group_id + num_prompts),
+                              group_size)
+        prompt_ids = np.arange(self._next_prompt_id, self._next_prompt_id + rows)
+        self._next_group_id += num_prompts
+        self._next_prompt_id += rows
+        return PromptBatch(
+            prompt_ids=prompt_ids,
+            group_ids=group_ids,
+            prompt_tokens=np.repeat(self._prompt_lengths[indices], group_size),
+            difficulty=np.repeat(self._difficulties[indices], group_size),
+            multi_turn=self.task.multi_turn,
+            max_turns=self.task.max_turns,
+        )

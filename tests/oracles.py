@@ -4,11 +4,17 @@ Production (``src/repro``) has one stepping path per concern.  This module
 keeps the slower, plainer shapes those paths must reproduce bit for bit:
 
 * :class:`ScalarReplicaGenerationState` — the pre-vectorization decode engine
-  (one sequence at a time, plain Python), the oracle of
-  :class:`repro.rollout.ReplicaGenerationState`;
+  (one sequence at a time, plain Python, one :class:`SequenceState` with a
+  :class:`TurnSchedule` per trajectory), the oracle of
+  :class:`repro.rollout.ReplicaGenerationState`; :func:`to_batch` and
+  :func:`to_states` map its states to and from the production engine's
+  :class:`~repro.rollout.SequenceBatch`;
 * :class:`ScalarReplicaBatchView` — the per-replica router that *defines*
   what :class:`repro.rollout.ReplicaBatchView` computes;
 * :func:`run_to_completion` — drive one replica until it has no work left;
+* :func:`reference_sample_batch` and :func:`reference_make` — the per-prompt
+  fabrication loop that :meth:`repro.workload.PromptDataset.sample_batch`
+  and :meth:`repro.rollout.TrajectoryFactory.make` reproduce as columns;
 * one engine process per replica — :func:`drain_replica` and
   :func:`drain_replica_anchored` joined by :func:`process_generation_barrier`
   (an ``AllOf`` barrier), and one :func:`replica_driver` per continuous
@@ -23,19 +29,23 @@ production engine or harness must land here too, or those suites fail.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 import repro.runtime.harness as harness
 import repro.systems.base as base
 from repro.llm.decode_model import DecodeModel
+from repro.rollout.environment import TrajectoryFactory, difficulty_to_turns
 from repro.rollout.generation import (
     _EPS,
     ReplicaGenerationState,
     ReplicaStats,
-    SequenceState,
-    SequenceStatus,
+    SequenceBatch,
 )
 from repro.runtime.harness import (
     EventBox,
@@ -45,15 +55,208 @@ from repro.runtime.harness import (
 )
 from repro.sim.engine import Environment, Interrupt, Process
 from repro.sim.kvcache import KVCache, KVCacheConfig
-from repro.types import Trajectory
+from repro.types import Prompt, Trajectory
+from repro.workload.datasets import PromptDataset
+
+
+# --------------------------------------------------------------------------- per-sequence state
+@dataclass
+class TurnSchedule:
+    """Pre-sampled decode/environment schedule for one trajectory.
+
+    ``segments[i]`` is the number of response tokens decoded in turn ``i``;
+    ``env_latencies[i]`` is the environment latency paid *after* turn ``i``
+    (zero after the final turn).  Single-turn tasks have one segment and no
+    environment latency.
+    """
+
+    segments: List[int]
+    env_latencies: List[float]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("a turn schedule needs at least one segment")
+        if len(self.env_latencies) != len(self.segments):
+            raise ValueError("env_latencies must have one entry per segment")
+        if any(s <= 0 for s in self.segments):
+            raise ValueError("segments must be positive")
+        if any(l < 0 for l in self.env_latencies):
+            raise ValueError("env latencies must be non-negative")
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(self.segments)
+
+    @property
+    def num_turns(self) -> int:
+        return len(self.segments)
+
+    @classmethod
+    def single_turn(cls, tokens: int) -> "TurnSchedule":
+        return cls(segments=[int(tokens)], env_latencies=[0.0])
+
+
+class SequenceStatus:
+    QUEUED = "queued"
+    DECODING = "decoding"
+    ENV_WAIT = "env_wait"
+    DONE = "done"
+
+
+@dataclass
+class SequenceState:
+    """Runtime state of one trajectory on a replica."""
+
+    trajectory: Trajectory
+    schedule: TurnSchedule
+    status: str = SequenceStatus.QUEUED
+    turn_index: int = 0
+    tokens_done_in_turn: int = 0
+    env_return_time: float = math.inf
+    #: True if this sequence arrived via repack/failover and its existing
+    #: context must be re-prefilled before decoding resumes on this replica.
+    needs_reprefill: bool = False
+
+    @property
+    def seq_id(self) -> int:
+        return self.trajectory.traj_id
+
+    @property
+    def segment_remaining(self) -> int:
+        return self.schedule.segments[self.turn_index] - self.tokens_done_in_turn
+
+    @property
+    def context_tokens(self) -> int:
+        return self.trajectory.prompt.prompt_tokens + self.trajectory.generated_tokens
+
+
+#: ``SequenceBatch.status`` codes, as the oracle's status names.
+STATUS_NAMES = (SequenceStatus.QUEUED, SequenceStatus.DECODING, SequenceStatus.ENV_WAIT)
+
+
+def to_batch(states: Sequence[SequenceState]) -> SequenceBatch:
+    """The production engine's columns for ``states`` (trajectories shared)."""
+    schedules = [state.schedule for state in states]
+    offsets = np.zeros(len(states) + 1, dtype=np.int64)
+    np.cumsum([len(schedule.segments) for schedule in schedules], out=offsets[1:])
+
+    def column(values, dtype):
+        return np.array(list(values), dtype=dtype)
+
+    return SequenceBatch(
+        ids=column((s.seq_id for s in states), np.int64),
+        prompt_tokens=column((s.trajectory.prompt.prompt_tokens for s in states), np.int64),
+        target=column((s.trajectory.target_tokens for s in states), np.int64),
+        generated=column((s.trajectory.generated_tokens for s in states), np.int64),
+        turn=column((s.turn_index for s in states), np.int64),
+        done_turn=column((s.tokens_done_in_turn for s in states), np.int64),
+        env_return=column((s.env_return_time for s in states), np.float64),
+        reprefill=column((s.needs_reprefill for s in states), bool),
+        status=column((STATUS_NAMES.index(s.status) for s in states), np.int8),
+        offsets=offsets,
+        segments=column((x for sch in schedules for x in sch.segments), np.int64),
+        env_latencies=column((x for sch in schedules for x in sch.env_latencies), np.float64),
+        trajectories=[state.trajectory for state in states],
+    )
+
+
+def to_states(batch: SequenceBatch) -> List[SequenceState]:
+    """One oracle state per row of ``batch``.
+
+    A state keeps its progress on its trajectory, which the production
+    engine writes only at completion; each state therefore gets a copy of
+    its row's trajectory carrying the row's generated tokens and turns done
+    (its ``versions_used`` list is the production one, not a copy).
+    """
+    states = []
+    for row, trajectory in enumerate(batch.trajectories):
+        lo, hi = int(batch.offsets[row]), int(batch.offsets[row + 1])
+        turn = int(batch.turn[row])
+        states.append(SequenceState(
+            trajectory=dataclasses.replace(
+                trajectory, generated_tokens=int(batch.generated[row]), turns_done=turn,
+            ),
+            schedule=TurnSchedule(
+                segments=batch.segments[lo:hi].tolist(),
+                env_latencies=batch.env_latencies[lo:hi].tolist(),
+            ),
+            status=STATUS_NAMES[batch.status[row]],
+            turn_index=turn,
+            tokens_done_in_turn=int(batch.done_turn[row]),
+            env_return_time=float(batch.env_return[row]),
+            needs_reprefill=bool(batch.reprefill[row]),
+        ))
+    return states
+
+
+# --------------------------------------------------------------------------- fabrication
+def reference_sample_batch(dataset: PromptDataset, num_prompts: int,
+                           rng: np.random.Generator) -> List[Prompt]:
+    """Per-prompt loop equal to ``dataset.sample_batch`` (one object per row)."""
+    if num_prompts <= 0:
+        raise ValueError("num_prompts must be positive")
+    indices = rng.integers(0, dataset.num_questions, num_prompts)
+    prompts: List[Prompt] = []
+    for index in indices:
+        group_id = dataset._next_group_id
+        dataset._next_group_id += 1
+        for _ in range(dataset.task.group_size):
+            prompts.append(
+                Prompt(
+                    prompt_id=dataset._next_prompt_id,
+                    group_id=group_id,
+                    prompt_tokens=int(dataset._prompt_lengths[index]),
+                    difficulty=float(dataset._difficulties[index]),
+                    multi_turn=dataset.task.multi_turn,
+                    max_turns=dataset.task.max_turns,
+                )
+            )
+            dataset._next_prompt_id += 1
+    return prompts
+
+
+def reference_make(factory: TrajectoryFactory, prompts: Sequence[Prompt],
+                   weight_version: int = 0, start_time: float = 0.0) -> List[SequenceState]:
+    """Per-prompt loop equal to ``factory.make`` (one state per prompt)."""
+    if not prompts:
+        return []
+    rng = factory._rng
+    task = factory.task
+    difficulties = [p.difficulty for p in prompts]
+    lengths = task.length_dist.sample(rng, len(prompts), difficulty=difficulties)
+    states: List[SequenceState] = []
+    for prompt, total_tokens in zip(prompts, lengths):
+        total_tokens = max(int(total_tokens), 1)
+        if not prompt.multi_turn or prompt.max_turns <= 1:
+            schedule = TurnSchedule.single_turn(total_tokens)
+        else:
+            max_turns = prompt.max_turns
+            mean_turns = 1.0 + difficulty_to_turns(prompt.difficulty, max_turns)
+            num_turns = int(np.clip(rng.poisson(mean_turns) + 1, 1, max_turns))
+            shares = rng.dirichlet(np.full(num_turns, 1.5))
+            segments = np.maximum(1, np.round(shares * total_tokens)).astype(int)
+            latencies = task.env_latency.sample(rng, num_turns)
+            latencies[-1] = 0.0
+            schedule = TurnSchedule(segments=list(segments), env_latencies=list(latencies))
+        trajectory = Trajectory(
+            traj_id=factory._next_traj_id,
+            prompt=prompt,
+            target_tokens=schedule.total_tokens,
+            weight_version=weight_version,
+            start_time=start_time,
+        )
+        factory._next_traj_id += 1
+        states.append(SequenceState(trajectory=trajectory, schedule=schedule))
+    return states
 
 
 # --------------------------------------------------------------------------- engine
 class ScalarReplicaGenerationState:
     """Per-sequence (scalar) decode engine — the vector engine's oracle.
 
-    It shares ``SequenceState``, ``TurnSchedule`` and ``ReplicaStats`` with
-    the production engine so states can be fabricated once and fed to both.
+    It shares ``ReplicaStats`` with the production engine; its sequences are
+    :class:`SequenceState` objects, converted to and from the production
+    engine's batches by :func:`to_batch` / :func:`to_states`.
     """
 
     def __init__(

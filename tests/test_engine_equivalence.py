@@ -16,15 +16,24 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ScalarReplicaBatchView, ScalarReplicaGenerationState, run_to_completion
+from oracles import (
+    ScalarReplicaBatchView,
+    ScalarReplicaGenerationState,
+    SequenceState,
+    TurnSchedule,
+    run_to_completion,
+    to_batch,
+    to_states,
+)
+import repro.sim.kvcache as kvcache_module
 from repro.llm import QWEN_7B
 from repro.rollout.generation import _EPS
 from repro.rollout import (
+    DECODING,
+    ENV_WAIT,
     ReplicaBatchView,
     ReplicaGenerationState,
     RolloutReplicaConfig,
-    SequenceState,
-    TurnSchedule,
 )
 from repro.sim import KVCacheConfig
 from repro.types import Prompt, Trajectory
@@ -43,7 +52,8 @@ def make_engines(blocks=512, max_concurrency=64):
 
 
 def make_states(seed: int, count: int, start_id: int, multi_turn=True):
-    """Deterministic workload fabrication; call twice for mirrored copies."""
+    """Deterministic workload fabrication; call twice for mirrored copies
+    (:func:`make_batch` for the vector engine's)."""
     rng = np.random.default_rng(seed)
     states = []
     for i in range(count):
@@ -67,6 +77,10 @@ def make_states(seed: int, count: int, start_id: int, multi_turn=True):
     return states
 
 
+def make_batch(seed: int, count: int, start_id: int, multi_turn=True):
+    return to_batch(make_states(seed, count, start_id, multi_turn))
+
+
 def assert_counters_identical(scalar, vector):
     """Everything observable without reading per-sequence state (so the
     vector engine writes nothing back)."""
@@ -85,8 +99,8 @@ def assert_counters_identical(scalar, vector):
 def assert_engines_identical(scalar, vector):
     assert_counters_identical(scalar, vector)
     s_states = {s.seq_id: s for s in scalar.sequences()}
-    v_states = {s.seq_id: s for s in vector.sequences()}
-    assert s_states.keys() == v_states.keys()
+    v_states = {s.seq_id: s for s in to_states(vector.sequences())}
+    assert list(s_states) == list(v_states)
     for seq_id, s in s_states.items():
         v = v_states[seq_id]
         assert s.status == v.status, seq_id
@@ -127,7 +141,7 @@ def test_fuzzed_random_workload_is_bit_identical(seed):
     def add_batch(count):
         nonlocal next_id
         scalar.add_sequences(make_states(seed * 971 + next_id, count, next_id))
-        vector.add_sequences(make_states(seed * 971 + next_id, count, next_id))
+        vector.add_sequences(make_batch(seed * 971 + next_id, count, next_id))
         next_id += count
 
     add_batch(int(op_rng.integers(8, 20)))
@@ -155,18 +169,19 @@ def test_fuzzed_random_workload_is_bit_identical(seed):
                 take = op_rng.choice(ids, size=min(len(ids), 5), replace=False)
                 pulled_s = scalar.remove_sequences([int(i) for i in take])
                 pulled_v = vector.remove_sequences([int(i) for i in take])
-                assert [s.seq_id for s in pulled_s] == [s.seq_id for s in pulled_v]
-                for s, v in zip(pulled_s, pulled_v):
+                assert [s.seq_id for s in pulled_s] == pulled_v.ids.tolist()
+                for s, v in zip(pulled_s, to_states(pulled_v)):
                     assert s.trajectory.generated_tokens == v.trajectory.generated_tokens
                     assert s.tokens_done_in_turn == v.tokens_done_in_turn
-                    s.needs_reprefill = v.needs_reprefill = True
-                parked_scalar.extend(pulled_s)
-                parked_vector.extend(pulled_v)
+                    s.needs_reprefill = True
+                pulled_v.reprefill[:] = True
+                parked_scalar.append(pulled_s)
+                parked_vector.append(pulled_v)
         elif op < 0.86:  # migrated work returns (same replica stands in for a peer)
-            if parked_scalar:
-                scalar.add_sequences(parked_scalar)
-                vector.add_sequences(parked_vector)
-                parked_scalar, parked_vector = [], []
+            for pulled_s, pulled_v in zip(parked_scalar, parked_vector):
+                scalar.add_sequences(pulled_s)
+                vector.add_sequences(pulled_v)
+            parked_scalar, parked_vector = [], []
         elif op < 0.92:  # weight-pull / repack-overhead stall
             duration = float(op_rng.uniform(0.1, 5.0))
             busy = bool(op_rng.random() < 0.5)
@@ -183,9 +198,9 @@ def test_fuzzed_random_workload_is_bit_identical(seed):
         assert_engines_identical(scalar, vector)
 
     # Drain everything that is still in flight and compare the full epilogue.
-    if parked_scalar:
-        scalar.add_sequences(parked_scalar)
-        vector.add_sequences(parked_vector)
+    for pulled_s, pulled_v in zip(parked_scalar, parked_vector):
+        scalar.add_sequences(pulled_s)
+        vector.add_sequences(pulled_v)
     duration_s, done_s = run_to_completion(scalar)
     duration_v, done_v = run_to_completion(vector)
     assert duration_s == duration_v
@@ -211,7 +226,7 @@ def test_preemption_storm_is_bit_identical():
 
     scalar, vector = make_engines(blocks=64, max_concurrency=32)
     scalar.add_sequences(long_states())
-    vector.add_sequences(long_states())
+    vector.add_sequences(to_batch(long_states()))
     while scalar.num_sequences or vector.num_sequences:
         delta_s, delta_v = scalar.next_event_in(), vector.next_event_in()
         assert delta_s == delta_v
@@ -242,7 +257,10 @@ def degenerate_replica(engine_cls):
         schedule=TurnSchedule.single_turn(40),
         tokens_done_in_turn=40,
     )
-    replica.add_sequences(healthy + [stuck])
+    states = healthy + [stuck]
+    replica.add_sequences(
+        to_batch(states) if engine_cls is ReplicaGenerationState else states
+    )
     return replica
 
 
@@ -273,6 +291,88 @@ def test_degenerate_window_engines_agree():
     assert_engines_identical(scalar, vector)
 
 
+# --------------------------------------------------------------------------- intake contract
+def _tiny_pool_with_a_queue():
+    """A replica holding decoding and queued sequences (the pool fits two)."""
+    _, vector = make_engines(blocks=48, max_concurrency=8)
+    vector.add_sequences(make_batch(5, 4, 0, multi_turn=False))
+    assert vector.num_decoding and vector.num_queued
+    return vector
+
+
+def _observable(replica):
+    batch = replica.sequences()
+    return (batch.ids.tolist(), batch.status.tolist(), replica.num_queued,
+            replica.num_decoding, replica.kvcache.used_blocks,
+            replica.kvcache.num_sequences, replica.stats)
+
+
+def _three_rows():
+    """Rows 100-102; row 101 has schedule [40, 35, 25] (target 100)."""
+    states = make_states(9, 3, 100)
+    prompt = Prompt(prompt_id=101, group_id=0, prompt_tokens=32)
+    states[1] = SequenceState(
+        trajectory=Trajectory(traj_id=101, prompt=prompt, target_tokens=100),
+        schedule=TurnSchedule(segments=[40, 35, 25], env_latencies=[1.0, 1.0, 0.0]),
+    )
+    return to_batch(states)
+
+
+def _past_target(turn, done, generated):
+    def spoil(batch):
+        batch.turn[1], batch.done_turn[1], batch.generated[1] = turn, done, generated
+    return spoil
+
+
+def _set(column, index, value):
+    def spoil(batch):
+        getattr(batch, column)[index] = value
+    return spoil
+
+
+def _drop_last_latency(batch):
+    batch.env_latencies = batch.env_latencies[:-1]
+
+
+def _empty_schedule(batch):
+    # Row 101 keeps no segment: its turn 0 is outside an empty schedule.
+    lo, hi = batch.offsets[1], batch.offsets[2]
+    batch.segments = np.delete(batch.segments, range(lo, hi))
+    batch.env_latencies = np.delete(batch.env_latencies, range(lo, hi))
+    batch.offsets[2:] -= hi - lo
+
+
+def _duplicate_of_live(batch):
+    batch.ids[1] = 0
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_set("segments", 2, 0), "segments must be positive"),
+    (_set("segments", 2, -3), "segments must be positive"),
+    (_set("env_latencies", 1, -1.0), "env latencies must be non-negative"),
+    (_drop_last_latency, "one env latency per segment"),
+    (_empty_schedule, "turn index outside the schedule"),
+    (_set("turn", 1, 3), "turn index outside the schedule"),
+    (_set("turn", 1, -1), "turn index outside the schedule"),
+    (_set("ids", 2, 101), "repeats or is already on replica"),
+    (_duplicate_of_live, "repeats or is already on replica"),
+], ids=["zero-segment", "negative-segment", "negative-latency", "latency-count",
+        "empty-schedule", "turn-past-end", "negative-turn", "duplicate-in-batch",
+        "duplicate-of-live"])
+def test_intake_checks_the_whole_batch_before_writing(spoil, message):
+    """One bad row rejects the batch and leaves the replica as it was: the
+    rows before it are neither registered, queued nor admitted."""
+    vector = _tiny_pool_with_a_queue()
+    before = _observable(vector)
+    batch = _three_rows()
+    spoil(batch)
+    with pytest.raises(ValueError, match=message):
+        vector.add_sequences(batch)
+    assert _observable(vector) == before
+    vector.add_sequences(_three_rows())  # the replica still takes good rows
+    assert vector.num_sequences == len(before[0]) + 3
+
+
 @pytest.mark.parametrize("turn_index, tokens_done, generated", [
     (0, 0, 1),    # fresh schedule, one token already generated
     (1, 0, 41),   # turn boundary, one token more than turn 0 produced
@@ -280,24 +380,88 @@ def test_degenerate_window_engines_agree():
 ])
 def test_intake_rejects_a_schedule_past_the_target(turn_index, tokens_done, generated):
     """The decode set never caps a counter mid-segment, so intake refuses a
-    sequence whose generated tokens plus the tokens left in its schedule
-    exceed its target, and accepts it one token lower."""
-    prompt = Prompt(prompt_id=0, group_id=0, prompt_tokens=32)
-    trajectory = Trajectory(traj_id=0, prompt=prompt, target_tokens=100)
-    trajectory.generated_tokens = generated
-    state = SequenceState(
-        trajectory=trajectory,
-        schedule=TurnSchedule(segments=[40, 35, 25], env_latencies=[1.0, 1.0, 0.0]),
-        turn_index=turn_index,
-        tokens_done_in_turn=tokens_done,
-    )
-    _, vector = make_engines()
+    batch with a row whose generated tokens plus the tokens left in its
+    schedule exceed its target, without touching the replica, and accepts
+    it one token lower."""
+    vector = _tiny_pool_with_a_queue()
+    before = _observable(vector)
+    batch = _three_rows()
+    _past_target(turn_index, tokens_done, generated)(batch)
     with pytest.raises(ValueError, match="exceed its target"):
-        vector.add_sequences([state])
-    assert vector.num_sequences == 0
-    trajectory.generated_tokens -= 1
-    vector.add_sequences([state])
-    assert vector.num_sequences == 1
+        vector.add_sequences(batch)
+    assert _observable(vector) == before
+    batch.generated[1] -= 1
+    vector.add_sequences(batch)
+    assert vector.num_sequences == len(before[0]) + 3
+
+
+def test_migration_round_trip_keeps_every_column():
+    """remove_sequences, then add_sequences on another replica, carries every
+    column and the trajectory objects themselves; both replicas still step
+    bit-identically with the oracle afterwards."""
+    source_s, source_v = make_engines(blocks=384, max_concurrency=48)
+    target_s, target_v = make_engines(blocks=384, max_concurrency=48)
+    source_s.add_sequences(make_states(21, 20, 0))
+    source_v.add_sequences(make_batch(21, 20, 0))
+    target_s.add_sequences(make_states(22, 6, 500))
+    target_v.add_sequences(make_batch(22, 6, 500))
+    for scalar, vector in ((source_s, source_v), (target_s, target_v)):
+        for _ in range(12):  # into decoding, env waits and later turns
+            delta = scalar.next_event_in()
+            assert delta == vector.next_event_in() and delta is not None
+            assert_completions_identical(scalar.advance(delta), vector.advance(delta))
+    before = source_v.sequences()
+    take = before.ids[::3].tolist()
+    moved_s = source_s.remove_sequences(take)
+    moved = source_v.remove_sequences(take)
+    rows = [before.ids.tolist().index(seq_id) for seq_id in take]
+    expected = before.take(np.array(rows))
+    columns = ("ids", "prompt_tokens", "target", "generated", "turn", "done_turn",
+               "env_return", "reprefill", "status", "offsets", "segments", "env_latencies")
+    for name in columns:
+        assert getattr(moved, name).tolist() == getattr(expected, name).tolist(), name
+    assert all(a is b for a, b in zip(moved.trajectories, expected.trajectories))
+    assert {ENV_WAIT, DECODING} <= set(moved.status.tolist())
+
+    target_s.add_sequences(moved_s)
+    target_v.add_sequences(moved)
+    after = target_v.sequences()
+    position = {seq_id: row for row, seq_id in enumerate(after.ids.tolist())}
+    landed = after.take(np.array([position[seq_id] for seq_id in take]))
+    for name in columns:
+        if name != "status":  # every row re-enters through the queue
+            assert getattr(landed, name).tolist() == getattr(moved, name).tolist(), name
+    assert all(a is b for a, b in zip(landed.trajectories, moved.trajectories))
+    for scalar, vector in ((source_s, source_v), (target_s, target_v)):
+        assert_engines_identical(scalar, vector)
+        duration_s, done_s = run_to_completion(scalar)
+        duration_v, done_v = run_to_completion(vector)
+        assert duration_s == duration_v
+        assert_completions_identical(sorted(done_s, key=lambda t: t.traj_id),
+                                     sorted(done_v, key=lambda t: t.traj_id))
+        assert_engines_identical(scalar, vector)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 100, 484])
+def test_a_fresh_replica_sizes_its_state_from_its_first_batch(rows, monkeypatch):
+    """Slot arrays, decode/env vectors, schedule pool and KV ledger are
+    allocated once at the first batch's size: admitting it copies nothing.
+    A later batch that overflows them grows them geometrically."""
+    copies = []
+    real = kvcache_module.grow_array
+
+    def counting(array, capacity):
+        copies.append(capacity)
+        return real(array, capacity)
+
+    monkeypatch.setattr(kvcache_module, "grow_array", counting)
+    _, vector = make_engines(blocks=100_000, max_concurrency=1024)
+    vector.add_sequences(make_batch(31, rows, 0))
+    assert vector.num_decoding == rows
+    assert copies == []
+    assert len(vector._a_id) == len(vector.kvcache._tokens) == rows
+    vector.add_sequences(make_batch(32, 1, rows))
+    assert copies and set(copies) == {2 * rows}
 
 
 # --------------------------------------------------------------------------- KVCache batch API
@@ -358,8 +522,8 @@ def make_view_fleet(seed: int, lanes):
         scalar, vector = make_engines(blocks=384, max_concurrency=24)
         scalar.add_sequences(make_states(seed * 131 + replica_id, 10,
                                          1000 * replica_id))
-        vector.add_sequences(make_states(seed * 131 + replica_id, 10,
-                                         1000 * replica_id))
+        vector.add_sequences(make_batch(seed * 131 + replica_id, 10,
+                                        1000 * replica_id))
         if slowdown != 1.0:
             scalar.set_slowdown(decode=slowdown)
             vector.set_slowdown(decode=slowdown)
@@ -410,7 +574,7 @@ def test_batch_view_fuzz_is_bit_identical(seed):
         if round_no % 7 == 6:  # fresh work lands between rounds
             lane = int(op_rng.integers(0, len(lanes)))
             scalars[lane].add_sequences(make_states(seed + round_no, 3, next_id))
-            vectors[lane].add_sequences(make_states(seed + round_no, 3, next_id))
+            vectors[lane].add_sequences(make_batch(seed + round_no, 3, next_id))
             next_id += 3
 
     # Drain to empty through the views and compare the epilogue.
@@ -486,12 +650,12 @@ def test_deep_queue_admission_is_bit_identical(blocks):
     order, and the drain stays identical."""
     scalar, vector = make_engines(blocks=blocks, max_concurrency=1024)
     scalar.add_sequences(make_states(17, 600, 0, multi_turn=False))
-    vector.add_sequences(make_states(17, 600, 0, multi_turn=False))
+    vector.add_sequences(make_batch(17, 600, 0, multi_turn=False))
     assert 0 < vector.num_decoding < 600
     assert_engines_identical(scalar, vector)
     rows_s = [scalar.kvcache.row_of(s.seq_id) for s in scalar.sequences()
               if s.status == "decoding"]
-    rows_v = [vector.kvcache.row_of(s.seq_id) for s in vector.sequences()
+    rows_v = [vector.kvcache.row_of(s.seq_id) for s in to_states(vector.sequences())
               if s.status == "decoding"]
     assert rows_s == rows_v
     while scalar.num_sequences:
@@ -519,14 +683,14 @@ def registry_refill():
     prompts = system.dataset.sample_batch(
         -(-count // system.task.group_size), system.rng
     )[:count]
-    states = system.factory.make(prompts)
+    batch = system.factory.make(prompts)
     kwargs = dict(
         replica_id=0,
         decode_model=system.workload.decode_model,
-        kvcache_config=system.replica_config.kvcache_config(),
+        kvcache_config=system.workload.kvcache_config,
         max_concurrency=system.config.max_concurrency_per_replica,
     )
-    return kwargs, states
+    return kwargs, batch
 
 
 def service(engine, now):
@@ -578,13 +742,13 @@ def test_registry_sized_refill_drains_bit_identically():
     """A 484-sequence refill on a 61,873-block pool, drained the way the fleet
     stepper drives it: the decode count reaches thousands of tokens per member
     and windows span many blocks, unlike the small fuzz workloads."""
-    kwargs, states = registry_refill()
-    assert len(states) == 484
+    kwargs, batch = registry_refill()
+    assert len(batch) == 484
     assert kwargs["kvcache_config"].total_blocks == 61_873
     scalar = ScalarReplicaGenerationState(**kwargs)
     vector = ReplicaGenerationState(**kwargs)
-    scalar.add_sequences(copy.deepcopy(states))
-    vector.add_sequences(states)
+    scalar.add_sequences(to_states(copy.deepcopy(batch)))
+    vector.add_sequences(batch)
     assert drain_in_lockstep(scalar, vector) > 400
     assert vector.stats.trajectories_completed == 484
     assert vector.stats.tokens_generated > 1_000_000
@@ -594,18 +758,19 @@ def test_registry_sized_refill_survives_pulls_and_slowdowns():
     """The same refill disturbed mid-flight: once thousands of tokens are
     decoded, a subset is pulled (repack-style), re-added with
     ``needs_reprefill``, and a straggler slowdown is toggled on and off."""
-    kwargs, states = registry_refill()
+    kwargs, batch = registry_refill()
     scalar = ScalarReplicaGenerationState(**kwargs)
     vector = ReplicaGenerationState(**kwargs)
-    scalar.add_sequences(copy.deepcopy(states))
-    vector.add_sequences(states)
+    scalar.add_sequences(to_states(copy.deepcopy(batch)))
+    vector.add_sequences(batch)
     parked = []
 
     def pull():
-        take = [s.seq_id for s in vector.sequences()][::7]
+        take = vector.sequences().ids[::7].tolist()
         pulled = (scalar.remove_sequences(take), vector.remove_sequences(take))
-        for s, v in zip(*pulled):
-            s.needs_reprefill = v.needs_reprefill = True
+        for s in pulled[0]:
+            s.needs_reprefill = True
+        pulled[1].reprefill[:] = True
         parked.append(pulled)
 
     def readd():

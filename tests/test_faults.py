@@ -24,6 +24,7 @@ from repro.sim.network import LinkSpec, RDMA_LINK, RetryPolicy
 from test_engine_equivalence import (
     assert_completions_identical,
     assert_engines_identical,
+    make_batch,
     make_engines,
     make_states,
 )
@@ -217,7 +218,7 @@ def test_slowdown_is_bit_identical_across_engines():
     """
     scalar, vector = make_engines(blocks=256, max_concurrency=24)
     scalar.add_sequences(make_states(11, 30, 0))
-    vector.add_sequences(make_states(11, 30, 0))
+    vector.add_sequences(make_batch(11, 30, 0))
 
     def lockstep(duration):
         elapsed = 0.0
@@ -246,8 +247,8 @@ def test_slowdown_is_bit_identical_across_engines():
 def test_slowdown_clear_with_large_carry_makes_progress():
     """Clearing a slowdown never wedges the next-event loop (carry rescale)."""
     scalar, vector = make_engines(blocks=256, max_concurrency=24)
-    for engine in (scalar, vector):
-        engine.add_sequences(make_states(5, 16, 0))
+    for engine, workload in ((scalar, make_states), (vector, make_batch)):
+        engine.add_sequences(workload(5, 16, 0))
         engine.set_slowdown(decode=4.0)
         engine.advance(engine.next_event_in() * 0.9)  # park carry mid-token
         engine.set_slowdown(decode=1.0)

@@ -28,20 +28,14 @@ import pytest
 
 import repro.runtime.harness as harness
 import repro.systems.base as base
-from oracles import process_stepping
+from oracles import SequenceState, TurnSchedule, process_stepping, to_batch
 from repro.bench.registry import get_scenario
 from repro.bench.runner import system_for_unit
 from repro.experiments import make_system_config
 from repro.faults import FailurePlan
 from repro.llm import QWEN_7B
 from repro.obs import TraceRecorder, use_tracer
-from repro.rollout import (
-    ReplicaBatchView,
-    ReplicaGenerationState,
-    RolloutReplicaConfig,
-    SequenceState,
-    TurnSchedule,
-)
+from repro.rollout import ReplicaBatchView, ReplicaGenerationState, RolloutReplicaConfig
 from repro.runtime import FleetState, ReplicaFleet
 from repro.sim import Environment, KVCacheConfig
 from repro.systems import FailureEvent, FailureInjector, FailureKind, LaminarSystem, make_system
@@ -118,7 +112,7 @@ def make_replicas(seed: int, num_replicas: int, per_replica: int,
                 schedule=TurnSchedule(segments=segments, env_latencies=env_latencies),
             ))
             next_id += 1
-        replica.add_sequences(states)
+        replica.add_sequences(to_batch(states))
         replicas.append(replica)
     return replicas
 
@@ -386,7 +380,7 @@ def tied_workload(seed: int, count: int, start_id: int):
             trajectory=trajectory,
             schedule=TurnSchedule(segments=segments, env_latencies=env_latencies),
         ))
-    return states
+    return to_batch(states)
 
 
 class _ToyFleet(ReplicaFleet):
@@ -432,9 +426,8 @@ def migrate(env, fleet, replicas, times):
         yield env.timeout_until(at)
         fleet.catch_up(source)
         fleet.catch_up(target)
-        moved = source.remove_sequences([s.seq_id for s in source.sequences()[:2]])
-        for state in moved:
-            state.needs_reprefill = True
+        moved = source.remove_sequences(source.sequences().ids[:2].tolist())
+        moved.reprefill[:] = True
         target.add_sequences(moved)
         fleet.touch([source.replica_id, target.replica_id])
 

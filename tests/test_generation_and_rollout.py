@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
-from oracles import run_to_completion
+from oracles import (
+    SequenceState,
+    TurnSchedule,
+    reference_make,
+    reference_sample_batch,
+    run_to_completion,
+    to_batch,
+)
 from repro.rollout import (
     ReplicaGenerationState,
     RolloutReplicaConfig,
-    SequenceState,
     SimulatedEnvironment,
     TrajectoryFactory,
-    TurnSchedule,
-    build_sequence_states,
 )
 from repro.llm import QWEN_7B
 from repro.sim import KVCacheConfig
@@ -30,12 +34,13 @@ def make_replica(max_concurrency=64, blocks=4096, tp=1):
 
 
 def make_states(lengths, prompt_tokens=64, start_id=0):
+    """A batch of fresh single-turn sequences of the given lengths."""
     states = []
     for offset, length in enumerate(lengths):
         prompt = Prompt(prompt_id=start_id + offset, group_id=0, prompt_tokens=prompt_tokens)
         trajectory = Trajectory(traj_id=start_id + offset, prompt=prompt, target_tokens=length)
         states.append(SequenceState(trajectory=trajectory, schedule=TurnSchedule.single_turn(length)))
-    return states
+    return to_batch(states)
 
 
 # --------------------------------------------------------------------------- types
@@ -49,15 +54,6 @@ def test_trajectory_progress_and_staleness():
     assert trajectory.mixed_versions
     assert trajectory.inherent_staleness(actor_version_at_finish=5) == 3
     assert trajectory.total_tokens == 150
-
-
-def test_turn_schedule_validation():
-    with pytest.raises(ValueError):
-        TurnSchedule(segments=[], env_latencies=[])
-    with pytest.raises(ValueError):
-        TurnSchedule(segments=[10], env_latencies=[1.0, 2.0])
-    schedule = TurnSchedule(segments=[10, 20], env_latencies=[3.0, 0.0])
-    assert schedule.total_tokens == 30 and schedule.num_turns == 2
 
 
 # --------------------------------------------------------------------------- engine basics
@@ -131,8 +127,7 @@ def test_remove_sequences_releases_cache_and_requeues_elsewhere():
     assert replica.kvcache.used_blocks == 0
     # Migrated sequences resume on another replica and still finish.
     other = make_replica()
-    for state in removed:
-        state.needs_reprefill = True
+    removed.reprefill[:] = True
     other.add_sequences(removed)
     _, done = run_to_completion(other)
     assert len(done) == 2
@@ -144,7 +139,7 @@ def test_multi_turn_env_wait_blocks_decoding():
     schedule = TurnSchedule(segments=[50, 50], env_latencies=[30.0, 0.0])
     prompt = Prompt(prompt_id=0, group_id=0, prompt_tokens=64, multi_turn=True, max_turns=2)
     trajectory = Trajectory(traj_id=0, prompt=prompt, target_tokens=100)
-    replica.add_sequences([SequenceState(trajectory=trajectory, schedule=schedule)])
+    replica.add_sequences(to_batch([SequenceState(trajectory=trajectory, schedule=schedule)]))
     duration, done = run_to_completion(replica)
     assert len(done) == 1
     assert done[0].turns_done == 2
@@ -171,7 +166,7 @@ def test_reprefill_all_inflight_charges_time():
     stall = replica.reprefill_all_inflight()
     assert stall > 0
     assert replica.clock == pytest.approx(before + stall)
-    assert all(s.trajectory.reprefill_count == 1 for s in replica.sequences())
+    assert all(t.reprefill_count == 1 for t in replica.sequences().trajectories)
 
 
 # --------------------------------------------------------------------------- factory / environment
@@ -179,8 +174,8 @@ def test_trajectory_factory_is_deterministic_per_seed():
     task = math_task("7B")
     dataset = PromptDataset(task, num_questions=50, seed=0)
     prompts = dataset.sample_batch(2, np.random.default_rng(0))
-    lengths_a = [s.trajectory.target_tokens for s in TrajectoryFactory(task, seed=7).make(prompts)]
-    lengths_b = [s.trajectory.target_tokens for s in TrajectoryFactory(task, seed=7).make(prompts)]
+    lengths_a = TrajectoryFactory(task, seed=7).make(prompts).target.tolist()
+    lengths_b = TrajectoryFactory(task, seed=7).make(prompts).target.tolist()
     assert lengths_a == lengths_b
 
 
@@ -188,12 +183,48 @@ def test_trajectory_factory_multi_turn_schedules():
     task = tool_task("7B", max_turns=8)
     dataset = PromptDataset(task, num_questions=20, seed=1)
     prompts = dataset.sample_batch(2, np.random.default_rng(1))
-    states = TrajectoryFactory(task, seed=2).make(prompts)
-    assert any(s.schedule.num_turns > 1 for s in states)
-    for state in states:
-        assert state.schedule.num_turns <= 8
-        assert state.schedule.env_latencies[-1] == 0.0
-        assert state.schedule.total_tokens == state.trajectory.target_tokens
+    batch = TrajectoryFactory(task, seed=2).make(prompts)
+    assert (batch.num_turns > 1).any() and (batch.num_turns <= 8).all()
+    assert (batch.env_latencies[batch.offsets[1:] - 1] == 0.0).all()
+    assert np.add.reduceat(batch.segments, batch.offsets[:-1]).tolist() == batch.target.tolist()
+    assert [t.target_tokens for t in batch.trajectories] == batch.target.tolist()
+
+
+@pytest.mark.parametrize("task_factory", [math_task, tool_task])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_fabrication_columns_match_the_per_prompt_loop(task_factory, seed):
+    """``sample_batch`` + ``make`` draw in the per-prompt loop's order: one
+    ``integers`` draw per sample, one length draw per make, then each
+    multi-turn row's turn count, split and latencies.  Ids advance alike,
+    including when only the first ``count`` rows of whole groups are kept."""
+    task = task_factory("7B")
+    dataset, reference_dataset = (PromptDataset(task, num_questions=300, seed=seed)
+                                  for _ in range(2))
+    factory, reference_factory = (TrajectoryFactory(task, seed=seed + 1) for _ in range(2))
+    rng, reference_rng = (np.random.default_rng(seed + 2) for _ in range(2))
+    for num_prompts, count, version in ((3, None, 0), (2, 21, 4), (1, 16, 7), (4, 50, 9)):
+        prompts = dataset.sample_batch(num_prompts, rng)[:count]
+        batch = factory.make(prompts, weight_version=version, start_time=2.5)
+        expected = reference_make(
+            reference_factory,
+            reference_sample_batch(reference_dataset, num_prompts, reference_rng)[:count],
+            weight_version=version, start_time=2.5,
+        )
+        assert batch.ids.tolist() == [s.seq_id for s in expected]
+        assert prompts.prompt_ids.tolist() == [s.trajectory.prompt.prompt_id for s in expected]
+        assert prompts.group_ids.tolist() == [s.trajectory.prompt.group_id for s in expected]
+        assert batch.prompt_tokens.tolist() == [s.trajectory.prompt.prompt_tokens for s in expected]
+        assert prompts.difficulty.tolist() == [s.trajectory.prompt.difficulty for s in expected]
+        assert batch.target.tolist() == [s.trajectory.target_tokens for s in expected]
+        assert batch.num_turns.tolist() == [s.schedule.num_turns for s in expected]
+        assert batch.segments.tolist() == [x for s in expected for x in s.schedule.segments]
+        assert batch.env_latencies.tolist() == [
+            x for s in expected for x in s.schedule.env_latencies
+        ]
+        for trajectory, state in zip(batch.trajectories, expected):
+            assert trajectory == state.trajectory
+    assert rng.random() == reference_rng.random()
+    assert factory._rng.random() == reference_factory._rng.random()
 
 
 def test_environment_scoring_rewards_are_binary_and_difficulty_sensitive():
@@ -248,15 +279,6 @@ def test_environment_score_clamp_is_numpy_clip():
     reference = np.random.default_rng(5)
     for trajectory, expected in cases:
         assert env.score(trajectory) == (1.0 if reference.random() < expected else -1.0)
-
-
-def test_build_sequence_states_alignment_check():
-    states = make_states([10, 20])
-    trajectories = [s.trajectory for s in states]
-    schedules = [s.schedule for s in states]
-    assert len(build_sequence_states(trajectories, schedules)) == 2
-    with pytest.raises(ValueError):
-        build_sequence_states(trajectories, schedules[:1])
 
 
 def test_replica_config_kvcache_sizing():

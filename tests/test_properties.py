@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import group_normalized_advantages
 from repro.data import ExperienceBuffer
 from repro.llm import DecodeModel, QWEN_7B, QWEN_32B
-from repro.rollout import ReplicaGenerationState, RolloutReplicaConfig, SequenceState, TurnSchedule
+from oracles import SequenceState, TurnSchedule, to_batch
+from repro.rollout import ReplicaGenerationState, RolloutReplicaConfig
 from repro.sim import KVCache, KVCacheConfig, KVCacheError
 from repro.sim.network import (
     RDMA_LINK,
@@ -142,7 +143,7 @@ def test_generation_conserves_tokens_under_arbitrary_windows(lengths, window):
         prompt = Prompt(prompt_id=i, group_id=0, prompt_tokens=32)
         trajectory = Trajectory(traj_id=i, prompt=prompt, target_tokens=length)
         states.append(SequenceState(trajectory=trajectory, schedule=TurnSchedule.single_turn(length)))
-    replica.add_sequences(states)
+    replica.add_sequences(to_batch(states))
     completed = []
     guard = 0
     while not replica.is_idle and guard < 100_000:

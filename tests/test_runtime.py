@@ -32,14 +32,12 @@ def test_workload_bundle_seed_layout_is_deterministic():
     rng_a, rng_b = np.random.default_rng(config.seed + 3), a.rng
     prompts_a = a.dataset.sample_batch(8, a.rng)
     prompts_b = b.dataset.sample_batch(8, b.rng)
-    assert [p.prompt_id for p in prompts_a] == [p.prompt_id for p in prompts_b]
-    states_a = a.factory.make(prompts_a)
-    states_b = b.factory.make(prompts_b)
-    assert [s.schedule.total_tokens for s in states_a] == [
-        s.schedule.total_tokens for s in states_b
-    ]
-    assert a.environment.score(states_a[0].trajectory) == b.environment.score(
-        states_b[0].trajectory
+    assert prompts_a.prompt_ids.tolist() == prompts_b.prompt_ids.tolist()
+    batch_a = a.factory.make(prompts_a)
+    batch_b = b.factory.make(prompts_b)
+    assert batch_a.target.tolist() == batch_b.target.tolist()
+    assert a.environment.score(batch_a.trajectories[0]) == b.environment.score(
+        batch_b.trajectories[0]
     )
     del rng_a, rng_b
 
@@ -55,18 +53,30 @@ def test_systems_share_the_bundle_objects():
     assert laminar.relay is laminar.weight_sync.relay
 
 
+def test_replicas_share_the_bundle_kvcache_config():
+    """The KVCache sizing is derived once per workload, not once per replica."""
+    config = quick_config("laminar")
+    bundle = WorkloadBundle.from_config(config)
+    assert bundle.kvcache_config == bundle.replica_config.kvcache_config()
+    for replica_id in range(3):
+        assert bundle.make_replica(replica_id).kvcache.config is bundle.kvcache_config
+    laminar = LaminarSystem(config)
+    assert all(r.kvcache.config is laminar.workload.kvcache_config
+               for r in laminar.replicas.values())
+
+
 def test_completion_pipeline_orders_scoring_like_direct_calls():
     config = quick_config("verl")
     a = WorkloadBundle.from_config(config)
     b = WorkloadBundle.from_config(config)
-    states = a.factory.make(a.dataset.sample_batch(6, a.rng))
-    twin_states = b.factory.make(b.dataset.sample_batch(6, b.rng))
-    for s, t in zip(states, twin_states):
-        s.trajectory.advance(s.schedule.total_tokens, 0)
-        t.trajectory.advance(t.schedule.total_tokens, 0)
+    trajectories = a.factory.make(a.dataset.sample_batch(6, a.rng)).trajectories
+    twins = b.factory.make(b.dataset.sample_batch(6, b.rng)).trajectories
+    for s, t in zip(trajectories, twins):
+        s.advance(s.target_tokens, 0)
+        t.advance(t.target_tokens, 0)
     pipeline = CompletionPipeline(environment=a.environment, buffer=a.buffer)
-    pipeline.process([s.trajectory for s in states], actor_version=0)
-    rewards_direct = [b.environment.score(t.trajectory) for t in twin_states]
+    pipeline.process(trajectories, actor_version=0)
+    rewards_direct = [b.environment.score(t) for t in twins]
     assert [exp.reward for exp in a.buffer.peek_all()] == rewards_direct
 
 
@@ -99,10 +109,10 @@ def test_generation_barrier_matches_serial_run_to_completion():
     outcome = des.generate_full_batch(weight_version=0)
 
     twin = VerlSynchronous(quick_config("verl", scale=1 / 16))
-    states = twin.sample_batch_states(0)
+    batch = twin.sample_global_batch(0)
     replicas = twin.make_replicas(twin.num_generation_replicas(), 0)
-    for index, state in enumerate(states):
-        replicas[index % len(replicas)].add_sequences([state])
+    for index in range(len(batch)):
+        replicas[index % len(replicas)].add_sequences(batch[index:index + 1])
     reference_durations, reference_trajectories = [], []
     for replica in replicas:
         duration, completed = run_to_completion(replica)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.llm import (
@@ -147,6 +148,23 @@ def test_prefill_and_reprefill_costs():
     # A re-prefill rebuilds a trajectory's cached context through the same
     # path, so a longer cached context costs more.
     assert decode.prefill_time(4096) > decode.prefill_time(1024)
+
+
+@pytest.mark.parametrize("model", [QWEN_7B, QWEN_32B, QWEN_72B], ids=lambda m: m.name)
+def test_prefill_time_equals_the_flops_per_token_formula(model):
+    """Prefill prices from the cached roofline operands, bit-identically to
+    ``flops_per_token`` at half the prompt."""
+    from repro.llm.decode_model import PREFILL_OVERHEAD
+
+    rng = np.random.default_rng(11)
+    for tp in (1, 2, 4, 8):
+        decode = DecodeModel(model, tensor_parallel=tp)
+        tokens = rng.integers(1, 40_000, size=200).tolist() + [1, 2, 3]
+        batches = rng.integers(1, 64, size=len(tokens)).tolist()
+        for prompt_tokens, batch in zip(tokens, batches):
+            flops = batch * prompt_tokens * model.flops_per_token(prompt_tokens // 2)
+            expected = flops / decode.effective_flops + PREFILL_OVERHEAD
+            assert decode.prefill_time(prompt_tokens, batch_size=batch) == expected
 
 
 # --------------------------------------------------------------------------- parallelism / training
