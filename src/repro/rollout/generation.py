@@ -95,6 +95,9 @@ _KEY_SHIFT = _SLOT_BITS + _STAMP_BITS
 _SLOT_MASK = (1 << _SLOT_BITS) - 1
 _STAMP_MASK = (1 << _STAMP_BITS) - 1
 
+#: Admissions per call taken by the scalar loop before the vectorized scan.
+_ADMIT_SCALAR = 8
+
 #: First head window of the vectorized admission scan (widened 4x per pass).
 _ADMIT_WINDOW = 16
 
@@ -245,78 +248,70 @@ class ReplicaStats:
 
 
 class _SeqVector:
-    """Order-preserving parallel arrays of (seq id, slot, KVCache row).
+    """Order-preserving parallel vectors of (seq id, slot, KVCache row).
 
-    Backs the decode and env-wait sets of the vectorized engine, which sizes
-    them with its slot arrays (:meth:`reserve`): a set never holds more than
-    the replica's live sequences.  Arbitrary deletions compact the prefix
-    with one vectorized copy.  Views returned by the accessors alias the
-    backing arrays and are valid until the next mutation.
+    Backs the decode and env-wait sets of the vectorized engine.  The
+    columns are ``array('q')``s, so appending, popping or deleting one entry
+    is a C-level list operation — the per-finisher control tail does one of
+    those per event — and the ``*_view`` accessors wrap a column as a numpy
+    array without copying.  A view pins its column: ``array`` refuses to
+    resize while a view is alive, so drop views before the set changes.
     """
 
     __slots__ = ("ids", "slots", "rows", "n")
 
     def __init__(self) -> None:
-        self.ids = self.slots = self.rows = _EMPTY[np.int64]
+        self.ids, self.slots, self.rows = array("q"), array("q"), array("q")
         self.n = 0
 
-    def reserve(self, capacity: int) -> None:
-        self.ids = resize_array(self.ids, capacity)
-        self.slots = resize_array(self.slots, capacity)
-        self.rows = resize_array(self.rows, capacity)
-
     def append(self, seq_id: int, slot: int, row: int) -> None:
-        self.ids[self.n] = seq_id
-        self.slots[self.n] = slot
-        self.rows[self.n] = row
+        self.ids.append(seq_id)
+        self.slots.append(slot)
+        self.rows.append(row)
         self.n += 1
 
     def extend(self, ids: np.ndarray, slots: np.ndarray, rows: np.ndarray) -> None:
-        """Append many entries at once, preserving input order."""
-        need = self.n + len(ids)
-        self.ids[self.n:need] = ids
-        self.slots[self.n:need] = slots
-        self.rows[self.n:need] = rows
-        self.n = need
+        """Append many entries at once (int64 arrays), preserving input order."""
+        self.ids.frombytes(ids.tobytes())
+        self.slots.frombytes(slots.tobytes())
+        self.rows.frombytes(rows.tobytes())
+        self.n += len(ids)
+
+    def clear(self) -> None:
+        del self.ids[:], self.slots[:], self.rows[:]
+        self.n = 0
 
     def pop(self) -> Tuple[int, int, int]:
         """Remove and return the most recently appended entry."""
         self.n -= 1
-        i = self.n
-        return int(self.ids[i]), int(self.slots[i]), int(self.rows[i])
+        return self.ids.pop(), self.slots.pop(), self.rows.pop()
 
     def ids_view(self) -> np.ndarray:
-        return self.ids[: self.n]
+        return np.frombuffer(self.ids, dtype=np.int64)
 
     def slots_view(self) -> np.ndarray:
-        return self.slots[: self.n]
+        return np.frombuffer(self.slots, dtype=np.int64)
 
     def rows_view(self) -> np.ndarray:
-        return self.rows[: self.n]
+        return np.frombuffer(self.rows, dtype=np.int64)
 
-    def delete_positions(self, positions: Sequence[int]) -> None:
-        """Delete the entries at ``positions``, preserving the order of the rest."""
-        if len(positions) == 1:
-            position = int(positions[0])
-            stop = self.n
-            for name in ("ids", "slots", "rows"):
-                arr = getattr(self, name)
-                arr[position:stop - 1] = arr[position + 1:stop]
-            self.n = stop - 1
-            return
-        keep = np.ones(self.n, dtype=bool)
-        keep[positions] = False
-        kept = int(keep.sum())
-        for name in ("ids", "slots", "rows"):
-            arr = getattr(self, name)
-            arr[:kept] = arr[: self.n][keep]
-        self.n = kept
+    def delete_positions(self, positions: List[int]) -> None:
+        """Delete the entries at ascending ``positions``, keeping the others' order."""
+        ids, slots, rows = self.ids, self.slots, self.rows
+        for position in reversed(positions):
+            del ids[position], slots[position], rows[position]
+        self.n -= len(positions)
 
     def remove_slots(self, slots: np.ndarray) -> None:
         """Delete the entries of ``slots``, preserving the order of the rest."""
-        positions = np.flatnonzero(np.isin(self.slots[: self.n], slots))
+        positions = np.flatnonzero(np.isin(self.slots_view(), slots))
         if len(positions):
-            self.delete_positions(positions)
+            self.delete_positions(positions.tolist())
+
+
+def _joined(columns: List[array]) -> np.ndarray:
+    """``array('q')`` columns concatenated into one (read-only) int64 array."""
+    return np.frombuffer(b"".join(columns), dtype=np.int64)
 
 
 class _SlotQueue:
@@ -420,8 +415,9 @@ class ReplicaGenerationState:
     counter and KV ledger row back into plain values before anything reads
     them (``sequences()``, removal, a :class:`ReplicaBatchView` stacking the
     replica); it is a no-op while no window has run since the last one.  A
-    member that leaves the decode set is materialised (:meth:`_materialize`)
-    first, so a completion writes its trajectory from plain values.  The
+    member that moves to the env set or the waiting queue is materialised
+    (:meth:`_materialize`) first; a completing member frees its slot
+    instead, so its trajectory's generated tokens are read shifted.  The
     index is built lazily on the first per-replica step — so barrier
     admission does no extra work — and dropped by removal and by a view's
     ``settle()``.
@@ -548,8 +544,6 @@ class ReplicaGenerationState:
         if self._a_dent is not None:
             self._a_dent = resize_array(self._a_dent, new)
             self._a_kv = resize_array(self._a_kv, new)
-        self._dec.reserve(new)
-        self._env.reserve(new)
         self.kvcache.reserve(new)
         self._free_slots[:0] = range(new - 1, old - 1, -1)
 
@@ -935,7 +929,9 @@ class ReplicaGenerationState:
         batch = self._dec.n
         if not batch:
             return 0.0
-        key = (batch, int(self.mean_context_tokens()))
+        if not self._indexed:
+            self._build_index()
+        key = (batch, int((self._ctx_base + batch * self._decoded) / batch))
         if key != self._step_key:
             value = self.decode_model.decode_step_time(*key)
             if self._decode_slowdown != 1.0:
@@ -966,13 +962,14 @@ class ReplicaGenerationState:
         """Admit waiting sequences head-first while cache and concurrency allow.
 
         A scalar head check keeps the steady state (cache full, nothing
-        admissible) O(1); when the head fits, a vectorized prefix scan over
-        a head window decides every admission of this call at once —
-        bit-identical to the scalar admit-one-recheck loop because admission
-        is strictly FIFO and each admission consumes exactly the blocks the
-        prefix sum accounts for.  The window starts at ``_ADMIT_WINDOW``
-        sequences and widens only while every one in it fits, so a deep queue
-        costs O(admitted), not O(queue).
+        admissible) O(1); when the head fits, the scalar admit-one-recheck
+        loop admits up to ``_ADMIT_SCALAR`` sequences, and a vectorized
+        prefix scan over a head window decides the rest at once —
+        bit-identical to the scalar loop because admission is strictly FIFO
+        and each admission consumes exactly the blocks the prefix sum
+        accounts for.  The window starts at ``_ADMIT_WINDOW`` sequences and
+        widens only while every one in it fits, so a deep queue costs
+        O(admitted), not O(queue).
         """
         queued = self._queued
         if not queued or self._admit_blocked:
@@ -990,32 +987,36 @@ class ReplicaGenerationState:
         # Never scan past what concurrency allows: the steady state admits a
         # handful of sequences per call regardless of queue depth.
         limit = min(len(queued), capacity)
-        if limit <= 4:
-            # Tiny admission: the scalar admit-one-recheck loop beats the
-            # array set-up (the vectorized path below is its prefix-scan
-            # formulation — same FIFO decision, same allocation order).
-            admitted = 0
-            while admitted < limit:
-                slot = queued.head()
-                context = self._a_ctx.item(slot)
-                if admitted and not kvcache.can_allocate(context + lookahead):
-                    break
-                queued.popleft()
-                seq_id = self._a_id.item(slot)
-                row = kvcache.allocate(seq_id, context + 1)
-                self._a_status[slot] = DECODING
-                self._dec.append(seq_id, slot, row)
-                if self._a_reprefill[slot]:
-                    self.stats.reprefill_tokens += context
-                    self._a_reprefill[slot] = False
-                else:
-                    self.stats.prompt_tokens_prefilled += int(self._a_prompt[slot])
-                if self._indexed:
-                    self._a_kv[slot] = context + 1
-                    self._enter(seq_id, slot)
-                admitted += 1
-            # Either concurrency is exhausted or the next head does not fit;
-            # a clearing event re-arms the scan.
+        # Most calls admit one or two sequences, so the scalar admit-one-
+        # recheck loop takes the first few; the vectorized prefix scan below
+        # is its formulation for the rest — same FIFO decision, same
+        # allocation order — and pays an array set-up only when more fit.
+        admitted = 0
+        first = min(limit, _ADMIT_SCALAR)
+        while admitted < first:
+            slot = queued.head()
+            context = self._a_ctx.item(slot)
+            if admitted and not kvcache.can_allocate(context + lookahead):
+                # The next head does not fit; a clearing event re-arms the scan.
+                self._admit_blocked = True
+                return
+            queued.popleft()
+            seq_id = self._a_id.item(slot)
+            row = kvcache.allocate(seq_id, context + 1)
+            self._a_status[slot] = DECODING
+            self._dec.append(seq_id, slot, row)
+            if self._a_reprefill[slot]:
+                self.stats.reprefill_tokens += context
+                self._a_reprefill[slot] = False
+            else:
+                self.stats.prompt_tokens_prefilled += int(self._a_prompt[slot])
+            if self._indexed:
+                self._a_kv[slot] = context + 1
+                self._enter(seq_id, slot)
+            admitted += 1
+        limit -= admitted
+        if not limit:
+            # Concurrency is exhausted or the queue is empty.
             self._admit_blocked = True
             return
         width = min(limit, _ADMIT_WINDOW)
@@ -1099,12 +1100,13 @@ class ReplicaGenerationState:
         if self._earliest_env_return() > horizon:
             return
         positions = np.flatnonzero(self._a_env[env.slots_view()] <= horizon)
-        slots = env.slots[positions]
-        ids = env.ids[positions]
+        slots = env.slots_view()[positions]
+        ids = env.ids_view()[positions]
+        rows = env.rows_view()[positions]
         self._a_env[slots] = math.inf
         self._a_status[slots] = DECODING
-        self._dec.extend(ids, slots, env.rows[positions])
-        env.delete_positions(positions)
+        self._dec.extend(ids, slots, rows)
+        env.delete_positions(positions.tolist())
         self._env_min = None
         for seq_id, slot in zip(ids.tolist(), slots.tolist()):
             self._enter(seq_id, slot)
@@ -1122,22 +1124,36 @@ class ReplicaGenerationState:
             return None
         if not self._indexed:
             self._build_index()
-        self._release_env_returns()
-        if self._queued and not self._admit_blocked:
+        if self._env.n:
+            self._release_env_returns()
+        if not self._admit_blocked and self._queued:
             self._try_admit()
-        candidates: List[float] = []
+        delta = None
         if self._dec.n:
             step = self.current_step_time()
             min_seg = self._segment_end() - self._decoded
-            candidates.append(max(_EPS, min_seg * step - self._time_carry))
+            delta = max(_EPS, min_seg * step - self._time_carry)
         if self._env.n:
-            earliest = self._earliest_env_return()
-            candidates.append(max(_EPS, earliest - self.clock))
-        if not candidates:
-            # Only queued sequences that cannot be admitted: the replica is
-            # stuck (should not happen when reservations fit the cache).
-            return None
-        return min(candidates)
+            env_delta = max(_EPS, self._earliest_env_return() - self.clock)
+            if delta is None or env_delta < delta:
+                delta = env_delta
+        # ``None`` here means only queued sequences that cannot be admitted:
+        # the replica is stuck until something frees its cache.
+        return delta
+
+    def stuck_error(self) -> RuntimeError:
+        """The error a drain raises when ``next_event_in`` finds it stuck.
+
+        That happens when sequences are live but only queued: nothing
+        decodes or waits on an environment, so no block will ever be freed
+        and the waiting queue's head, which does not fit, never will.
+        """
+        return RuntimeError(
+            f"replica {self.replica_id} is stuck with {len(self._queued)} queued "
+            f"sequence(s): the head needs {self._a_ctx.item(self._queued.head())} "
+            f"context + {self.admission_lookahead_tokens} lookahead tokens, and "
+            f"the KV pool holds {self.kvcache.config.total_tokens} tokens"
+        )
 
     def advance(self, dt: float) -> List[Trajectory]:
         """Advance the replica by ``dt`` seconds of simulated time.
@@ -1160,8 +1176,9 @@ class ReplicaGenerationState:
         pending = dt > 0.0
         while pending or self.clock < target - _EPS:
             pending = False
-            self._release_env_returns()
-            if self._queued and not self._admit_blocked:
+            if self._env.n:
+                self._release_env_returns()
+            if not self._admit_blocked and self._queued:
                 self._try_admit()
             if not self._dec.n:
                 # Nothing to decode: jump to the next env return (or the target).
@@ -1255,15 +1272,18 @@ class ReplicaGenerationState:
         leaving: List[int] = []
         for slot, stamp in zip(slots, stamps):
             position = bisect_left(dec_stamps, stamp)
-            seq_id = dec.ids.item(position)
+            seq_id = dec.ids[position]
             turn = self._a_turn.item(slot)
-            self._materialize(slot)
             if turn + 1 == self._a_nturns.item(slot):
+                # The slot is freed, so its counters stay as stored: the
+                # aggregates and the KV refund read them relative to entry D.
                 self._leave(slot)
                 self._free_kv(seq_id, slot)
                 trajectory = self._a_traj[slot]
                 self._release_slot(seq_id)
-                trajectory.generated_tokens = self._a_gen.item(slot)
+                trajectory.generated_tokens = (
+                    self._a_gen.item(slot) + decoded - self._a_dent.item(slot)
+                )
                 trajectory.turns_done = turn + 1
                 trajectory.finish_time = self.clock
                 trajectory.replica_id = self.replica_id
@@ -1272,6 +1292,7 @@ class ReplicaGenerationState:
                 self._admit_blocked = False
                 leaving.append(position)
                 continue
+            self._materialize(slot)
             offset = self._a_sched_off.item(slot)
             self._a_turn[slot] = turn + 1
             self._a_done_turn[slot] = 0
@@ -1285,7 +1306,7 @@ class ReplicaGenerationState:
                 returns_at = self.clock + env_latency
                 self._a_env[slot] = returns_at
                 self._a_status[slot] = ENV_WAIT
-                self._env.append(seq_id, slot, dec.rows.item(position))
+                self._env.append(seq_id, slot, dec.rows[position])
                 if self._env_min is not None and returns_at < self._env_min:
                     self._env_min = returns_at
                 leaving.append(position)
@@ -1478,9 +1499,7 @@ class ReplicaBatchView:
         # lanes at C level; nothing here is per-replica Python).
         slot_base = np.zeros(K, dtype=np.int64)
         np.cumsum([len(r._a_seg_rem) for r in reps[:-1]], out=slot_base[1:])
-        lslot = np.concatenate(
-            [v for r in reps for v in (r._dec.slots_view(), r._env.slots_view())]
-        )
+        lslot = _joined([v for r in reps for v in (r._dec.slots, r._env.slots)])
         gslot = lslot + slot_base[srep]
 
         def gather(name: str) -> np.ndarray:
@@ -1488,12 +1507,8 @@ class ReplicaBatchView:
 
         self._rep = srep
         self._slot = lslot.copy()
-        self._sid = np.concatenate(
-            [v for r in reps for v in (r._dec.ids_view(), r._env.ids_view())]
-        )
-        self._row = np.concatenate(
-            [v for r in reps for v in (r._dec.rows_view(), r._env.rows_view())]
-        )
+        self._sid = _joined([v for r in reps for v in (r._dec.ids, r._env.ids)])
+        self._row = _joined([v for r in reps for v in (r._dec.rows, r._env.rows)])
         self._seg = gather("_a_seg_rem")
         self._gen = gather("_a_gen")
         self._tgt = gather("_a_target")
@@ -1928,17 +1943,17 @@ class ReplicaBatchView:
                 replica._a_last_ver[slots] = self._lvr[live]
                 replica._a_status[slots[:nd]] = DECODING
                 replica._a_status[slots[nd:]] = ENV_WAIT
-                replica._dec.n = 0
+                replica._dec.clear()
                 replica._dec.extend(self._sid[dk], slots[:nd], self._row[dk])
-                replica._env.n = 0
+                replica._env.clear()
                 replica._env.extend(self._sid[ek], slots[nd:], self._row[ek])
                 replica.kvcache.append_tokens_many(
                     self._sid[live], self._kvt[live] - self._kvt0[live],
                     rows=self._row[live],
                 )
             else:
-                replica._dec.n = 0
-                replica._env.n = 0
+                replica._dec.clear()
+                replica._env.clear()
             replica.kvcache.note_peak(int(self._kv_peak[k]))
             replica._completed.extend(self._done_traj[k])
             replica._drop_index()

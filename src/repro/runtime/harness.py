@@ -141,6 +141,10 @@ def generation_barrier(
     slowdowns, trace sampling (armed here when tracing is on) or KV pools the
     drain could overflow step one replica at a time.  The engine schedules a
     single ``timeout_until`` at the join time ``max_r(final_r)``.
+
+    A replica left holding only queued sequences whose head can never fit
+    its KV pool raises (:meth:`ReplicaGenerationState.stuck_error`) instead
+    of joining without them.
     """
     tracer = env.tracer
     barrier_start = env.now
@@ -158,7 +162,9 @@ def generation_barrier(
         dts: List[float] = []
         for pos, delta in zip(active, deltas):
             if delta is None:
-                continue  # stuck lane (inadmissible queue): stop draining it
+                # Only inadmissible queued sequences are left: the drain
+                # would drop them from the outcome.
+                raise replicas[pos].stuck_error()
             round_pos.append(pos)
             dts.append(delta)
         view.advance_many(round_pos, dts)

@@ -267,7 +267,9 @@ class LaminarSystem(System):
         The graceful sibling of :meth:`_apply_rollout_failure`: the machine's
         replicas stay alive (and stop being refilled via
         ``draining_machines``), their sequences move to the least-loaded
-        healthy replica of the same weight version, and nothing is lost —
+        healthy replica of the same weight version (one intake per source
+        replica and target, :meth:`RolloutManager.redirect`), and nothing is
+        lost —
         there is no detection latency because the trigger was a warning or a
         policy decision, not a crash.
         """
@@ -283,12 +285,8 @@ class LaminarSystem(System):
         for rid in sorted(drain_ids):
             batch = self.replicas[rid].remove_all()
             batch.reprefill[:] = True
-            for row, trajectory in enumerate(batch.trajectories):
-                target = RolloutManager._pick_failover_target(healthy, trajectory)
-                target.add_sequences(batch[row:row + 1])
-                if trajectory.traj_id in self.partial_pool:
-                    self.partial_pool.migrate(trajectory.traj_id, target.replica_id)
-                moved += 1
+            self.manager.redirect(healthy, batch, self.partial_pool)
+            moved += len(batch)
         return moved
 
     def _apply_straggler(self, event: FailureEvent, now: float) -> tuple:

@@ -10,12 +10,14 @@ pool) are redirected to healthy replicas holding the same weight version.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..data.partial_response_pool import PartialResponsePool
 from ..rollout.generation import ReplicaGenerationState, SequenceBatch
-from ..types import Trajectory
 from .fault_tolerance import FailureEvent, RecoveryModel, RecoveryRecord
 from .repack import (
     RepackExecutor,
@@ -117,21 +119,15 @@ class RolloutManager:
         lost = 0
         healthy = list(replicas.values())
         for batch in orphans:
+            if not healthy:
+                lost += len(batch)
+                if partial_pool is not None:
+                    for trajectory in batch.trajectories:
+                        partial_pool.discard(trajectory.traj_id)
+                continue
             batch.reprefill[:] = True
-            for row, trajectory in enumerate(batch.trajectories):
-                traj_id = trajectory.traj_id
-                if partial_pool is not None and traj_id in partial_pool:
-                    partial_pool.migrate(traj_id, -1)
-                target = self._pick_failover_target(healthy, trajectory)
-                if target is None:
-                    lost += 1
-                    if partial_pool is not None:
-                        partial_pool.discard(traj_id)
-                    continue
-                target.add_sequences(batch[row:row + 1])
-                if partial_pool is not None and traj_id in partial_pool:
-                    partial_pool.migrate(traj_id, target.replica_id)
-                redirected += 1
+            self.redirect(healthy, batch, partial_pool)
+            redirected += len(batch)
         record = RecoveryRecord(
             event=event,
             detected_at=detected_at,
@@ -143,12 +139,50 @@ class RolloutManager:
         return record
 
     @staticmethod
-    def _pick_failover_target(
-        healthy: List[ReplicaGenerationState], trajectory: Trajectory
-    ) -> Optional[ReplicaGenerationState]:
-        if not healthy:
-            return None
-        version = min(trajectory.versions_used)
-        same_version = [r for r in healthy if r.weight_version == version]
-        pool = same_version or healthy
-        return min(pool, key=lambda r: r.num_sequences)
+    def redirect(
+        healthy: List[ReplicaGenerationState],
+        batch: SequenceBatch,
+        partial_pool: Optional[PartialResponsePool],
+    ) -> None:
+        """Hand every row of ``batch`` to a healthy replica, one intake per target.
+
+        A row goes to the replica with the fewest sequences among those
+        holding the weight version it started under (``min(versions_used)``),
+        or among all of ``healthy`` when none does; the counts include the
+        rows already placed, and ties go to the first replica in ``healthy``
+        order.  Every row is placed before any is added, then each target
+        takes its rows, in batch order, in one ``add_sequences`` call.
+        Admission is FIFO, so the queues, admissions and KV ledgers equal
+        those of adding the rows one at a time.
+        """
+        counts = [replica.num_sequences for replica in healthy]
+        # (count, position) min-heaps per weight version and over the whole
+        # fleet.  A replica's count only grows, so an entry left behind by a
+        # placement through the other heap is refreshed when it surfaces.
+        pools: Dict[int, List[Tuple[int, int]]] = {}
+        for index, replica in enumerate(healthy):
+            pools.setdefault(replica.weight_version, []).append((counts[index], index))
+        everyone = [(count, index) for index, count in enumerate(counts)]
+        for heap in pools.values():
+            heapq.heapify(heap)
+        heapq.heapify(everyone)
+        placed: List[List[int]] = [[] for _ in healthy]
+        for row, trajectory in enumerate(batch.trajectories):
+            heap = pools.get(min(trajectory.versions_used), everyone)
+            count, index = heap[0]
+            while count != counts[index]:
+                heapq.heapreplace(heap, (counts[index], index))
+                count, index = heap[0]
+            counts[index] = count + 1
+            heapq.heapreplace(heap, (count + 1, index))
+            placed[index].append(row)
+        trajectories = batch.trajectories
+        for replica, rows in zip(healthy, placed):
+            if not rows:
+                continue
+            replica.add_sequences(batch.take(np.array(rows, dtype=np.int64)))
+            if partial_pool is not None:
+                for row in rows:
+                    traj_id = trajectories[row].traj_id
+                    if traj_id in partial_pool:
+                        partial_pool.migrate(traj_id, replica.replica_id)

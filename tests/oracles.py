@@ -15,6 +15,9 @@ keeps the slower, plainer shapes those paths must reproduce bit for bit:
 * :func:`reference_sample_batch` and :func:`reference_make` — the per-prompt
   fabrication loop that :meth:`repro.workload.PromptDataset.sample_batch`
   and :meth:`repro.rollout.TrajectoryFactory.make` reproduce as columns;
+* :func:`per_row_redirect` — failover and machine drains adding migrated
+  rows one at a time, the oracle of
+  :meth:`repro.systems.RolloutManager.redirect`;
 * one engine process per replica — :func:`drain_replica` and
   :func:`drain_replica_anchored` joined by :func:`process_generation_barrier`
   (an ``AllOf`` barrier), and one :func:`replica_driver` per continuous
@@ -678,7 +681,8 @@ def drain_replica(env: Environment, replica: ReplicaGenerationState) -> Generato
     """Process body: drive ``replica`` until it has no work left.
 
     Returns ``(elapsed_local_time, completed_trajectories)`` exactly like
-    :func:`run_to_completion`, sleeping a relative timeout per event.
+    :func:`run_to_completion`, sleeping a relative timeout per event; a
+    replica stuck behind an inadmissible queue raises, as production does.
     """
     start = replica.clock
     tracer = env.tracer
@@ -689,7 +693,7 @@ def drain_replica(env: Environment, replica: ReplicaGenerationState) -> Generato
     while replica.num_sequences:
         delta = replica.next_event_in()
         if delta is None:
-            break
+            raise replica.stuck_error()
         yield env.timeout(delta)
         completed.extend(replica.advance(delta))
     completed.extend(replica.drain_completed())
@@ -715,7 +719,7 @@ def drain_replica_anchored(env: Environment, replica: ReplicaGenerationState,
     while replica.num_sequences:
         delta = replica.next_event_in()
         if delta is None:
-            break
+            raise replica.stuck_error()
         completed.extend(replica.advance(delta))
         yield env.timeout_until(origin + replica.clock)
     completed.extend(replica.drain_completed())
@@ -873,3 +877,21 @@ def process_stepping():
         yield
     finally:
         base.generation_barrier, harness.FleetStepper = saved
+
+
+# --------------------------------------------------------------------------- migrations
+def per_row_redirect(healthy: List[ReplicaGenerationState], batch: SequenceBatch,
+                     partial_pool) -> None:
+    """Oracle of :meth:`repro.systems.RolloutManager.redirect`: each row, in
+    batch order, goes to the replica with the fewest sequences among those
+    holding the weight version it started under (or among all of
+    ``healthy`` when none does), first in ``healthy`` order on ties, and is
+    added on its own before the next row is placed."""
+    for row, trajectory in enumerate(batch.trajectories):
+        version = min(trajectory.versions_used)
+        pool = [r for r in healthy if r.weight_version == version] or healthy
+        target = min(pool, key=lambda r: r.num_sequences)
+        target.add_sequences(batch[row:row + 1])
+        if partial_pool is not None and trajectory.traj_id in partial_pool:
+            partial_pool.migrate(trajectory.traj_id, target.replica_id)
+

@@ -508,3 +508,41 @@ def test_grouped_refill_waits_bit_identity():
     revive them and the revived cohort re-ties."""
     reference, fleet = both(run_toy_fleet, [9] * 3, refill_batches=3)
     assert fleet == reference
+
+
+@pytest.mark.parametrize("barrier_shape", ["plain", "anchored"])
+@pytest.mark.parametrize("mode", ["process", "fleet"])
+def test_a_stuck_barrier_replica_fails_fast(mode, barrier_shape):
+    """A replica left with only queued sequences that can never fit its KV
+    pool raises, naming the replica, the head's context plus lookahead and
+    the pool, instead of joining with those trajectories silently dropped."""
+    with stepping(mode):
+        env = Environment()
+        stuck = ReplicaGenerationState(
+            replica_id=7, decode_model=DECODE_MODEL,
+            kvcache_config=KVCacheConfig(total_blocks=8, block_size=16),
+        )
+        states = [
+            SequenceState(
+                trajectory=Trajectory(
+                    traj_id=i, prompt=Prompt(prompt_id=i, group_id=0, prompt_tokens=100),
+                    target_tokens=20,
+                ),
+                schedule=TurnSchedule.single_turn(20),
+            )
+            for i in range(2)
+        ]
+        stuck.add_sequences(to_batch(states))
+        assert stuck.num_queued == 2
+
+        def body():
+            origin = None if barrier_shape == "plain" else env.now
+            outcome = yield from base.generation_barrier(env, [stuck], origin)
+            return outcome
+
+        with pytest.raises(RuntimeError, match=(
+            r"replica 7 is stuck with 2 queued sequence\(s\): the head needs 100 "
+            r"context \+ 256 lookahead tokens, and the KV pool holds 128 tokens"
+        )):
+            env.run(until=env.process(body()))
+    assert stuck.num_queued == 2
