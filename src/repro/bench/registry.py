@@ -276,7 +276,8 @@ SCENARIOS: Tuple[ScenarioConfig, ...] = (
         gpu_scales=(32,),
         iterations=8,
         warmup=0,
-        # ~65 s per unit uncontended; budget sized for jobs-wide CPU contention.
+        # ~1 s per unit uncontended (the 5 units take ~5 s on a 2-vCPU host);
+        # budget sized for jobs-wide CPU contention.
         timeout_s=600.0,
         tags=("convergence", "fig13"),
     ),

@@ -28,10 +28,15 @@ turn schedule in CSR form and one :class:`~repro.types.Trajectory` per row.
 ``add_sequences`` checks a whole batch at once and writes it into per-slot
 arrays indexed by a dense *slot* id and a flat schedule pool;
 ``remove_sequences``, ``remove_all`` and ``sequences()`` gather a batch back
-out of them.  The engine keeps each row's trajectory object in a slot
-column and writes its fields only when the sequence completes (and its
-``versions_used`` whenever it first decodes under a weight version); while a
-sequence is in flight its progress lives in the arrays alone.
+out of them.  A barrier's fresh replicas take their shares of the global
+batch in one fleet intake, :func:`add_fleet_sequences`: the same row checks
+once for the whole batch, each column written once fleet-wide, and every
+replica's first admissions from one prefix scan segmented by replica.  Both
+intakes share one row check (:func:`_check_rows`).  The engine keeps each
+row's trajectory object in a slot column and writes its fields only when the
+sequence completes (and its ``versions_used`` whenever it first decodes
+under a weight version); while a sequence is in flight its progress lives in
+the arrays alone.
 
 The decode / env-wait sets are order-preserving parallel vectors of (seq id,
 slot, KVCache row) (:class:`_SeqVector`) and the waiting queue holds slots.
@@ -75,7 +80,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -231,6 +236,54 @@ class SequenceBatch:
     def context_tokens(self) -> np.ndarray:
         """Prompt plus generated tokens per row."""
         return self.prompt_tokens + self.generated
+
+
+def _check_rows(batch: SequenceBatch, live: AbstractSet[int],
+                where: str) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Check every row of a non-empty batch before an intake writes any.
+
+    Every segment is positive, every env latency non-negative with one per
+    segment, each row's turn index is inside its schedule, no id repeats or
+    is in ``live`` (``where`` names the holder in the error), and no row's
+    generated tokens plus the tokens left in its schedule exceed its target
+    (the decode set assumes the target is never reached before the last
+    segment ends).  Returns each row's number of turns, the tokens left in
+    its current segment and the ids as a list.
+    """
+    n = len(batch)
+    offsets, segments, env_latencies = batch.offsets, batch.segments, batch.env_latencies
+    entries = len(segments)
+    if offsets.item(0) or offsets.item(n) != entries or len(env_latencies) != entries:
+        raise ValueError("a schedule needs one env latency per segment")
+    starts, ends = offsets[:-1], offsets[1:]
+    counts = ends - starts
+    turn = batch.turn
+    # Read as unsigned, a negative turn compares above every count.
+    if np.count_nonzero(turn.view(np.uint64) >= counts):
+        raise ValueError("turn index outside the schedule")
+    # Every row has a segment now, so neither minimum is empty.
+    if min(segments.tolist()) <= 0:
+        raise ValueError("segments must be positive")
+    if min(env_latencies.tolist()) < 0:
+        raise ValueError("env latencies must be non-negative")
+    ids = batch.ids.tolist()
+    if len(set(ids)) < n or not live.isdisjoint(ids):
+        raise ValueError(f"a sequence id repeats or is already on {where}")
+    cursor = starts + turn
+    seg_rem = segments[cursor] - batch.done_turn
+    # Tokens in the segments after the current one (inclusive prefix sums,
+    # read at each row's last segment and at its cursor).
+    decoded_by = np.add.accumulate(segments)
+    later = decoded_by[ends - 1] - decoded_by[cursor]
+    over = batch.generated + seg_rem + later > batch.target
+    if np.count_nonzero(over):
+        row = over.nonzero()[0][0]
+        raise ValueError(
+            f"sequence {ids[row]}: {batch.generated[row]} generated + "
+            f"{seg_rem[row] + later[row]} scheduled tokens exceed its target "
+            f"{batch.target[row]}"
+        )
+    return counts, seg_rem, ids
 
 
 @dataclass
@@ -427,7 +480,12 @@ class ReplicaGenerationState:
     The per-slot arrays (:data:`_SLOT_ARRAYS`), the decode/env vectors and
     the KV ledger are sized by the replica's first batch and doubled when a
     later batch overflows them (:meth:`_reserve`).  Freed slots are reused
-    newest first, and a batch takes its slots in that order.
+    newest first, and a batch takes its slots in that order.  A replica
+    built by the fleet intake (:func:`add_fleet_sequences`) holds slices of
+    fleet-wide columns instead: slot arrays, schedule pool and KV ledger,
+    each sized exactly to its share.  Its writes stay inside its own slice,
+    and growth (:meth:`_reserve`, :meth:`_schedule_room`) copies the arrays
+    out, so it owns them from then on.
     """
 
     def __init__(
@@ -764,51 +822,20 @@ class ReplicaGenerationState:
     def add_sequences(self, sequences: SequenceBatch) -> None:
         """Queue a batch of new or migrated sequences on this replica.
 
-        The whole batch is checked before anything is written, so a rejected
-        batch leaves the replica unchanged: every segment is positive, every
-        env latency non-negative with one per segment, each row's turn index
-        is inside its schedule, no id repeats or is already live, and no row's
-        generated tokens plus the tokens left in its schedule exceed its
-        target (the decode set assumes the target is never reached before
-        the last segment ends).
+        The whole batch is checked (:func:`_check_rows`, which also refuses
+        an id already live here) before anything is written, so a rejected
+        batch leaves the replica unchanged.  This is the intake of live
+        replicas; a barrier's fresh replicas take their shares of the global
+        batch through :func:`add_fleet_sequences`.
         """
         batch = sequences
         n = len(batch)
         if n:
-            offsets, segments, env_latencies = batch.offsets, batch.segments, batch.env_latencies
+            counts, seg_rem, ids = _check_rows(batch, self._slots.keys(),
+                                               f"replica {self.replica_id}")
+            segments, env_latencies = batch.segments, batch.env_latencies
             entries = len(segments)
-            if (offsets.item(0) or offsets.item(n) != entries
-                    or len(env_latencies) != entries):
-                raise ValueError("a schedule needs one env latency per segment")
-            starts, ends = offsets[:-1], offsets[1:]
-            counts = ends - starts
-            turn = batch.turn
-            # Read as unsigned, a negative turn compares above every count.
-            if np.count_nonzero(turn.view(np.uint64) >= counts):
-                raise ValueError("turn index outside the schedule")
-            # Every row has a segment now, so neither minimum is empty.
-            if min(segments.tolist()) <= 0:
-                raise ValueError("segments must be positive")
-            if min(env_latencies.tolist()) < 0:
-                raise ValueError("env latencies must be non-negative")
-            ids = batch.ids.tolist()
-            if len(set(ids)) < n or not self._slots.keys().isdisjoint(ids):
-                raise ValueError(f"a sequence id repeats or is already on replica "
-                                 f"{self.replica_id}")
-            cursor = starts + turn
-            seg_rem = segments[cursor] - batch.done_turn
-            # Tokens in the segments after the current one (inclusive prefix
-            # sums, read at each row's last segment and at its cursor).
-            decoded_by = np.add.accumulate(segments)
-            later = decoded_by[ends - 1] - decoded_by[cursor]
-            over = batch.generated + seg_rem + later > batch.target
-            if np.count_nonzero(over):
-                row = over.nonzero()[0][0]
-                raise ValueError(
-                    f"sequence {ids[row]}: {batch.generated[row]} generated + "
-                    f"{seg_rem[row] + later[row]} scheduled tokens exceed its target "
-                    f"{batch.target[row]}"
-                )
+            starts = batch.offsets[:-1]
             if len(self._slots) + n > len(self._a_id):
                 self._reserve(len(self._slots) + n)
             if self._sched_len + entries > len(self._sched_seg):
@@ -827,7 +854,7 @@ class ReplicaGenerationState:
             self._a_env[slots] = batch.env_return
             self._a_last_ver[slots] = -1
             self._a_status[slots] = QUEUED
-            self._a_turn[slots] = turn
+            self._a_turn[slots] = batch.turn
             self._a_nturns[slots] = counts
             self._a_reprefill[slots] = batch.reprefill
             tail = self._sched_len
@@ -1421,6 +1448,110 @@ class ReplicaGenerationState:
             if env <= 0:
                 raise ValueError("env slowdown must be positive")
             self._env_slowdown = env
+
+
+def add_fleet_sequences(replicas: Sequence[ReplicaGenerationState], batch: SequenceBatch,
+                        shares: Sequence[int]) -> None:
+    """Queue one batch on fresh replicas and admit the head of each share.
+
+    Replica ``r`` takes the next ``shares[r]`` rows of ``batch`` and ends in
+    exactly the state ``replicas[r].add_sequences(its rows)`` leaves, but
+    the work is done once for the fleet.  The batch is checked once
+    (:func:`_check_rows`; ids must be unique across the whole batch).  Each
+    per-slot column, the schedule pool and the KV ledger is written once as
+    a fresh fleet-wide array, and every replica holds slices of them until
+    growth copies its arrays out.  The first admissions come from one FIFO
+    prefix scan segmented by replica, which is ``_try_admit``'s rule on an
+    empty replica: a replica admits its longest prefix of rows in which
+    every row's ``blocks(ctx + lookahead)`` fits the pool on top of
+    ``blocks(ctx + 1)`` of the rows before it, at most ``max_concurrency``
+    rows, on KV rows ``0…k−1`` in order.
+
+    A replica that has held a sequence or stepped is not fresh.  Such a
+    replica, or a bad row anywhere, raises before any replica is written.
+    """
+    shares = np.asarray(shares, dtype=np.int64)
+    n = len(batch)
+    if len(shares) != len(replicas) or shares.sum() != n or np.count_nonzero(shares < 0):
+        raise ValueError("the shares must split the batch over the replicas")
+    for replica in replicas:
+        if len(replica._a_id) or replica._a_dent is not None:
+            raise ValueError(f"replica {replica.replica_id} is not fresh")
+    if not n:
+        return
+    nturns, seg_rem, ids = _check_rows(batch, frozenset(), "the fleet")
+    bounds = np.zeros(len(replicas) + 1, dtype=np.int64)
+    np.cumsum(shares, out=bounds[1:])
+    owner = np.repeat(np.arange(len(replicas)), shares)
+    first = bounds[owner]
+    # A row's slot and KV row on its replica.
+    slot = np.arange(n, dtype=np.int64) - first
+    limits = np.array(
+        [(r.kvcache.config.block_size, r.kvcache.config.total_blocks,
+          r.admission_lookahead_tokens, r.max_concurrency) for r in replicas],
+        dtype=np.int64,
+    )
+    block, total_blocks, lookahead = limits[:, :3].T[:, owner]
+    context = batch.prompt_tokens + batch.generated
+    alloc = -(-(context + 1) // block)
+    need = -(-(context + lookahead) // block)
+    # Blocks the rows before each one allocate on its replica.
+    before = np.cumsum(alloc) - alloc
+    before -= before[first]
+    # A replica's first row that does not fit ends its admitted prefix.
+    misfits = np.append(np.flatnonzero(before + need > total_blocks), n)
+    stop = np.minimum(misfits[np.searchsorted(misfits, bounds[:-1])], bounds[1:])
+    takes = np.minimum(stop - bounds[:-1], limits[:, 3])
+    admitted = slot < takes[owner]
+    reprefill = batch.reprefill.astype(bool)
+
+    def replica_sums(values: np.ndarray) -> List[int]:
+        sums = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(values, out=sums[1:])
+        return (sums[bounds[1:]] - sums[bounds[:-1]]).tolist()
+
+    kv_tokens = np.where(admitted, context + 1, 0)
+    kv_blocks = np.where(admitted, alloc, 0)
+    used = replica_sums(kv_blocks)
+    prefilled = replica_sums(np.where(admitted & ~reprefill, batch.prompt_tokens, 0))
+    reprefilled = replica_sums(np.where(admitted & reprefill, context, 0))
+    values = (
+        batch.ids, seg_rem, batch.generated, batch.target, batch.prompt_tokens, context,
+        batch.done_turn, batch.env_return, np.full(n, -1),
+        np.where(admitted, DECODING, QUEUED), batch.turn, nturns, reprefill & ~admitted,
+        batch.offsets[:-1] - batch.offsets[first],
+    )
+    columns = [(name, np.array(column, dtype=dtype))
+               for (name, dtype), column in zip(_SLOT_ARRAYS, values)]
+    fleet_ids = columns[0][1]
+    seg_pool = np.array(batch.segments, dtype=np.int64)
+    env_pool = np.array(batch.env_latencies, dtype=np.float64)
+    entry_bounds = batch.offsets[bounds].tolist()
+    row_bounds = bounds.tolist()
+    takes = takes.tolist()
+    trajectories = batch.trajectories
+    for r, replica in enumerate(replicas):
+        lo, hi = row_bounds[r], row_bounds[r + 1]
+        if lo == hi:
+            replica._admit_blocked = False
+            continue
+        for name, column in columns:
+            setattr(replica, name, column[lo:hi])
+        entry_lo, entry_hi = entry_bounds[r], entry_bounds[r + 1]
+        replica._sched_seg = seg_pool[entry_lo:entry_hi]
+        replica._sched_env = env_pool[entry_lo:entry_hi]
+        replica._sched_len = entry_hi - entry_lo
+        replica._a_traj = trajectories[lo:hi]
+        live = ids[lo:hi]
+        replica._slots = dict(zip(live, range(hi - lo)))
+        k = takes[r]
+        replica._queued.extend(range(hi - lo))
+        replica._queued.popleft_n(k)
+        replica._dec.extend(fleet_ids[lo:lo + k], slot[lo:lo + k], slot[lo:lo + k])
+        replica.kvcache.adopt(kv_tokens[lo:hi], kv_blocks[lo:hi], live[:k], used[r])
+        replica.stats.prompt_tokens_prefilled += prefilled[r]
+        replica.stats.reprefill_tokens += reprefilled[r]
+        replica._admit_blocked = True
 
 
 class ReplicaBatchView:

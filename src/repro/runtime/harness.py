@@ -93,6 +93,9 @@ class EventBox:
     waiter re-yielding inside the same wake-up chain sleeps on the next
     occurrence instead of the already-fired event (the lost-wakeup idiom
     shared by the trainer wake-ups and the producer/consumer variants).
+    With no waiter the notify is dropped: the event stays pending and the
+    next waiter sleeps on it, as it would have on a fresh one, without an
+    engine step for an event nobody observes.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -103,7 +106,10 @@ class EventBox:
         return self._event
 
     def notify(self) -> None:
-        event, self._event = self._event, self.env.event()
+        event = self._event
+        if not event.callbacks:
+            return
+        self._event = self.env.event()
         event.succeed()
 
 

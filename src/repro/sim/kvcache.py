@@ -241,6 +241,25 @@ class KVCache:
         self.peak_blocks = max(self.peak_blocks, self._used_blocks)
         return rows
 
+    def adopt(self, tokens: np.ndarray, blocks: np.ndarray, seq_ids: List[int],
+              used_blocks: int) -> None:
+        """Take ``tokens``/``blocks`` as the ledger of this unused cache.
+
+        ``seq_ids`` hold rows ``0…k−1`` in order, every later row is zero and
+        ``used_blocks`` is the sum of their blocks.  The result equals
+        :meth:`reserve` of ``len(tokens)`` rows, then :meth:`allocate` of each
+        sequence in turn.  The arrays are used as given, not copied (the
+        fleet intake passes slices of fleet-wide columns); :meth:`reserve`
+        copies them out when the ledger grows.
+        """
+        count = len(seq_ids)
+        self._tokens, self._blocks = tokens, blocks
+        self._row_of = dict(zip(seq_ids, range(count)))
+        self._free_rows = list(range(len(tokens) - 1, count - 1, -1))
+        self._used_blocks = used_blocks
+        if used_blocks > self.peak_blocks:
+            self.peak_blocks = used_blocks
+
     def free(self, seq_id: int) -> int:
         """Release the sequence's blocks, returning how many were freed."""
         row = self._row_of.pop(seq_id, None)

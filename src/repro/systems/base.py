@@ -27,7 +27,11 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..metrics.results import SystemRunResult
-from ..rollout.generation import ReplicaGenerationState, SequenceBatch
+from ..rollout.generation import (
+    ReplicaGenerationState,
+    SequenceBatch,
+    add_fleet_sequences,
+)
 from ..runtime.components import CompletionPipeline, GlobalWeightSync
 from ..runtime.harness import GenerationOutcome, generation_barrier
 from ..runtime.workload import WorkloadBundle
@@ -167,30 +171,29 @@ class System(ABC):
     ) -> Generator:
         """Sub-process: synchronous full-batch generation across fresh replicas.
 
-        Sequences are distributed round-robin over the replicas (replica
-        ``r`` of ``R`` gets rows ``r, r + R, ...``); the join
-        completes when the slowest replica finishes (the global barrier of
-        the synchronous and k-step-staleness designs).  With ``origin`` set
-        the replicas run as anchored drains whose join lands at
-        ``origin + local clock``.  The returned outcome carries every
-        trajectory with its local ``finish_time``.
+        Sequences are distributed round-robin over fresh replicas (replica
+        ``r`` of ``R`` gets rows ``r, r + R, ...``), which take their shares
+        in one fleet intake (:func:`~repro.rollout.generation.add_fleet_sequences`:
+        one check of the global batch, one write of each column, one
+        admission scan segmented by replica).  The join completes when the
+        slowest replica finishes (the global barrier of the synchronous and
+        k-step-staleness designs).  With ``origin`` set the replicas run as
+        anchored drains whose join lands at ``origin + local clock``.  The
+        returned outcome carries every trajectory with its local
+        ``finish_time``.
 
         Every barrier orchestration (verl, one_step, stream_gen, semi_sync)
-        generates through here, so the module-level
-        :func:`~repro.runtime.harness.generation_barrier` it calls is the one
-        barrier all of them share.
+        generates through here, so the fleet intake and the module-level
+        :func:`~repro.runtime.harness.generation_barrier` it calls are the
+        one intake and the one barrier all of them share.
         """
         batch = self.sample_global_batch(weight_version)
         replicas = self.make_replicas(self.num_generation_replicas(), weight_version)
         # Order the rows by replica once, so each replica's share is one
         # contiguous slice (replica r's rows keep their order r, r + R, ...).
         owner = np.arange(len(batch)) % len(replicas)
-        batch = batch.take(np.argsort(owner, kind="stable"))
-        bounds = np.zeros(len(replicas) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner, minlength=len(replicas)), out=bounds[1:])
-        bounds = bounds.tolist()
-        for index, replica in enumerate(replicas):
-            replica.add_sequences(batch[bounds[index]:bounds[index + 1]])
+        add_fleet_sequences(replicas, batch.take(np.argsort(owner, kind="stable")),
+                            np.bincount(owner, minlength=len(replicas)))
         outcome = yield from generation_barrier(env, replicas, origin)
         return outcome
 

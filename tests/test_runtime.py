@@ -12,6 +12,7 @@ from repro.systems import LaminarSystem, VerlSynchronous, make_system
 from repro.experiments import make_system_config
 from repro.runtime import (
     CompletionPipeline,
+    EventBox,
     GlobalWeightSync,
     RelayWeightSync,
     WorkloadBundle,
@@ -144,6 +145,34 @@ def test_generation_barrier_is_reusable_within_one_environment():
     # Both batches completed; the environment clock covers both barriers.
     assert outcome_a.duration > 0 and outcome_b.duration > 0
     assert env.now == pytest.approx(outcome_a.duration + outcome_b.duration, rel=1e-6)
+
+
+def test_event_box_notify_without_a_waiter_schedules_nothing():
+    """A notify nobody waits on puts no event on the engine's queue; a
+    waiter that arrives later still wakes at the next notify, at its time."""
+    env = Environment()
+    box = EventBox(env)
+    woken = []
+
+    def waiter():
+        yield env.timeout(2.0)
+        yield box.wait()
+        woken.append(env.now)
+
+    def notifier():
+        box.notify()  # nobody waits yet
+        yield env.timeout(5.0)
+        box.notify()
+
+    env.process(waiter())
+    env.process(notifier())
+    for _ in range(2):  # start both processes
+        env.step()
+    queued = len(env._queue)
+    box.notify()
+    assert len(env._queue) == queued
+    env.run()
+    assert woken == [5.0]
 
 
 # --------------------------------------------------------------------------- event-driven systems
