@@ -12,9 +12,10 @@ that steps every replica:
   next event — so repacking, weight pulls and failures can land at any
   instant and simulated time jumps between real events;
 * the batch-synchronous baselines drain a whole batch of replicas behind one
-  join (:func:`repro.runtime.generation_barrier`, stepping the replicas
-  together through :class:`ReplicaBatchView`), which reproduces their
-  slowest-replica iteration semantics exactly.
+  join (:func:`repro.runtime.generation_barrier`, through one
+  :class:`ReplicaBatchView` that steps a wide barrier's replicas together
+  and routes a narrow barrier's replicas to their own engines), which
+  reproduces their slowest-replica iteration semantics exactly.
 
 Because every system shares this engine (and the roofline decode model inside
 it), throughput differences between systems come purely from orchestration —
@@ -105,6 +106,33 @@ _ADMIT_SCALAR = 8
 
 #: First head window of the vectorized admission scan (widened 4x per pass).
 _ADMIT_WINDOW = 16
+
+#: Fewest eligible lanes a :class:`ReplicaBatchView` fuses.  A fused round
+#: pays a fixed set of numpy reductions and kernels whatever its width, while
+#: a per-replica decode window is O(1), so a narrower view routes every lane
+#: to its own engine.  Seconds per unit on a shared 2-vCPU host, fused vs
+#: routed (in-process medians of 4 alternations; registry barriers are 4, 8,
+#: 12, 16, 24 or >= 96 lanes wide, so the crossover lies between 16 and 24
+#: lanes):
+#:
+#: ======================================  =====  =====  ======  ============
+#: unit                                    lanes  fused  routed  routed/fused
+#: ======================================  =====  =====  ======  ============
+#: throughput_7b_tool stream_gen 7B/16         4   3.10    1.37          0.44
+#: throughput_7b_math one_step 7B/16           4   0.85    0.23          0.27
+#: throughput_7b_tool verl 7B/16               8   2.41    1.59          0.66
+#: throughput_7b_math verl 7B/16               8   0.36    0.20          0.54
+#: convergence_7b stream_gen 7B/32            12   1.51    1.36          0.90
+#: convergence_7b one_step 7B/32              12   1.80    1.77          0.98
+#: convergence_7b verl 7B/32                  16   2.59    1.39          0.54
+#: tool_long_horizon stream_gen 7B/64         24   1.98    2.04          1.03
+#: throughput_7b_tool stream_gen 7B/256      108   0.77    1.41          1.82
+#: throughput_7b_tool verl 7B/256            128   0.56    1.45          2.60
+#: throughput_7b_math verl 7B/256            128   0.18    0.25          1.42
+#: throughput_72b_math verl 72B/1024         128   0.13    0.19          1.51
+#: datacenter_1k verl 4096 GPUs            2,048   0.77    1.08          1.40
+#: ======================================  =====  =====  ======  ============
+_FUSE_MIN_LANES = 16
 
 
 #: Residency codes of the engine's status array and ``SequenceBatch.status``.
@@ -1577,13 +1605,18 @@ class ReplicaBatchView:
     Lanes that fail the eligibility gates stay *resident*: their calls route
     straight to the underlying engine, one replica at a time, so the grouped
     kernel degrades to exactly the per-replica call sequence whenever
-    interleaving constraints bind.  A lane is fused only if
+    interleaving constraints bind.  A lane is *eligible* if
 
     * it is a plain :class:`ReplicaGenerationState` with live sequences,
-    * its waiting queue is empty (no admissions or preemptions can fire),
-    * no straggler slowdown is active and trace sampling is off, and
-    * the KV pool provably fits every remaining token of every live sequence
-      (so mid-drain growth can never overflow or trigger preemption).
+    * its waiting queue is empty (no admissions or preemptions can fire), and
+    * no straggler slowdown is active and trace sampling is off.
+
+    The view fuses only when at least ``_FUSE_MIN_LANES`` of its lanes are
+    eligible: a fused round costs the same whatever its width, so a narrower
+    view routes every lane, and with no lane stacked its batch calls are
+    plain per-replica calls.  Of a wide view's eligible lanes, one is fused
+    only if its KV pool provably fits every remaining token of every live
+    sequence (so mid-drain growth can never overflow or trigger preemption).
 
     Between construction and :meth:`settle` the view owns its fused lanes'
     state; the underlying engines must not be touched.  ``settle`` writes
@@ -1597,18 +1630,19 @@ class ReplicaBatchView:
         self._lane_k = np.full(len(self.replicas), -1, dtype=np.int64)
         self._settled = False
         self._round_done: Dict[int, List[Trajectory]] = {}
-        candidates: List[int] = []
-        for pos, replica in enumerate(self.replicas):
-            if (
-                type(replica) is ReplicaGenerationState
-                and replica.num_sequences > 0
-                and not replica._queued
-                and replica._decode_slowdown == 1.0
-                and replica._env_slowdown == 1.0
-                and replica.trace_samples is None
-            ):
-                replica._write_back()
-                candidates.append(pos)
+        candidates = [
+            pos for pos, replica in enumerate(self.replicas)
+            if type(replica) is ReplicaGenerationState
+            and replica.num_sequences > 0
+            and not replica._queued
+            and replica._decode_slowdown == 1.0
+            and replica._env_slowdown == 1.0
+            and replica.trace_samples is None
+        ]
+        if len(candidates) < _FUSE_MIN_LANES:
+            candidates = []
+        for pos in candidates:
+            self.replicas[pos]._write_back()
         self._stack(candidates)
 
     # ------------------------------------------------------------------ stacking
@@ -1796,6 +1830,9 @@ class ReplicaBatchView:
     # ------------------------------------------------------------------ API
     def next_event_in_many(self, positions: Sequence[int]) -> List[Optional[float]]:
         """Per-lane :meth:`ReplicaGenerationState.next_event_in`, one reduction."""
+        if not self._K:
+            replicas = self.replicas
+            return [replicas[pos].next_event_in() for pos in positions]
         out: List[Optional[float]] = [None] * len(positions)
         if not positions:
             return out
@@ -1833,6 +1870,9 @@ class ReplicaBatchView:
         clock reaches its own target; fallback lanes are advanced through the
         engine directly.  Returns the trajectories completed per position.
         """
+        if not self._K:
+            replicas = self.replicas
+            return [replicas[pos].advance(dt) for pos, dt in zip(positions, dts)]
         out: List[List[Trajectory]] = [[] for _ in positions]
         if not positions:
             return out

@@ -14,8 +14,9 @@ Two execution shapes cover every registered system (:mod:`repro.systems`):
 
 * **Continuous generation** (AReaL, Laminar): the members of a
   :class:`ReplicaFleet` are stepped by one :class:`FleetStepper` process that
-  sleeps until the earliest member wake-up in a :class:`FleetState` heap,
-  refills idle replicas and reports completions through the fleet's hooks.
+  sleeps until the earliest member wake-up in a :class:`FleetState` heap (or
+  moves the clock there itself when no other event is due first), refills
+  idle replicas and reports completions through the fleet's hooks.
   External actors (trainer, repack, failures) ``touch`` the replicas they
   mutate (pull trajectories, inject a stall) and the stepper recomputes their
   next events — so simulated time jumps between real events instead of being
@@ -138,15 +139,19 @@ def generation_barrier(
     bit.
 
     Barrier drains are mutually independent by construction (replicas
-    interact only at the join), so the whole fleet is drained *together*
-    through one :class:`~repro.rollout.generation.ReplicaBatchView`: each
-    round asks every still-live lane for its next event with one stacked
-    reduction and advances all of them with one grouped kernel sweep, while
-    each lane's float chain (``t = t + delta`` / ``fl(origin + clock)``)
-    stays per-lane and bit-identical.  Lanes with waiting queues, active
-    slowdowns, trace sampling (armed here when tracing is on) or KV pools the
-    drain could overflow step one replica at a time.  The engine schedules a
-    single ``timeout_until`` at the join time ``max_r(final_r)``.
+    interact only at the join), so the whole fleet is drained in lockstep
+    rounds through one :class:`~repro.rollout.generation.ReplicaBatchView`,
+    while each lane's float chain (``t = t + delta`` / ``fl(origin +
+    clock)``) stays per-lane and bit-identical.  A wide barrier (at least
+    ``_FUSE_MIN_LANES`` eligible lanes) is drained *together*: each round
+    asks every still-live lane for its next event with one stacked reduction
+    and advances all of them with one grouped kernel sweep.  A narrower
+    barrier routes every lane to its own engine's ``next_event_in`` and
+    ``advance``, which is cheaper than a fused round at that width.  Lanes
+    with waiting queues, active slowdowns, trace sampling (armed here when
+    tracing is on) or KV pools the drain could overflow always step one
+    replica at a time.  The engine schedules a single ``timeout_until`` at
+    the join time ``max_r(final_r)``.
 
     A replica left holding only queued sequences whose head can never fit
     its KV pool raises (:meth:`ReplicaGenerationState.stuck_error`) instead
@@ -373,11 +378,15 @@ class FleetStepper:
     loop: consume elapsed time (``advance`` + ``on_advance``), refill when
     idle, park when there is no work, and re-arm ``wake = now + (ahead +
     delta)`` with the same float arithmetic the engine's relative timeouts
-    use.  ``touch`` delivers one prio-0 interrupt for the whole fleet and
-    services the touched members in call order (the order per-member
-    interrupts would have fired); ``notify_refill`` wakes parked members in
-    wait order.  Between two members the immediate-service queue is drained,
-    which is the interleaving one process per member would have produced.
+    use.  When no other event is queued at or before the next wake-up,
+    nothing else can run first, so the stepper moves the clock there itself
+    (:meth:`~repro.sim.engine.Environment.try_jump`) instead of sleeping on
+    an event; a tie still sleeps, so FIFO order holds.  ``touch`` delivers
+    one prio-0 interrupt for the whole fleet and services the touched members
+    in call order (the order per-member interrupts would have fired);
+    ``notify_refill`` wakes parked members in wait order.  Between two
+    members the immediate-service queue is drained, which is the
+    interleaving one process per member would have produced.
     """
 
     def __init__(self, env: Environment, fleet: ReplicaFleet) -> None:
@@ -464,6 +473,8 @@ class FleetStepper:
                     yield env.event()
                 except Interrupt:
                     continue
+            elif env.try_jump(wake):
+                continue  # nothing else is due first: no event needed
             else:
                 try:
                     yield env.timeout_until(wake)

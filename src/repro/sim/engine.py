@@ -378,6 +378,9 @@ class Environment:
         self._queue: List = []
         self._eid = itertools.count()
         self._active_process: Optional[Process] = None
+        #: Numeric ``until`` of the last :meth:`run` (``inf`` if it had
+        #: none): :meth:`try_jump` never moves the clock past it.
+        self._until = float("inf")
         # Observability: capture the active tracer at construction so every
         # process on this environment reports to the same recorder.  The
         # default NullTracer is shared and disabled; instrumentation sites
@@ -426,6 +429,24 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
 
+    def try_jump(self, at: float) -> bool:
+        """Move the clock to ``at`` without an event, if nothing can run first.
+
+        The running process may skip its own ``timeout_until(at)`` when no
+        event is queued at or before ``at`` and ``at`` is not past the
+        numeric ``until`` of :meth:`run`: that timeout would have been the
+        next event, so resuming now at ``at`` is what the engine would do.
+        An event at exactly ``at`` fires first under the FIFO tie-break, so
+        the caller must yield.  Returns whether the clock moved.
+        """
+        if at < self._now:
+            raise SimulationError(f"try_jump({at!r}) lies in the past (now={self._now!r})")
+        queue = self._queue
+        if at > self._until or (queue and queue[0][0] <= at):
+            return False
+        self._now = at
+        return True
+
     def step(self) -> None:
         """Process the next scheduled event."""
         if not self._queue:
@@ -461,6 +482,7 @@ class Environment:
                     f"until={stop_at} lies in the past (now={self._now})"
                 )
 
+        self._until = float("inf") if stop_at is None else stop_at
         try:
             while self._queue:
                 if stop_at is not None and self.peek() > stop_at:

@@ -27,7 +27,7 @@ from oracles import (
 )
 import repro.sim.kvcache as kvcache_module
 from repro.llm import QWEN_7B
-from repro.rollout.generation import _EPS
+from repro.rollout.generation import _EPS, _FUSE_MIN_LANES
 from repro.rollout import (
     DECODING,
     ENV_WAIT,
@@ -510,16 +510,18 @@ def test_decode_step_time_many_matches_scalar():
 
 
 # --------------------------------------------------------------------------- batch views
-def make_view_fleet(seed: int, lanes):
+def make_view_fleet(seed: int, lanes, blocks: int = 384):
     """Mirrored scalar/vector replica lists; ``lanes`` gives per-lane slowdowns.
 
     A lane with a slowdown factor other than 1.0 is ineligible for fusion and
     must route through the per-replica fallback — the fused and fallback
-    paths are exercised side by side.
+    paths are exercised side by side.  A view fuses only when at least
+    ``_FUSE_MIN_LANES`` lanes are eligible, so fleets that must fuse are at
+    least that wide.
     """
     scalars, vectors = [], []
     for replica_id, slowdown in enumerate(lanes):
-        scalar, vector = make_engines(blocks=384, max_concurrency=24)
+        scalar, vector = make_engines(blocks=blocks, max_concurrency=24)
         scalar.add_sequences(make_states(seed * 131 + replica_id, 10,
                                          1000 * replica_id))
         vector.add_sequences(make_batch(seed * 131 + replica_id, 10,
@@ -539,11 +541,15 @@ def test_batch_view_fuzz_is_bit_identical(seed):
     Each round stacks a fresh view over both fleets, asks a random member
     subset for its next event, advances a random stretch of it through the
     grouped kernels, settles, and compares every engine field bit for bit.
+    The fleet is wide enough to fuse while most lanes are live; as lanes
+    drain, later views fall below ``_FUSE_MIN_LANES`` and route every lane.
     """
-    lanes = (1.0, 1.0, 1.5, 1.0, 1.0)  # lane 2 straggles: permanent fallback
+    # Lane 2 straggles: permanent fallback beside the fused lanes.
+    lanes = (1.0, 1.0, 1.5) + (1.0,) * (_FUSE_MIN_LANES + 1)
     scalars, vectors = make_view_fleet(seed, lanes)
     op_rng = np.random.default_rng(9000 + seed)
     next_id = 50_000
+    fused_views = 0
 
     for round_no in range(40):
         count = int(op_rng.integers(1, len(lanes) + 1))
@@ -554,6 +560,7 @@ def test_batch_view_fuzz_is_bit_identical(seed):
         vector_view = ReplicaBatchView(vectors)
         assert not scalar_view.lane_is_fused(2)
         assert not vector_view.lane_is_fused(2)
+        fused_views += vector_view.num_fused > 0
         scalar_deltas = scalar_view.next_event_in_many(positions)
         vector_deltas = vector_view.next_event_in_many(positions)
         assert scalar_deltas == vector_deltas
@@ -597,16 +604,20 @@ def test_batch_view_fuzz_is_bit_identical(seed):
             assert_completions_identical(s_done, v_done)
     for scalar, vector in zip(scalars, vectors):
         assert_engines_identical(scalar, vector)
+    assert fused_views > 0
 
 
 def test_batch_view_interleaves_with_direct_stepping():
     """A settled view hands the engines back intact: direct advance calls
     between view rounds continue the same float chains."""
-    scalars, vectors = make_view_fleet(11, (1.0, 1.0, 1.0))
+    lanes = (1.0,) * _FUSE_MIN_LANES
+    scalars, vectors = make_view_fleet(11, lanes)
+    fused_views = 0
     for _ in range(10):
         scalar_view = ScalarReplicaBatchView(scalars)
         vector_view = ReplicaBatchView(vectors)
-        positions = [0, 1, 2]
+        fused_views += vector_view.num_fused > 0
+        positions = [pos for pos, r in enumerate(scalars) if r.num_sequences]
         scalar_deltas = scalar_view.next_event_in_many(positions)
         vector_deltas = vector_view.next_event_in_many(positions)
         assert scalar_deltas == vector_deltas
@@ -625,6 +636,39 @@ def test_batch_view_interleaves_with_direct_stepping():
                 )
         for scalar, vector in zip(scalars, vectors):
             assert_engines_identical(scalar, vector)
+    assert fused_views > 0
+
+
+@pytest.mark.parametrize("lanes, fused", [
+    ((1.0,) * (_FUSE_MIN_LANES - 1), 0),
+    ((1.0,) * _FUSE_MIN_LANES, _FUSE_MIN_LANES),
+    ((1.5,) + (1.0,) * (_FUSE_MIN_LANES - 1), 0),  # one lane straggles
+], ids=["one-short", "at-the-gate", "one-straggles"])
+def test_batch_view_fuses_only_at_the_lane_gate(lanes, fused):
+    """A view fuses only when at least ``_FUSE_MIN_LANES`` lanes are
+    eligible; below that every lane routes to its own engine.  A full drain
+    through one view, as a barrier runs it, is bit-identical to the scalar
+    router either way."""
+    scalars, vectors = make_view_fleet(5, lanes, blocks=4096)
+    scalar_view = ScalarReplicaBatchView(scalars)
+    vector_view = ReplicaBatchView(vectors)
+    assert vector_view.num_fused == fused
+    active = list(range(len(lanes)))
+    while active:
+        scalar_deltas = scalar_view.next_event_in_many(active)
+        vector_deltas = vector_view.next_event_in_many(active)
+        assert scalar_deltas == vector_deltas
+        scalar_done = scalar_view.advance_many(active, scalar_deltas)
+        vector_done = vector_view.advance_many(active, vector_deltas)
+        for s_done, v_done in zip(scalar_done, vector_done):
+            assert_completions_identical(s_done, v_done)
+        active = [pos for pos in active if scalar_view.lane_live(pos)]
+        assert active == [pos for pos in range(len(lanes)) if vector_view.lane_live(pos)]
+    scalar_view.settle()
+    vector_view.settle()
+    for scalar, vector in zip(scalars, vectors):
+        assert_completions_identical(scalar.drain_completed(), vector.drain_completed())
+        assert_engines_identical(scalar, vector)
 
 
 def test_kvcache_rows_stay_valid_across_frees():

@@ -20,6 +20,7 @@ synthetic fleets whose replicas wake at exactly tied float instants.
 """
 
 import math
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from repro.faults import FailurePlan
 from repro.llm import QWEN_7B
 from repro.obs import TraceRecorder, use_tracer
 from repro.rollout import ReplicaBatchView, ReplicaGenerationState, RolloutReplicaConfig
+from repro.rollout.generation import _FUSE_MIN_LANES
 from repro.runtime import FleetState, ReplicaFleet
 from repro.sim import Environment, KVCacheConfig
 from repro.systems import FailureEvent, FailureInjector, FailureKind, LaminarSystem, make_system
@@ -117,12 +119,14 @@ def make_replicas(seed: int, num_replicas: int, per_replica: int,
     return replicas
 
 
-def run_barrier(mode: str, seed: int, barrier_shape: str):
+def run_barrier(mode: str, seed: int, barrier_shape: str, num_replicas: int = 4,
+                per_replica: int = 10, blocks: int = 96):
     """One barrier generation under a stepping mode; returns everything observable."""
     with stepping(mode) as names:
         env = Environment()
-        replicas = make_replicas(seed, num_replicas=4, per_replica=10,
-                                 blocks=96, max_concurrency=8)
+        replicas = make_replicas(seed, num_replicas=num_replicas,
+                                 per_replica=per_replica, blocks=blocks,
+                                 max_concurrency=8)
 
         def body():
             origin = None if barrier_shape == "plain" else env.now
@@ -150,6 +154,33 @@ def run_barrier(mode: str, seed: int, barrier_shape: str):
 def test_barrier_fuzz_bit_identity(seed, barrier_shape):
     reference, fleet = both(run_barrier, seed, barrier_shape)
     assert fleet == reference
+
+
+def record_views(monkeypatch):
+    """``(lanes, fused lanes)`` of every :class:`ReplicaBatchView` built
+    from here on, in construction order."""
+    views = []
+    original = ReplicaBatchView.__init__
+
+    def recording_init(self, replicas):
+        original(self, replicas)
+        views.append((len(self.replicas), self.num_fused))
+
+    monkeypatch.setattr(ReplicaBatchView, "__init__", recording_init)
+    return views
+
+
+@pytest.mark.parametrize("barrier_shape", ["plain", "anchored"])
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_barrier_fuzz_bit_identity(monkeypatch, seed, barrier_shape):
+    """A barrier wide enough to fuse: most lanes fuse, while lanes whose KV
+    pool fails the fit gate step through their own engines beside them."""
+    views = record_views(monkeypatch)
+    reference, fleet = both(run_barrier, seed, barrier_shape,
+                            num_replicas=24, per_replica=6, blocks=76)
+    assert fleet == reference
+    [(lanes, fused)] = views
+    assert 0 < fused < lanes == 24
 
 
 def test_barrier_empty_fleet_matches():
@@ -333,19 +364,44 @@ def test_pop_due_ties_supersession_and_disarm():
     assert state.pop_due(at + 1.0) is None and state.next_wake() is None
 
 
+def test_stepper_moves_its_clock_between_foreign_events(monkeypatch):
+    """With no other event due first, the fleet stepper moves the clock to
+    the next member wake itself: a continuous tool run steps fewer engine
+    events for the same ``advance`` calls and the same result."""
+    counts = {"events": 0, "advance": 0}
+    step, advance = Environment.step, ReplicaGenerationState.advance
+
+    def counting_step(self):
+        counts["events"] += 1
+        return step(self)
+
+    def counting_advance(self, dt):
+        counts["advance"] += 1
+        return advance(self, dt)
+
+    monkeypatch.setattr(Environment, "step", counting_step)
+    monkeypatch.setattr(ReplicaGenerationState, "advance", counting_advance)
+
+    def run():
+        counts.update(events=0, advance=0)
+        result, _ = run_system("fleet", "laminar", task="tool", iters=2)
+        return result, dict(counts)
+
+    jumped, with_jumps = run()
+    monkeypatch.setattr(Environment, "try_jump", lambda self, at: False)
+    stepped, without = run()
+    assert_results_identical(stepped, jumped)
+    assert with_jumps["advance"] == without["advance"] > 0
+    assert with_jumps["events"] < without["events"]
+
+
 # --------------------------------------------------------------------------- fused barriers
 @pytest.mark.parametrize("traced", [False, True])
 def test_fleet_smoke_barriers_fuse_every_lane_unless_traced(monkeypatch, traced):
-    """Untraced, every barrier view fuses all of its lanes; with a recorder
-    attached the barrier arms trace sampling and no lane fuses."""
-    views = []
-    original = ReplicaBatchView.__init__
-
-    def recording_init(self, replicas):
-        original(self, replicas)
-        views.append((len(self.replicas), self.num_fused))
-
-    monkeypatch.setattr(ReplicaBatchView, "__init__", recording_init)
+    """fleet_smoke's barriers are wide: untraced, every barrier view fuses
+    all of its lanes; with a recorder attached the barrier arms trace
+    sampling and no lane fuses."""
+    views = record_views(monkeypatch)
     for unit in get_scenario("fleet_smoke").expand():
         views.clear()
         with use_tracer(TraceRecorder()) if traced else nullcontext():
@@ -354,6 +410,55 @@ def test_fleet_smoke_barriers_fuse_every_lane_unless_traced(monkeypatch, traced)
         lanes = sum(n for n, _ in views)
         fused = sum(k for _, k in views)
         assert lanes > 0 and fused == (0 if traced else lanes), unit.system
+
+
+#: throughput_smoke's barrier systems, whose barriers hold 4 or 8 replicas.
+SMOKE_BARRIERS = ("verl", "one_step", "stream_gen")
+
+
+def smoke_barrier_unit(system: str):
+    return next(unit for unit in get_scenario("throughput_smoke").expand()
+                if unit.system == system)
+
+
+def test_throughput_smoke_barriers_route_every_lane(monkeypatch):
+    """throughput_smoke's barriers are narrower than ``_FUSE_MIN_LANES``:
+    untraced, no view fuses a lane, so every lane steps its own engine."""
+    views = record_views(monkeypatch)
+    for system in SMOKE_BARRIERS:
+        views.clear()
+        system_for_unit(smoke_barrier_unit(system)).run()
+        assert views, system
+        assert all(0 < lanes < _FUSE_MIN_LANES for lanes, _ in views), system
+        assert sum(fused for _, fused in views) == 0, system
+
+
+@pytest.mark.parametrize("system", SMOKE_BARRIERS)
+def test_narrow_barriers_make_the_same_engine_calls_traced(monkeypatch, system):
+    """Observing does not change the path a narrow barrier runs: traced and
+    untraced, every lane routes to its own engine, so both runs make the
+    same ``advance`` and ``next_event_in`` calls and end at the same clock."""
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(ReplicaGenerationState, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in ("advance", "next_event_in"):
+        monkeypatch.setattr(ReplicaGenerationState, name, counted(name))
+    unit = smoke_barrier_unit(system)
+    observed = []
+    for traced in (False, True):
+        calls.clear()
+        with use_tracer(TraceRecorder()) if traced else nullcontext():
+            result = system_for_unit(unit).run()
+        observed.append((dict(calls), result.wall_clock))
+    assert observed[0] == observed[1]
+    assert observed[0][0]["advance"] > 0
 
 
 # --------------------------------------------------------------------------- exact-tie cohorts

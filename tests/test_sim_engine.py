@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation engine."""
 
+import math
+
 import pytest
 
 from repro.sim import Environment, Interrupt, SimulationError
@@ -300,3 +302,83 @@ def test_event_and_or_composition():
     assert results["any_values"] == ["fast"]
     assert results["all_time"] == 5.0
     assert results["n_done"] == 2
+
+
+def test_try_jump_moves_the_clock_only_past_a_strictly_later_head():
+    """A process jumps when the queue's head lies strictly after the target;
+    no event is stepped for it.  A head one ulp past the target is later."""
+    env = Environment()
+    seen = []
+
+    def other():
+        yield env.timeout_until(math.nextafter(3.0, math.inf))
+        seen.append(("other", env.now))
+
+    def jumper():
+        yield env.timeout(1.0)
+        seen.append(("jumped", env.try_jump(3.0), env.now))
+        seen.append(("blocked", env.try_jump(4.0), env.now))
+        yield env.timeout_until(4.0)
+        seen.append(("woke", env.now))
+
+    env.process(other())
+    env.process(jumper())
+    stepped_at = []
+    original_step = env.step
+
+    def step():
+        stepped_at.append(env.peek())
+        original_step()
+
+    env.step = step
+    env.run()
+    assert seen == [("jumped", True, 3.0), ("blocked", False, 3.0),
+                    ("other", math.nextafter(3.0, math.inf)), ("woke", 4.0)]
+    assert 3.0 not in stepped_at  # the jump stepped no event
+    with pytest.raises(SimulationError, match="lies in the past"):
+        env.try_jump(env.now - 1.0)
+
+
+def test_try_jump_yields_to_an_event_at_the_same_time():
+    """An event already queued at exactly the target fires first (FIFO), so
+    the jump is refused and the caller's own timeout lands after it."""
+    env = Environment()
+    order = []
+
+    def first():
+        yield env.timeout(2.0)
+        order.append("first")
+
+    def second():
+        yield env.timeout(1.0)
+        jumped = env.try_jump(2.0)
+        order.append(("jump", jumped, env.now))
+        yield env.timeout_until(2.0)
+        order.append("second")
+
+    env.process(first())
+    env.process(second())
+    env.run()
+    assert order == [("jump", False, 1.0), "first", "second"]
+
+
+def test_try_jump_never_passes_a_numeric_until():
+    """Inside ``run(until=t)`` a jump may land on ``t`` but never past it, and
+    the run still ends at exactly ``t``."""
+    env = Environment()
+    jumps = []
+
+    def proc():
+        yield env.timeout(1.0)
+        jumps.append(env.try_jump(7.5))
+        jumps.append(env.try_jump(5.0))
+        jumps.append(env.now)
+        yield env.timeout_until(7.5)
+        jumps.append("late")
+
+    env.process(proc())
+    env.run(until=5.0)
+    assert jumps == [False, True, 5.0]
+    assert env.now == 5.0
+    env.run(until=7.5)
+    assert jumps[-1] == "late" and env.now == 7.5
