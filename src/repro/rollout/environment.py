@@ -14,8 +14,9 @@ Two responsibilities:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -105,34 +106,61 @@ class TrajectoryFactory:
 
     def _multi_turn_schedules(self, prompts: PromptBatch, lengths: np.ndarray
                               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR ``(offsets, segments, env latencies)`` of multi-turn rows."""
+        """CSR ``(offsets, segments, env latencies)`` of multi-turn rows.
+
+        Each row draws, in row order, its turn count (Poisson), its token
+        split (Dirichlet) and its env latencies (the lognormal, Pareto and
+        uniform draws of :meth:`EnvLatencyDistribution.sample`), each sized
+        by its turn count.  Only those generator calls run per row; what is
+        computed from the draws runs once on the flat columns, with the same
+        float operations per entry.
+        """
         rng = self._rng
         max_turns = prompts.max_turns
-        segments: List[np.ndarray] = []
-        latencies: List[np.ndarray] = []
-        for difficulty, total_tokens in zip(prompts.difficulty.tolist(), lengths.tolist()):
-            # Number of tool calls grows with difficulty (harder bugs need more
-            # debugging steps), capped at the task's turn budget.
-            mean_turns = 1.0 + difficulty_to_turns(difficulty, max_turns)
-            num_turns = int(np.clip(rng.poisson(mean_turns) + 1, 1, max_turns))
-            # Split the response tokens across turns with a Dirichlet draw so
-            # turn lengths are uneven (early exploration short, final answer
-            # longer).
-            shares = rng.dirichlet(np.full(num_turns, 1.5))
-            segments.append(np.maximum(1, np.round(shares * total_tokens)).astype(np.int64))
-            # Environment latency after every turn except the last one.
-            turn_latencies = self.task.env_latency.sample(rng, num_turns)
-            turn_latencies[-1] = 0.0
-            latencies.append(turn_latencies)
-        offsets = np.zeros(len(segments) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in segments], out=offsets[1:])
-        return offsets, np.concatenate(segments), np.concatenate(latencies)
+        latency = self.task.env_latency
+        # Number of tool calls grows with difficulty (harder bugs need more
+        # debugging steps), capped at the task's turn budget.
+        mean_turns = (1.0 + difficulty_to_turns(prompts.difficulty, max_turns)).tolist()
+        # Split the response tokens across turns with a Dirichlet draw so
+        # turn lengths are uneven (early exploration short, final answer
+        # longer).
+        alphas = [np.full(turns, 1.5) for turns in range(max_turns + 1)]
+        log_median = np.log(latency.body_median)
+        sigma, tail_alpha = latency.body_sigma, latency.spike_alpha
+        poisson, dirichlet = rng.poisson, rng.dirichlet
+        lognormal, pareto, uniform = rng.lognormal, rng.pareto, rng.random
+        # Draws pile up as flat doubles, not as one small array per row.
+        counts: List[int] = []
+        shares, body, tail, uniforms = array("d"), array("d"), array("d"), array("d")
+        for mean in mean_turns:
+            num_turns = min(poisson(mean) + 1, max_turns)
+            counts.append(num_turns)
+            shares.frombytes(dirichlet(alphas[num_turns]).tobytes())
+            body.frombytes(lognormal(log_median, sigma, num_turns).tobytes())
+            tail.frombytes(pareto(tail_alpha, num_turns).tobytes())
+            uniforms.frombytes(uniform(num_turns).tobytes())
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        totals = lengths.repeat(counts)
+        segments = np.maximum(1, np.round(np.frombuffer(shares) * totals)).astype(np.int64)
+        env_latencies = latency.from_draws(
+            np.frombuffer(body), np.frombuffer(tail), np.frombuffer(uniforms)
+        )
+        # Environment latency after every turn except the last one.
+        env_latencies[offsets[1:] - 1] = 0.0
+        return offsets, segments, env_latencies
 
 
-def difficulty_to_turns(difficulty: float, max_turns: int) -> float:
-    """Expected extra tool calls for a problem of the given difficulty."""
-    if not 0 <= difficulty <= 1:
+def difficulty_to_turns(difficulty: Union[float, np.ndarray], max_turns: int
+                        ) -> Union[float, np.ndarray]:
+    """Expected extra tool calls for a problem of the given difficulty.
+
+    ``difficulty`` is a float or an array of them (elementwise, with the
+    same float operations).
+    """
+    values = np.asarray(difficulty)
+    if not ((values >= 0) & (values <= 1)).all():
         raise ValueError("difficulty must be in [0, 1]")
     if max_turns <= 1:
-        return 0.0
+        return 0.0 * difficulty
     return difficulty * (max_turns - 1) * 0.6

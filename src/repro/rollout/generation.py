@@ -46,8 +46,9 @@ the smallest segment remainder, so all decoding sequences gain the same
 number of tokens, and the engine stores their counters relative to one
 per-replica count of tokens decoded.  A decode window is one integer add
 plus three aggregates kept up to date — a heap of segment ends, the
-context-token sum and a histogram of KV residues — so the per-event hot path
-does no pass over the batch (see :class:`ReplicaGenerationState`).
+context-token sum and a histogram of KV residues — and env waits leave from
+a heap of return times, so the per-event hot path does no pass over the
+batch (see :class:`ReplicaGenerationState`).
 Per-sequence Python runs only on the control tail — preemption, segment
 finishes, environment transitions.  ``tests/test_engine_equivalence.py``
 drives this engine step-for-step against the scalar reference engine kept in
@@ -111,28 +112,29 @@ _ADMIT_WINDOW = 16
 #: pays a fixed set of numpy reductions and kernels whatever its width, while
 #: a per-replica decode window is O(1), so a narrower view routes every lane
 #: to its own engine.  Seconds per unit on a shared 2-vCPU host, fused vs
-#: routed (in-process medians of 4 alternations; registry barriers are 4, 8,
-#: 12, 16, 24 or >= 96 lanes wide, so the crossover lies between 16 and 24
-#: lanes):
+#: routed (in-process medians of 4 alternations, env-wait heap in place;
+#: registry barriers are 4, 8, 12, 16, 24 or >= 96 lanes wide, and the
+#: crossover lies between 16 and 24 lanes, so 24 is the narrowest registry
+#: width that fuses):
 #:
 #: ======================================  =====  =====  ======  ============
 #: unit                                    lanes  fused  routed  routed/fused
 #: ======================================  =====  =====  ======  ============
-#: throughput_7b_tool stream_gen 7B/16         4   3.10    1.37          0.44
-#: throughput_7b_math one_step 7B/16           4   0.85    0.23          0.27
-#: throughput_7b_tool verl 7B/16               8   2.41    1.59          0.66
-#: throughput_7b_math verl 7B/16               8   0.36    0.20          0.54
-#: convergence_7b stream_gen 7B/32            12   1.51    1.36          0.90
-#: convergence_7b one_step 7B/32              12   1.80    1.77          0.98
-#: convergence_7b verl 7B/32                  16   2.59    1.39          0.54
-#: tool_long_horizon stream_gen 7B/64         24   1.98    2.04          1.03
-#: throughput_7b_tool stream_gen 7B/256      108   0.77    1.41          1.82
-#: throughput_7b_tool verl 7B/256            128   0.56    1.45          2.60
-#: throughput_7b_math verl 7B/256            128   0.18    0.25          1.42
-#: throughput_72b_math verl 72B/1024         128   0.13    0.19          1.51
-#: datacenter_1k verl 4096 GPUs            2,048   0.77    1.08          1.40
+#: throughput_7b_tool stream_gen 7B/16         4   4.34    1.33          0.31
+#: throughput_7b_math one_step 7B/16           4   0.82    0.22          0.26
+#: throughput_7b_tool verl 7B/16               8   2.66    1.05          0.40
+#: throughput_7b_math verl 7B/16               8   0.38    0.19          0.50
+#: convergence_7b stream_gen 7B/32            12   1.59    1.56          0.98
+#: convergence_7b one_step 7B/32              12   1.63    1.56          0.96
+#: convergence_7b verl 7B/32                  16   3.05    1.42          0.47
+#: tool_long_horizon stream_gen 7B/64         24   1.48    1.73          1.17
+#: throughput_7b_tool stream_gen 7B/256      108   0.66    1.11          1.69
+#: throughput_7b_tool verl 7B/256            128   0.53    0.96          1.82
+#: throughput_7b_math verl 7B/256            128   0.10    0.14          1.40
+#: throughput_72b_math verl 72B/1024         128   0.13    0.15          1.13
+#: datacenter_1k verl 4096 GPUs            2,048   0.61    1.00          1.66
 #: ======================================  =====  =====  ======  ============
-_FUSE_MIN_LANES = 16
+_FUSE_MIN_LANES = 24
 
 
 #: Residency codes of the engine's status array and ``SequenceBatch.status``.
@@ -469,8 +471,8 @@ class ReplicaGenerationState:
     (``_a_kv``).  Its live value is the stored one shifted by ``D - entry``,
     so a decode window is ``D += t``.  ``add_sequences`` rejects a sequence
     whose schedule would carry it past its target, so no shifted counter
-    needs a cap.  The three quantities the event loop needs are kept up to
-    date instead of recomputed per window:
+    needs a cap.  The quantities the event loop needs are kept up to date
+    instead of recomputed per window or per release:
 
     * ``_heap`` — a min-heap of packed ints ``(seg_end, stamp, slot)``, where
       ``seg_end`` is the ``D`` at which the member's segment ends; its top is
@@ -482,15 +484,21 @@ class ReplicaGenerationState:
       growing every member by ``t`` adds ``t // block_size`` blocks each plus
       one for every member whose last block fill is in a range set by
       ``t % block_size``, so :meth:`_block_growth` is a slice sum and the
-      ledger is charged by count (:meth:`KVCache.charge_blocks`).
+      ledger is charged by count (:meth:`KVCache.charge_blocks`);
+    * ``_env_heap`` — a min-heap of ``(return time, env stamp)`` over the env
+      set, whose stamps ``_env_stamps`` keeps in env-set order; its top is
+      the earliest env return, and a release pops every entry due by
+      ``clock + _EPS``, sorts their stamps and bisects their env-set
+      positions (:meth:`_release_env_returns`).
 
     Every float (step time, ``_time_carry``, window, clock) is computed from
     the same integers as a per-sequence engine would, so the bits match
     ``tests/oracles.py``.  Decode-set order is behaviour, and the encoding
     keeps it: stamps increase along ``_dec``, so a window's finishers pop in
     ``_dec`` order; preemption pops the newest member; env returns re-enter
-    at the tail in env-set order; a zero-latency turn advance keeps its
-    place and its stamp.
+    at the tail in env-set order (the env set is only appended at its tail,
+    so ascending env stamp is env-set order, tied return times included); a
+    zero-latency turn advance keeps its place and its stamp.
 
     The format stays inside the engine.  :meth:`_write_back` turns every
     counter and KV ledger row back into plain values before anything reads
@@ -556,8 +564,6 @@ class ReplicaGenerationState:
         #: Decode-step latency memo, keyed by (batch, mean context).
         self._step_key: Optional[Tuple[int, int]] = None
         self._step_value = 0.0
-        #: Earliest env return time, ``None`` when it must be recomputed.
-        self._env_min: Optional[float] = None
         # Decode index (see the class docstring).  _build_index creates its
         # containers on the first per-replica step, so barrier replicas,
         # which never take one, carry none of them.
@@ -575,6 +581,11 @@ class ReplicaGenerationState:
         #: Heap entries left behind by preempted members (popped lazily).
         self._stale: Optional[set] = None
         self._hist: Optional[List[int]] = None
+        #: Env-wait index: a min-heap of ``(return time, env stamp)`` over the
+        #: env set, and the env set's stamps in env-set order (ascending).
+        self._env_heap: Optional[List[Tuple[float, int]]] = None
+        self._env_stamps: Optional[array] = None
+        self._next_env_stamp = 0
         #: Ids that entered the decode set since the last window and may need
         #: the current weight version recorded; ``_retag`` asks for a scan of
         #: the whole decode set instead (after a version bump or a rebuild).
@@ -680,7 +691,8 @@ class ReplicaGenerationState:
 
     # ------------------------------------------------------------------ decode index
     def _build_index(self) -> None:
-        """Index the (plain) decode set at ``D = 0``; stamps follow ``_dec`` order."""
+        """Index the (plain) decode set at ``D = 0`` and the env set's returns;
+        stamps follow ``_dec`` and ``_env`` order."""
         dec, env, kvcache = self._dec, self._env, self.kvcache
         if self._a_dent is None:
             # int32 halves the footprint; token counts and D stay far below 2**31.
@@ -691,8 +703,13 @@ class ReplicaGenerationState:
         self._stale = set()
         self._untagged = []
         self._retag = True
-        if env.n:
+        waiting = env.n
+        if waiting:
             self._a_kv[env.slots_view()] = kvcache.tokens_at(env.rows_view())
+        self._next_env_stamp = waiting
+        self._env_stamps = array("q", range(waiting))
+        self._env_heap = list(zip(self._a_env[env.slots_view()].tolist(), range(waiting)))
+        heapq.heapify(self._env_heap)
         n = dec.n
         self._next_stamp = n
         self._dec_stamps = array("q", range(n))
@@ -723,7 +740,10 @@ class ReplicaGenerationState:
         )
         self._ctx_base += self._a_ctx.item(slot) - decoded
         self._hist[(self._a_kv.item(slot) - 1 - decoded) % self._block] += 1
-        self._untagged.append(seq_id)
+        # A version bump sets ``_retag``, which rescans the whole decode set,
+        # so a member already tagged with the current version needs no entry.
+        if self._a_last_ver.item(slot) != self.weight_version:
+            self._untagged.append(seq_id)
 
     def _materialize(self, slot: int) -> None:
         """Rewrite a decoding member's counters as plain values at ``D``."""
@@ -791,7 +811,6 @@ class ReplicaGenerationState:
     def _drop_index(self) -> None:
         """Forget the index; the next per-replica step rebuilds it."""
         self._indexed = False
-        self._env_min = None
 
     def _segment_end(self) -> int:
         """``D`` at which the first decoding member ends its segment."""
@@ -995,12 +1014,9 @@ class ReplicaGenerationState:
         return self._step_value
 
     def _earliest_env_return(self) -> float:
-        """Earliest environment return time (recomputed only after a removal)."""
-        value = self._env_min
-        if value is None:
-            value = float(self._a_env[self._env.slots_view()].min()) if self._env.n else math.inf
-            self._env_min = value
-        return value
+        """Earliest environment return time: the env heap's top."""
+        env_heap = self._env_heap
+        return env_heap[0][0] if env_heap else math.inf
 
     def observe_utilization(self) -> float:
         """Record the current utilisation for ramp-down detection and return it."""
@@ -1150,21 +1166,32 @@ class ReplicaGenerationState:
                 return
 
     def _release_env_returns(self) -> None:
-        env = self._env
+        """Move every env wait due by ``clock + _EPS`` to the decode set's tail.
+
+        The env set is only appended at its tail, so the sorted stamps of
+        the popped entries give the due members in env-set order, tied
+        return times included.
+        """
+        env_heap = self._env_heap
         horizon = self.clock + _EPS
-        if self._earliest_env_return() > horizon:
+        if not env_heap or env_heap[0][0] > horizon:
             return
-        positions = np.flatnonzero(self._a_env[env.slots_view()] <= horizon)
-        slots = env.slots_view()[positions]
-        ids = env.ids_view()[positions]
-        rows = env.rows_view()[positions]
-        self._a_env[slots] = math.inf
-        self._a_status[slots] = DECODING
-        self._dec.extend(ids, slots, rows)
-        env.delete_positions(positions.tolist())
-        self._env_min = None
-        for seq_id, slot in zip(ids.tolist(), slots.tolist()):
+        stamps: List[int] = []
+        while env_heap and env_heap[0][0] <= horizon:
+            stamps.append(heapq.heappop(env_heap)[1])
+        stamps.sort()
+        env, dec, env_stamps = self._env, self._dec, self._env_stamps
+        a_env, status = self._a_env, self._a_status
+        positions = [bisect_left(env_stamps, stamp) for stamp in stamps]
+        for position in positions:
+            seq_id, slot = env.ids[position], env.slots[position]
+            a_env[slot] = math.inf
+            status[slot] = DECODING
+            dec.append(seq_id, slot, env.rows[position])
             self._enter(seq_id, slot)
+        env.delete_positions(positions)
+        for position in reversed(positions):
+            del env_stamps[position]
 
     def next_event_in(self) -> Optional[float]:
         """Time until the next internal event, or ``None`` if the replica is empty.
@@ -1362,8 +1389,10 @@ class ReplicaGenerationState:
                 self._a_env[slot] = returns_at
                 self._a_status[slot] = ENV_WAIT
                 self._env.append(seq_id, slot, dec.rows[position])
-                if self._env_min is not None and returns_at < self._env_min:
-                    self._env_min = returns_at
+                env_stamp = self._next_env_stamp
+                self._next_env_stamp = env_stamp + 1
+                self._env_stamps.append(env_stamp)
+                heapq.heappush(self._env_heap, (returns_at, env_stamp))
                 leaving.append(position)
             else:
                 # Zero-latency turn advance: same place, same stamp.

@@ -42,9 +42,18 @@ class EnvLatencyDistribution:
         if size <= 0:
             raise ValueError("size must be positive")
         body = rng.lognormal(np.log(self.body_median), self.body_sigma, size)
-        spikes = self.spike_scale * (1.0 + rng.pareto(self.spike_alpha, size))
-        is_spike = rng.random(size) < self.spike_prob
-        latency = np.where(is_spike, body + spikes, body)
+        tail = rng.pareto(self.spike_alpha, size)
+        return self.from_draws(body, tail, rng.random(size))
+
+    def from_draws(self, body: np.ndarray, tail: np.ndarray,
+                   uniform: np.ndarray) -> np.ndarray:
+        """Latencies from :meth:`sample`'s three draws, elementwise.
+
+        ``body``, ``tail`` and ``uniform`` are its lognormal, Pareto and
+        uniform draws (columns of any number of calls' draws at once).
+        """
+        spikes = self.spike_scale * (1.0 + tail)
+        latency = np.where(uniform < self.spike_prob, body + spikes, body)
         return np.clip(latency, self.min_latency, self.max_latency)
 
 

@@ -14,7 +14,9 @@ keeps the slower, plainer shapes those paths must reproduce bit for bit:
 * :func:`run_to_completion` — drive one replica until it has no work left;
 * :func:`reference_sample_batch` and :func:`reference_make` — the per-prompt
   fabrication loop that :meth:`repro.workload.PromptDataset.sample_batch`
-  and :meth:`repro.rollout.TrajectoryFactory.make` reproduce as columns;
+  and :meth:`repro.rollout.TrajectoryFactory.make` reproduce as columns, and
+  :func:`reference_multi_turn_schedules` — the per-row schedule loop whose
+  draws the factory keeps per row and whose arithmetic it runs on columns;
 * :func:`per_row_redirect` — failover and machine drains adding migrated
   rows one at a time, the oracle of
   :meth:`repro.systems.RolloutManager.redirect`;
@@ -59,7 +61,7 @@ from repro.runtime.harness import (
 from repro.sim.engine import Environment, Interrupt, Process
 from repro.sim.kvcache import KVCache, KVCacheConfig
 from repro.types import Prompt, Trajectory
-from repro.workload.datasets import PromptDataset
+from repro.workload.datasets import PromptBatch, PromptDataset
 
 
 # --------------------------------------------------------------------------- per-sequence state
@@ -251,6 +253,37 @@ def reference_make(factory: TrajectoryFactory, prompts: Sequence[Prompt],
         factory._next_traj_id += 1
         states.append(SequenceState(trajectory=trajectory, schedule=schedule))
     return states
+
+
+def reference_multi_turn_schedules(factory: TrajectoryFactory, prompts: PromptBatch,
+                                   lengths: np.ndarray
+                                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row multi-turn fabrication equal to ``factory._multi_turn_schedules``.
+
+    Every row computes its turn count, token split and latencies from its own
+    draws; production keeps only the draws in its row loop.
+    """
+    rng = factory._rng
+    max_turns = prompts.max_turns
+    segments: List[np.ndarray] = []
+    latencies: List[np.ndarray] = []
+    for difficulty, total_tokens in zip(prompts.difficulty.tolist(), lengths.tolist()):
+        # Number of tool calls grows with difficulty (harder bugs need more
+        # debugging steps), capped at the task's turn budget.
+        mean_turns = 1.0 + difficulty_to_turns(difficulty, max_turns)
+        num_turns = int(np.clip(rng.poisson(mean_turns) + 1, 1, max_turns))
+        # Split the response tokens across turns with a Dirichlet draw so
+        # turn lengths are uneven (early exploration short, final answer
+        # longer).
+        shares = rng.dirichlet(np.full(num_turns, 1.5))
+        segments.append(np.maximum(1, np.round(shares * total_tokens)).astype(np.int64))
+        # Environment latency after every turn except the last one.
+        turn_latencies = factory.task.env_latency.sample(rng, num_turns)
+        turn_latencies[-1] = 0.0
+        latencies.append(turn_latencies)
+    offsets = np.zeros(len(segments) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in segments], out=offsets[1:])
+    return offsets, np.concatenate(segments), np.concatenate(latencies)
 
 
 # --------------------------------------------------------------------------- engine

@@ -237,6 +237,161 @@ def test_preemption_storm_is_bit_identical():
     assert scalar.stats.preemptions > 0  # the scenario actually exercised churn
 
 
+# --------------------------------------------------------------------------- env-wait index
+#: Env latencies that send rows back together: at the same instant when they
+#: leave the decode set in one window, or within ``_EPS`` of each other.
+TIED_LATENCIES = (0.0, 5.0, 5.0 + 1e-10, 10.0)
+
+
+def make_tied_states(seed: int, count: int, start_id: int):
+    """Multi-turn rows whose segments end in shared windows (lengths from a
+    small set) and whose env latencies come from :data:`TIED_LATENCIES`."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for i in range(count):
+        num_turns = int(rng.integers(2, 6))
+        segments = [int(rng.choice((8, 16, 24))) for _ in range(num_turns)]
+        env_latencies = [float(rng.choice(TIED_LATENCIES)) for _ in range(num_turns - 1)]
+        env_latencies.append(0.0)
+        prompt = Prompt(prompt_id=start_id + i, group_id=0,
+                        prompt_tokens=int(rng.integers(16, 128)))
+        trajectory = Trajectory(traj_id=start_id + i, prompt=prompt,
+                                target_tokens=sum(segments))
+        states.append(SequenceState(
+            trajectory=trajectory,
+            schedule=TurnSchedule(segments=segments, env_latencies=env_latencies),
+        ))
+    return states
+
+
+def record_env_releases(vector):
+    """Wrap ``vector``'s env release; returns the list each call that moved
+    rows appends the moved rows' return times to."""
+    releases = []
+    release = vector._release_env_returns
+
+    def recording():
+        env = vector._env
+        waiting = dict(zip(env.slots.tolist(), vector._a_env[env.slots_view()].tolist()))
+        release()
+        left = set(env.slots.tolist())
+        returned = [at for slot, at in waiting.items() if slot not in left]
+        if returned:
+            releases.append(returned)
+
+    vector._release_env_returns = recording
+    return releases
+
+
+def env_waiting_ids(scalar):
+    return [s.seq_id for s in scalar.sequences() if s.status == "env_wait"]
+
+
+@pytest.mark.parametrize("disturbance", ["none", "removal", "env-slowdown"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tied_env_returns_are_bit_identical(seed, disturbance):
+    """Rows returning at one instant or within ``_EPS`` of each other leave
+    the env heap in env-set order, as the scalar scan releases them.  With
+    ``removal``, env-waiting rows are pulled mid-drain (the index is dropped
+    and rebuilt) and re-added later; with ``env-slowdown``, an env slowdown
+    switches on and off mid-run.  Every step is compared with ``==``."""
+    scalar, vector = make_engines(blocks=2048, max_concurrency=64)
+    scalar.add_sequences(make_tied_states(seed, 40, 0))
+    vector.add_sequences(to_batch(make_tied_states(seed, 40, 0)))
+    releases = record_env_releases(vector)
+    op_rng = np.random.default_rng(4000 + seed)
+    parked, pulled_waiting, slowed = [], 0, 0
+    for step in range(400):
+        delta_s, delta_v = scalar.next_event_in(), vector.next_event_in()
+        assert delta_s == delta_v
+        if delta_s is None:
+            break
+        stretch = float(op_rng.choice((0.5, 1.0, 1.0, 2.5)))
+        assert_completions_identical(
+            scalar.advance(delta_s * stretch), vector.advance(delta_v * stretch)
+        )
+        assert_counters_identical(scalar, vector)
+        if disturbance == "removal" and step % 9 == 4:
+            waiting = env_waiting_ids(scalar)
+            if waiting:
+                take = waiting[::2]
+                pulled_s, pulled_v = scalar.remove_sequences(take), vector.remove_sequences(take)
+                assert pulled_v.ids.tolist() == take
+                assert (pulled_v.status == ENV_WAIT).all()
+                pulled_waiting += len(take)
+                for s in pulled_s:
+                    s.needs_reprefill = True
+                pulled_v.reprefill[:] = True
+                parked.append((pulled_s, pulled_v))
+        if disturbance == "removal" and step % 9 == 8 and parked:
+            pulled_s, pulled_v = parked.pop(0)
+            scalar.add_sequences(pulled_s)
+            vector.add_sequences(pulled_v)
+        if disturbance == "env-slowdown" and step in (6, 30, 60):
+            factor = {6: 1.7, 30: 1.0, 60: 2.5}[step]
+            slowed += vector.num_env_waiting > 0
+            scalar.set_slowdown(env=factor)
+            vector.set_slowdown(env=factor)
+        assert_engines_identical(scalar, vector)
+    for pulled_s, pulled_v in parked:
+        scalar.add_sequences(pulled_s)
+        vector.add_sequences(pulled_v)
+    duration_s, done_s = run_to_completion(scalar)
+    duration_v, done_v = run_to_completion(vector)
+    assert duration_s == duration_v
+    assert_completions_identical(done_s, done_v)
+    assert_engines_identical(scalar, vector)
+    assert vector.stats.trajectories_completed == 40
+    # The ties the index must order: several rows at one instant, and rows
+    # a sub-``_EPS`` apart released together.
+    assert any(len(times) >= 2 and len(set(times)) == 1 for times in releases)
+    assert any(len(set(times)) >= 2 for times in releases)
+    if disturbance == "removal":
+        assert pulled_waiting > 0
+    if disturbance == "env-slowdown":
+        assert slowed > 0
+
+
+def test_settled_view_hands_env_waits_to_the_engines():
+    """A wide view fuses lanes holding env waits; after ``settle()`` each
+    engine rebuilds its env heap from the settled env set and per-replica
+    steps continue bit-identically."""
+    lanes = (1.0,) * _FUSE_MIN_LANES
+    scalars, vectors = make_view_fleet(21, lanes, states=make_tied_states)
+    fused_views = handed_over = 0
+    for _ in range(12):
+        scalar_view = ScalarReplicaBatchView(scalars)
+        vector_view = ReplicaBatchView(vectors)
+        fused_views += vector_view.num_fused > 0
+        positions = [pos for pos, r in enumerate(scalars) if r.num_sequences]
+        scalar_deltas = scalar_view.next_event_in_many(positions)
+        vector_deltas = vector_view.next_event_in_many(positions)
+        assert scalar_deltas == vector_deltas
+        dts = [d * 1.6 for d in scalar_deltas]
+        for s_done, v_done in zip(scalar_view.advance_many(positions, dts),
+                                  vector_view.advance_many(positions, dts)):
+            assert_completions_identical(s_done, v_done)
+        scalar_view.settle()
+        vector_view.settle()
+        handed_over += sum(vector.num_env_waiting for vector in vectors)
+        for scalar, vector in zip(scalars, vectors):
+            for _ in range(3):
+                delta_s, delta_v = scalar.next_event_in(), vector.next_event_in()
+                assert delta_s == delta_v
+                if delta_s is None:
+                    break
+                assert_completions_identical(scalar.advance(delta_s), vector.advance(delta_v))
+            assert_engines_identical(scalar, vector)
+    for scalar, vector in zip(scalars, vectors):
+        duration_s, done_s = run_to_completion(scalar)
+        duration_v, done_v = run_to_completion(vector)
+        assert duration_s == duration_v
+        assert_completions_identical(done_s, done_v)
+        assert_engines_identical(scalar, vector)
+    assert fused_views > 0
+    assert handed_over > 0
+
+
 # --------------------------------------------------------------------------- degenerate windows
 def degenerate_replica(engine_cls):
     replica = engine_cls(
@@ -510,22 +665,21 @@ def test_decode_step_time_many_matches_scalar():
 
 
 # --------------------------------------------------------------------------- batch views
-def make_view_fleet(seed: int, lanes, blocks: int = 384):
+def make_view_fleet(seed: int, lanes, blocks: int = 384, states=make_states):
     """Mirrored scalar/vector replica lists; ``lanes`` gives per-lane slowdowns.
 
     A lane with a slowdown factor other than 1.0 is ineligible for fusion and
     must route through the per-replica fallback — the fused and fallback
     paths are exercised side by side.  A view fuses only when at least
     ``_FUSE_MIN_LANES`` lanes are eligible, so fleets that must fuse are at
-    least that wide.
+    least that wide.  ``states`` fabricates each lane's ten rows.
     """
     scalars, vectors = [], []
     for replica_id, slowdown in enumerate(lanes):
         scalar, vector = make_engines(blocks=blocks, max_concurrency=24)
-        scalar.add_sequences(make_states(seed * 131 + replica_id, 10,
-                                         1000 * replica_id))
-        vector.add_sequences(make_batch(seed * 131 + replica_id, 10,
-                                        1000 * replica_id))
+        scalar.add_sequences(states(seed * 131 + replica_id, 10, 1000 * replica_id))
+        vector.add_sequences(to_batch(states(seed * 131 + replica_id, 10,
+                                             1000 * replica_id)))
         if slowdown != 1.0:
             scalar.set_slowdown(decode=slowdown)
             vector.set_slowdown(decode=slowdown)

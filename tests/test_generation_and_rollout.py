@@ -1,5 +1,8 @@
 """Tests for the replica generation engine, environments and trajectory types."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from oracles import (
     SequenceState,
     TurnSchedule,
     reference_make,
+    reference_multi_turn_schedules,
     reference_sample_batch,
     run_to_completion,
     to_batch,
@@ -21,6 +25,8 @@ from repro.llm import QWEN_7B
 from repro.sim import KVCacheConfig
 from repro.types import Prompt, Trajectory
 from repro.workload import PromptDataset, math_task, tool_task
+from repro.workload.datasets import PromptBatch
+from repro.workload.env_latency import ENV_PRESETS
 
 
 def make_replica(max_concurrency=64, blocks=4096, tp=1):
@@ -225,6 +231,37 @@ def test_fabrication_columns_match_the_per_prompt_loop(task_factory, seed):
             assert trajectory == state.trajectory
     assert rng.random() == reference_rng.random()
     assert factory._rng.random() == reference_factory._rng.random()
+
+
+@pytest.mark.parametrize("max_turns", [2, 3, 8])
+@pytest.mark.parametrize("preset", sorted(ENV_PRESETS))
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_multi_turn_schedules_match_the_per_row_reference(seed, preset, max_turns):
+    """The factory keeps each row's Poisson, Dirichlet and latency draws in
+    its row loop and runs the rest on columns: its batches equal the per-row
+    reference's column for column (dtype included), and both leave the
+    generator in the same state.  Rows of difficulty 0 and 1 are mixed with
+    intermediate ones, and some rows hit the ``max_turns`` cap."""
+    task = dataclasses.replace(tool_task("7B", max_turns=max_turns),
+                               env_latency=ENV_PRESETS[preset])
+    factory, reference = TrajectoryFactory(task, seed=seed), TrajectoryFactory(task, seed=seed)
+    reference._multi_turn_schedules = functools.partial(reference_multi_turn_schedules,
+                                                        reference)
+    rng = np.random.default_rng(100 + seed)
+    capped = False
+    for rows in (1, 7, 48):
+        difficulty = np.resize([0.0, 1.0], rows)
+        difficulty[2::3] = rng.uniform(size=len(difficulty[2::3]))
+        prompts = PromptBatch(np.arange(rows), np.arange(rows) // 4,
+                              rng.integers(64, 512, rows), difficulty, True, max_turns)
+        batch, expected = factory.make(prompts), reference.make(prompts)
+        for column in ("ids", "target", "offsets", "segments", "env_latencies"):
+            got, want = getattr(batch, column), getattr(expected, column)
+            assert got.dtype == want.dtype, column
+            assert got.tolist() == want.tolist(), column
+        assert factory._rng.bit_generator.state == reference._rng.bit_generator.state
+        capped |= bool((batch.num_turns == max_turns).any())
+    assert capped
 
 
 def test_environment_scoring_rewards_are_binary_and_difficulty_sensitive():

@@ -48,6 +48,29 @@ def test_env_latency_distribution_shape():
     assert np.percentile(samples, 99) > 5 * np.percentile(samples, 50)
 
 
+@pytest.mark.parametrize("name", ["code-sandbox", "rule-verifier"])
+def test_env_latency_sample_keeps_its_stream(name):
+    """``sample`` draws and mixes exactly as its one-expression form did, and
+    ``from_draws`` over the concatenated draws of several calls equals their
+    concatenated samples (what the trajectory factory relies on)."""
+    dist = get_env_latency(name)
+    rng, reference, columns = (np.random.default_rng(7) for _ in range(3))
+    sizes = (1, 3, 8, 2, 300)
+    expected = []
+    for size in sizes:
+        body = reference.lognormal(np.log(dist.body_median), dist.body_sigma, size)
+        spikes = dist.spike_scale * (1.0 + reference.pareto(dist.spike_alpha, size))
+        is_spike = reference.random(size) < dist.spike_prob
+        expected.append(np.clip(np.where(is_spike, body + spikes, body),
+                                dist.min_latency, dist.max_latency))
+    assert [dist.sample(rng, size).tolist() for size in sizes] == [e.tolist() for e in expected]
+    assert rng.bit_generator.state == reference.bit_generator.state
+    draws = [(columns.lognormal(np.log(dist.body_median), dist.body_sigma, size),
+              columns.pareto(dist.spike_alpha, size), columns.random(size)) for size in sizes]
+    mixed = dist.from_draws(*(np.concatenate(column) for column in zip(*draws)))
+    assert mixed.tolist() == np.concatenate(expected).tolist()
+
+
 def test_prompt_dataset_group_structure():
     dataset = PromptDataset(math_task("7B"), num_questions=100, seed=0)
     rng = np.random.default_rng(0)
